@@ -6,7 +6,9 @@ are contractual, not tunable.
 """
 
 import functools
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,11 @@ HOLDS = (cq.CERTIFIED_HOLDS, cq.NO_VIOLATION_FOUND)
 
 NLP_IDS = ("nlp-opposite-sign", "nlp-coords", "nlp-zero-grad",
            "nlp-parallel", "nlp-curve")
+
+# Statuses and verdict digests pinned on one platform (x86_64, Python
+# 3.11, numpy 2.4.6); a refactor that moves any of them changed behaviour.
+LOCK = json.loads((Path(__file__).parent / "data" / "behaviour_lock.json")
+                  .read_text())
 
 
 def criterion(label):
@@ -40,21 +47,43 @@ def registry():
 
 @pytest.fixture(scope="module")
 def matrix(registry):
-    """Status of every check on every fixture, computed once."""
-    statuses = {}
+    """Verdict of every check on every fixture, computed once."""
+    verdicts = {}
     for fix in registry:
         fid, problem, x = fix.fixture_id, fix.problem, fix.x_bar
-        statuses[fid, "nondegeneracy"] = \
-            cq.check_nondegeneracy(problem, x).status
-        statuses[fid, "robinson"] = cq.check_robinson(problem, x).status
+        verdicts[fid, "nondegeneracy"] = cq.check_nondegeneracy(problem, x)
+        verdicts[fid, "robinson"] = cq.check_robinson(problem, x)
         for kind in cq.WEAK_KINDS:
-            statuses[fid, kind] = cq.check_weak_cq(
-                problem, x, kind, curves=fix.curves).status
+            verdicts[fid, kind] = cq.check_weak_cq(
+                problem, x, kind, curves=fix.curves)
         for kind in cq.SEQ_KINDS:
-            statuses[fid, kind] = cq.check_seq_cq(
-                problem, x, kind, curves=fix.curves).status
-        statuses[fid, "msr"] = cq.check_msr(problem, x, samples=40).status
-    return statuses
+            verdicts[fid, kind] = cq.check_seq_cq(
+                problem, x, kind, curves=fix.curves)
+        verdicts[fid, "msr"] = cq.check_msr(problem, x,
+                                            samples=LOCK["msr_samples"])
+        if fix.embedding is not None:
+            for kind in ("crcq", "cpld"):
+                verdicts[fid, f"nlp-{kind}"] = cq.nlp_constant_rank_check(
+                    fix.embedding, x, kind)
+    return verdicts
+
+
+@pytest.fixture(scope="module")
+def recoveries(registry):
+    """Feasibility and recovered multiplier of the penalty run `regress` uses."""
+    outcomes = {}
+    for fix in registry:
+        pen = solvers.solve_external_penalty(
+            fix.problem, fix.x0,
+            rho_schedule=lambda k: 10.0 ** k,
+            inner_tol_schedule=lambda k: 1e-10,
+            max_outer=8)
+        feasibility = kkt.kkt_residual(fix.problem, pen.final.x,
+                                       pen.final.y).feasibility
+        rec = kkt.recover_multiplier(fix.problem, pen.certificate(),
+                                     fix.x_bar, tol=1e-4)
+        outcomes[fix.fixture_id] = (feasibility, rec)
+    return outcomes
 
 
 @criterion("criterion 1")
@@ -245,26 +274,14 @@ def test_criterion_08_traces_certify_akkt(registry):
 
 
 @criterion("criterion 9")
-def test_criterion_09_recovery_under_seq_cpld(registry, matrix):
-    outcomes = {}
-    for fix in registry:
-        pen = solvers.solve_external_penalty(
-            fix.problem, fix.x0,
-            rho_schedule=lambda k: 10.0 ** k,
-            inner_tol_schedule=lambda k: 1e-10,
-            max_outer=8)
-        feasibility = kkt.kkt_residual(fix.problem, pen.final.x,
-                                       pen.final.y).feasibility
-        rec = kkt.recover_multiplier(fix.problem, pen.certificate(),
-                                     fix.x_bar, tol=1e-4)
-        outcomes[fix.fixture_id] = (feasibility, rec)
-        if matrix[fix.fixture_id, "seq-cpld"] == cq.NO_VIOLATION_FOUND \
+def test_criterion_09_recovery_under_seq_cpld(registry, matrix, recoveries):
+    for fid, (feasibility, rec) in recoveries.items():
+        if matrix[fid, "seq-cpld"].status == cq.NO_VIOLATION_FOUND \
                 and feasibility <= 1e-4:
-            assert rec.status == "recovered", (fix.fixture_id, rec.message)
-            assert rec.residual.max_entry <= 1e-4, \
-                (fix.fixture_id, rec.residual)
+            assert rec.status == "recovered", (fid, rec.message)
+            assert rec.residual.max_entry <= 1e-4, (fid, rec.residual)
 
-    feasibility, rec = outcomes["ex-3.1"]
+    feasibility, rec = recoveries["ex-3.1"]
     assert feasibility <= 1e-4
     assert rec.status == "diverged"
     assert rec.coefficient_growth > 10.0
@@ -272,12 +289,34 @@ def test_criterion_09_recovery_under_seq_cpld(registry, matrix):
 
 @criterion("criterion 10")
 def test_criterion_10_implication_diagram(registry, matrix):
-    assert len(matrix) == len(fixtures.CHECK_NAMES) * len(registry.names())
+    assert len(matrix) == len(fixtures.CHECK_NAMES) * len(registry.names()) \
+        + 2 * len(NLP_IDS)
     broken = []
     for fix in registry:
         fid = fix.fixture_id
         for strong, weak in fixtures.IMPLICATIONS:
-            if matrix[fid, strong] in HOLDS \
-                    and matrix[fid, weak] == cq.VIOLATED:
+            if matrix[fid, strong].status in HOLDS \
+                    and matrix[fid, weak].status == cq.VIOLATED:
                 broken.append((fid, strong, weak))
     assert not broken, broken
+
+
+def test_behaviour_lock(registry, matrix, recoveries):
+    """Every verdict, its digest and every recovery status match the lock.
+
+    Every VIOLATED witness must also replay from its verdict alone.
+    """
+    got = {fid: {} for fid in registry.names()}
+    for (fid, check), verdict in matrix.items():
+        text = cq.verdict_to_text(verdict, generated_at="-")
+        got[fid][check] = {"status": verdict.status,
+                           "digest": cq.content_digest(text)}
+    assert got == LOCK["verdicts"]
+    assert {fid: rec.status for fid, (_, rec) in recoveries.items()} \
+        == LOCK["recovery"]
+    for (fid, check), verdict in matrix.items():
+        if verdict.status != cq.VIOLATED:
+            continue
+        fix = registry.get(fid)
+        target = fix.embedding if check.startswith("nlp-") else fix.problem
+        assert cq.replay_witness(target, verdict), (fid, check)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +177,9 @@ def test_regress_cq_deterministic(tmp_path, capsys):
         reports.append(report)
     assert reports[0] == reports[1]
     assert hashes[0] == hashes[1]
+    lock = json.loads((Path(__file__).parent / "data" / "behaviour_lock.json")
+                      .read_text())
+    assert hashes[0] == lock["regress_cq_sha256"]
     assert reports[0]["summary"]["failed"] == 0
 
 
