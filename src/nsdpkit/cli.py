@@ -13,7 +13,9 @@ content hashes exclude.
 
 Exit codes: solve 0 converged / 2 iteration cap / 3 error; diagnose 0
 match or no comparison / 1 mismatch / 3 error; regress 0 clean / 1 any
-failed entry.
+failed entry or an expected table that breaks the implication order / 3
+malformed option.  Malformed input (an unknown check or budget field, a
+missing reference point) ends in exit 3 before any check runs.
 """
 
 from __future__ import annotations
@@ -36,11 +38,8 @@ EXIT_MISMATCH = 1
 EXIT_CAP = 2
 EXIT_ERROR = 3
 
-DEFAULT_CHECKS = (
-    "nondegeneracy", "robinson",
-    "weak-nondegeneracy", "weak-robinson", "weak-crcq", "weak-cpld",
-    "seq-crcq", "seq-cpld",
-)
+DEFAULT_CHECKS = tuple(name for name, spec in cq.CHECKS.items()
+                       if spec.scope == "default")
 
 
 def _out_dir(args) -> Path:
@@ -66,34 +65,11 @@ def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
     return vec
 
 
-class Source:
-    """A problem plus the fixture metadata the subcommands consult."""
-
-    def __init__(self, source_id, problem, x_bar, x0, curves=(),
-                 embedding=None, expected=None):
-        self.source_id = source_id
-        self.problem = problem
-        self.x_bar = x_bar
-        self.x0 = x0
-        self.curves = curves
-        self.embedding = embedding
-        self.expected = expected or {}
-
-    def allowed(self, check: str):
-        val = self.expected.get("checks", {}).get(check)
-        if val is None:
-            return None
-        return tuple(val) if isinstance(val, list) else (val,)
-
-
-def _load_source(args) -> Source:
+def _load_source(args) -> fixtures.Fixture:
     if getattr(args, "fixture", None):
         registry = fixtures.FixtureRegistry(getattr(args, "expected", None)) \
             if getattr(args, "expected", None) else fixtures.default_registry()
-        fix = registry.get(args.fixture)
-        return Source(fix.fixture_id, fix.problem, fix.x_bar, fix.x0,
-                      curves=fix.curves, embedding=fix.embedding,
-                      expected=fix.expected)
+        return registry.get(args.fixture)
     if getattr(args, "problem", None):
         poly = model.load_problem(args.problem)
         problem = poly.problem()
@@ -107,7 +83,8 @@ def _load_source(args) -> Source:
         if getattr(args, "x0", None):
             x0 = _parse_vector(args.x0, problem.n, "--x0")
         sid = problem.name or Path(args.problem).stem
-        return Source(sid, problem, x_bar, x0, expected=expected)
+        return fixtures.Fixture(fixture_id=sid, problem=problem, x_bar=x_bar,
+                                x0=x0, expected=expected or {})
     raise ValueError("need --fixture or --problem")
 
 
@@ -166,14 +143,15 @@ def _run_solver(problem, x0, solver: str, config: dict) -> solvers.SolverTrace:
     raise ValueError(f"unknown solver {solver!r}; choose penalty, al, or sqp")
 
 
-def _summary_text(source: Source, solver: str, trace: solvers.SolverTrace) -> str:
+def _summary_text(source: fixtures.Fixture, solver: str,
+                  trace: solvers.SolverTrace) -> str:
     problem = source.problem
     final = trace.final
     res = kkt.kkt_residual(problem, final.x, final.y)
     first_y = float(np.linalg.norm(trace.records[0].y))
     final_y = float(np.linalg.norm(final.y))
     lines = [
-        f"problem: {source.source_id}",
+        f"problem: {source.fixture_id}",
         f"solver: {solver}",
         f"termination: {trace.termination}",
         f"outer iterations: {len(trace)}",
@@ -206,10 +184,10 @@ def cmd_solve(args) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    trace_path = out / f"{source.source_id}-{args.solver}.trace"
+    trace_path = out / f"{source.fixture_id}-{args.solver}.trace"
     kkt.write_trace(trace.certificate(), trace_path)
     summary = _summary_text(source, args.solver, trace)
-    _atomic_write(out / f"{source.source_id}-{args.solver}-summary.txt", summary)
+    _atomic_write(out / f"{source.fixture_id}-{args.solver}-summary.txt", summary)
     print(summary, end="")
     print(f"trace written to {trace_path}")
     if trace.termination == "converged":
@@ -223,37 +201,30 @@ def cmd_solve(args) -> int:
 # diagnose
 
 
-def _run_check(name: str, source: Source, budget: cq.CqBudget,
-               msr_samples: int) -> cq.CqVerdict:
-    problem, x_bar = source.problem, source.x_bar
-    if x_bar is None:
+def _check_names(text: str | None, source: fixtures.Fixture) -> list:
+    """The requested checks, validated against the registry before any runs."""
+    if source.x_bar is None:
         raise ValueError("no reference point: give --point or a file x_bar")
-    if name == "nondegeneracy":
-        return cq.check_nondegeneracy(problem, x_bar, budget)
-    if name == "robinson":
-        return cq.check_robinson(problem, x_bar, budget)
-    if name in cq.WEAK_KINDS:
-        return cq.check_weak_cq(problem, x_bar, name, budget,
-                                curves=source.curves)
-    if name in cq.SEQ_KINDS:
-        return cq.check_seq_cq(problem, x_bar, name, budget,
-                               curves=source.curves)
-    if name == "msr":
-        return cq.check_msr(problem, x_bar, budget, samples=msr_samples)
-    if name in ("nlp-crcq", "nlp-cpld"):
-        if source.embedding is None:
+    names = [c.strip() for c in text.split(",")] if text else list(DEFAULT_CHECKS)
+    for name in names:
+        if cq.check_spec(name).scope == "embedding" and source.embedding is None:
             raise ValueError(f"{name} needs a diagonal-embedding fixture")
-        return cq.nlp_constant_rank_check(source.embedding, x_bar,
-                                          name.split("-")[1], budget)
-    raise ValueError(f"unknown check {name!r}")
+    return names
+
+
+def _context(source: fixtures.Fixture, budget: cq.CqBudget,
+             msr_samples: int) -> cq.PointContext:
+    """Point work shared by every check run at the source's reference point."""
+    return cq.PointContext.at(source.problem, source.x_bar, budget,
+                              curves=source.curves, embedding=source.embedding,
+                              msr_samples=msr_samples)
 
 
 def cmd_diagnose(args) -> int:
     try:
         source = _load_source(args)
         budget = _parse_budget(args)
-        checks = [c.strip() for c in args.checks.split(",")] if args.checks \
-            else list(DEFAULT_CHECKS)
+        checks = _check_names(args.checks, source)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -261,9 +232,10 @@ def cmd_diagnose(args) -> int:
     mismatches = []
     compared = 0
     try:
+        ctx = _context(source, budget, args.msr_samples)
         for name in checks:
-            verdict = _run_check(name, source, budget, args.msr_samples)
-            cq.write_verdict(verdict, out / f"{source.source_id}-{name}.verdict")
+            verdict = cq.CHECKS[name].run(ctx)
+            cq.write_verdict(verdict, out / f"{source.fixture_id}-{name}.verdict")
             allowed = source.allowed(name)
             note = ""
             if allowed is not None:
@@ -309,16 +281,13 @@ def _regress_cq(registry, budget, msr_samples, run_msr):
     entries = []
     recorded = {}
     for fix in registry:
-        source = Source(fix.fixture_id, fix.problem, fix.x_bar, fix.x0,
-                        curves=fix.curves, embedding=fix.embedding,
-                        expected=fix.expected)
-        names = list(DEFAULT_CHECKS)
-        if fix.embedding is not None:
-            names += ["nlp-crcq", "nlp-cpld"]
-        if run_msr:
-            names.append("msr")
-        for name in names:
-            verdict = _run_check(name, source, budget, msr_samples)
+        ctx = _context(fix, budget, msr_samples)
+        runs = {"default": True, "embedding": fix.embedding is not None,
+                "full": run_msr}
+        for name, spec in cq.CHECKS.items():
+            if not runs[spec.scope]:
+                continue
+            verdict = spec.run(ctx)
             recorded[(fix.fixture_id, name)] = verdict.status
             allowed = fix.allowed(name)
             ok = allowed is None or verdict.status in allowed
@@ -436,7 +405,7 @@ def _regress_meta(recorded):
     for (fid, check), status in recorded.items():
         by_fixture.setdefault(fid, {})[check] = status
     for fid, table in sorted(by_fixture.items()):
-        for strong, weak in fixtures.IMPLICATIONS:
+        for strong, weak in cq.IMPLICATIONS:
             a, b = table.get(strong), table.get(weak)
             if a is None or b is None:
                 continue
@@ -461,13 +430,17 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_regress(args) -> int:
     try:
+        budget = _parse_budget(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    try:
         registry = fixtures.FixtureRegistry(args.expected) if args.expected \
             else fixtures.default_registry()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     out = _out_dir(args)
-    budget = _parse_budget(args)
     suite = args.suite
     entries = []
     recorded = {}
@@ -555,9 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = subs.add_parser("diagnose", help="run CQ checks, write verdicts")
     _add_source_args(diag)
+    extra = [name for name in cq.CHECKS if name not in DEFAULT_CHECKS]
     diag.add_argument("--checks", help="comma-separated check names "
-                      f"(default {','.join(DEFAULT_CHECKS)}; also msr, "
-                      "nlp-crcq, nlp-cpld)")
+                      f"(default {','.join(DEFAULT_CHECKS)}; also "
+                      f"{', '.join(extra)})")
     diag.set_defaults(func=cmd_diagnose)
 
     reg = subs.add_parser("regress", help="run the regression matrix")

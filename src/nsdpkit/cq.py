@@ -11,10 +11,16 @@ The samplers here can certify a condition, exhibit a concrete violation
 witness, or report that no violation was found within the budget.  Witness
 payloads carry enough data (points, bases, shifts) to be replayed
 bit for bit by ``replay_witness``.
+
+``CHECKS`` registers every check once: its runner, the replay of each
+witness kind it emits, its dependence test and its implication arrows.
+Runners take a ``PointContext``, so checks at the same point share the
+feasibility gate, the kernel basis and the free-basis dictionary.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -24,7 +30,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import kkt, linalg, model, solvers
+from . import linalg, model, solvers
 
 CERTIFIED_HOLDS = "CERTIFIED_HOLDS"
 NO_VIOLATION_FOUND = "NO_VIOLATION_FOUND"
@@ -32,9 +38,6 @@ VIOLATED = "VIOLATED"
 
 #: subset enumeration over the small eigenspace is exponential in m - r
 COMBINATORIAL_CAP = 12
-
-WEAK_KINDS = ("weak-nondegeneracy", "weak-robinson", "weak-crcq", "weak-cpld")
-SEQ_KINDS = ("seq-crcq", "seq-cpld")
 
 
 class InfeasiblePointError(ValueError):
@@ -160,21 +163,6 @@ def v_family(problem: model.NsdpProblem, x, E) -> VFamily:
     return VFamily(x=x.copy(), basis=cols.copy(), pairs=pairs, vectors=vecs)
 
 
-def _diag_vectors(problem: model.NsdpProblem, x, E, indices) -> list:
-    """Diagonal family members v_ii for the requested column indices."""
-    x = np.asarray(x, dtype=float)
-    cols = E.cols if isinstance(E, linalg.EigBasis) else np.asarray(E, dtype=float)
-    Ds = problem.dg(x)
-    out = []
-    m = cols.shape[0]
-    for i in indices:
-        c = cols[:, i]
-        Dc = [D @ c for D in Ds]
-        out.append(np.array([math.fsum(c[t] * w[t] for t in range(m))
-                             for w in Dc]))
-    return out
-
-
 @dataclass(frozen=True)
 class CqVerdict:
     """Outcome of one constraint qualification check at one point."""
@@ -272,12 +260,6 @@ def _feasibility_gate(problem: model.NsdpProblem, x_bar):
     return x, G, dec, r
 
 
-def _scale_v(problem: model.NsdpProblem, x_bar) -> float:
-    """Magnitude of the constraint derivative, the floor for rank tests."""
-    Ds = problem.dg(np.asarray(x_bar, dtype=float))
-    return max(1.0, max((linalg.frob(D) for D in Ds), default=0.0))
-
-
 def _kernel_basis(dec: linalg.SpectralDecomp, r: int) -> np.ndarray:
     """Tail eigenvectors reordered so the smallest eigenvalue leads.
 
@@ -301,10 +283,6 @@ def _lin_dep(vectors, scale: float) -> bool:
     sig = linalg.family_singular_values(vecs)
     rank = linalg.numerical_rank(sig, scale)
     return rank < len(vecs)
-
-
-def _pos_dep(vectors) -> bool:
-    return linalg.pos_lin_dependent(vectors)
 
 
 def _unit_directions(n: int, extra: int, rng: np.random.Generator) -> list:
@@ -423,7 +401,7 @@ def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
         return E0 @ np.array([[c, -s], [s, c]])
 
     def measures(theta: float) -> tuple:
-        v1, v2 = _diag_vectors(problem, x_bar, basis(theta), (0, 1))
+        v1, v2 = model.diag_vectors(problem, x_bar, basis(theta), (0, 1))
         m1 = float(np.linalg.norm(v1))
         m2 = float(np.linalg.norm(v2))
         d = v1 - v2
@@ -467,27 +445,6 @@ def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
     return [(f"sweep@{th:.8f}", basis(th)) for th in deduped]
 
 
-def _free_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
-                     scale_v: float, budget: CqBudget,
-                     curve_entries: list | None = None) -> list:
-    """Kernel bases probed when every basis at x_bar is in play.
-
-    Order is canonical, curve limits, sweep hits, Haar draws; the first
-    violating candidate becomes the witness, so the deterministic
-    entries lead.
-    """
-    out = [("canonical", E0, None)]
-    for entry in curve_entries or []:
-        out.append((entry["label"], entry["E_bar"], entry))
-    for label, E in _sweep_candidates(problem, x_bar, E0, scale_v, budget):
-        out.append((label, E, None))
-    rng = _rng(budget.seed, 1)
-    q = E0.shape[1]
-    for j in range(budget.n_q):
-        out.append((f"haar-{j}", E0 @ linalg.haar_orthogonal(q, rng), None))
-    return out
-
-
 def _base_epsilons(scale_v: float) -> dict:
     return {
         "eps_rank": linalg.EPS_RANK,
@@ -509,6 +466,119 @@ def _make_verdict(condition: str, status: str, problem: model.NsdpProblem,
         notes=tuple(notes), witness=_jsonify(witness) if witness else None)
 
 
+@dataclass(frozen=True, eq=False)
+class PointContext:
+    """The point work every check at one (problem, x_bar, budget) shares.
+
+    ``at`` runs the feasibility gate once and keeps the decomposition of
+    G(x_bar), its rank r, the derivative scale ``scale_v`` and the kernel
+    basis ``E0`` (None at full rank).  The rotation sweep and the Haar
+    draws over kernel bases are built on first use and then reused, so
+    checks that never probe free bases (nondegeneracy, msr) do not pay
+    for them.  ``curves``, ``embedding`` and ``msr_samples`` are the rest
+    of what the registered checks read: the problem's witness curves, its
+    scalar form when it is a diagonal embedding, and the msr sample count.
+    """
+
+    problem: model.NsdpProblem
+    x: np.ndarray
+    G: np.ndarray
+    dec: linalg.SpectralDecomp
+    r: int
+    scale_v: float
+    E0: np.ndarray | None
+    budget: CqBudget
+    curves: tuple = ()
+    embedding: model.DiagonalEmbedding | None = None
+    msr_samples: int = 200
+
+    @classmethod
+    def at(cls, problem: model.NsdpProblem, x_bar,
+           budget: CqBudget | None = None, curves=(), embedding=None,
+           msr_samples: int = 200) -> "PointContext":
+        x, G, dec, r = _feasibility_gate(problem, x_bar)
+        Ds = problem.dg(x)
+        # the derivative magnitude is the floor for every rank test
+        scale_v = max(1.0, max((linalg.frob(D) for D in Ds), default=0.0))
+        E0 = _kernel_basis(dec, r) if r < problem.m else None
+        return cls(problem=problem, x=x, G=G, dec=dec, r=r, scale_v=scale_v,
+                   E0=E0, budget=budget or CqBudget(), curves=tuple(curves),
+                   embedding=embedding, msr_samples=msr_samples)
+
+    @functools.cached_property
+    def _rotated_bases(self) -> list:
+        """Sweep hits, then Haar draws: the costly part of the dictionary."""
+        out = _sweep_candidates(self.problem, self.x, self.E0, self.scale_v,
+                                self.budget)
+        rng = _rng(self.budget.seed, 1)
+        q = self.E0.shape[1]
+        for j in range(self.budget.n_q):
+            out.append((f"haar-{j}", self.E0 @ linalg.haar_orthogonal(q, rng)))
+        return out
+
+    def free_candidates(self, curve_entries=()) -> list:
+        """Kernel bases probed when every basis at x_bar is in play.
+
+        Order is canonical, curve limits, sweep hits, Haar draws; the
+        first violating candidate becomes the witness, so the
+        deterministic entries lead.  Entries are (label, basis, curve
+        entry or None).
+        """
+        return ([("canonical", self.E0, None)]
+                + [(e["label"], e["E_bar"], e) for e in curve_entries]
+                + [(label, E, None) for label, E in self._rotated_bases])
+
+    def verdict(self, condition: str, status: str, witness=None,
+                notes=()) -> CqVerdict:
+        return _make_verdict(condition, status, self.problem, self.x, self.r,
+                             self.budget, self.scale_v, witness=witness,
+                             notes=notes)
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One constraint qualification check as the registry knows it.
+
+    ``runner(ctx, spec)`` computes the verdict at a ``PointContext``;
+    ``replay`` maps each witness kind the check emits to the function
+    that re-evaluates it.  ``positive`` picks the dependence test on the
+    premise family (positive linear dependence, or linear dependence
+    measured against scale_v; None when the check has no premise).
+    ``implies`` lists the checks that hold wherever this one holds, the
+    arrows of the implication diagram.  ``scope`` says where the check
+    runs unasked: "default" in every diagnose and regress pass,
+    "embedding" in regress on diagonal embeddings only, "full" in the full
+    regression suite only.  ``limit_only`` marks the weak variants of
+    the pointwise conditions, which test the limit family alone.
+    """
+
+    name: str
+    runner: object
+    replay: dict
+    positive: bool | None = None
+    implies: tuple = ()
+    scope: str = "default"
+    limit_only: bool = False
+
+    def run(self, ctx: PointContext) -> CqVerdict:
+        return self.runner(ctx, self)
+
+    def dependent(self, scale_v: float):
+        """The premise dependence test as a predicate on a vector list."""
+        if self.positive:
+            return linalg.pos_lin_dependent
+        return lambda vectors: _lin_dep(vectors, scale_v)
+
+
+def check_spec(name: str) -> CheckSpec:
+    """The registered check called ``name``."""
+    try:
+        return CHECKS[name]
+    except KeyError:
+        raise ValueError(f"unknown check {name!r}; known: "
+                         + ", ".join(CHECKS)) from None
+
+
 # ---------------------------------------------------------------------------
 # nondegeneracy and Robinson
 
@@ -521,34 +591,31 @@ def check_nondegeneracy(problem: model.NsdpProblem, x_bar,
     rank, so a single representative decides: the verdict is always
     CERTIFIED_HOLDS or VIOLATED.
     """
-    budget = budget or CqBudget()
-    x, G, dec, r = _feasibility_gate(problem, x_bar)
-    scale = _scale_v(problem, x)
-    if r == problem.m:
-        return _make_verdict("nondegeneracy", CERTIFIED_HOLDS, problem, x, r,
-                             budget, scale,
-                             notes=("constraint has full rank at the point",))
-    E0 = _kernel_basis(dec, r)
-    fam = v_family(problem, x, E0)
+    return CHECKS["nondegeneracy"].run(PointContext.at(problem, x_bar, budget))
+
+
+def _nondegeneracy(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
+    if ctx.r == ctx.problem.m:
+        return ctx.verdict(spec.name, CERTIFIED_HOLDS,
+                           notes=("constraint has full rank at the point",))
+    fam = v_family(ctx.problem, ctx.x, ctx.E0)
     vecs = fam.full_list()
     sig = linalg.family_singular_values(vecs)
-    dependent = _lin_dep(vecs, scale)
+    dependent = spec.dependent(ctx.scale_v)(vecs)
     witness = {
         "kind": "pair-family",
-        "E": E0,
+        "E": ctx.E0,
         "pairs": [[i + 1, j + 1] for (i, j) in fam.pairs],
         "vectors": fam.vectors,
         "singular_values": sig,
         "dependent": bool(dependent),
     }
     if dependent:
-        return _make_verdict(
-            "nondegeneracy", VIOLATED, problem, x, r, budget, scale,
-            witness=witness,
+        return ctx.verdict(
+            spec.name, VIOLATED, witness=witness,
             notes=("pair family is linearly dependent at a kernel basis",))
-    return _make_verdict(
-        "nondegeneracy", CERTIFIED_HOLDS, problem, x, r, budget, scale,
-        witness=witness,
+    return ctx.verdict(
+        spec.name, CERTIFIED_HOLDS, witness=witness,
         notes=("pair family is linearly independent; rank is basis-invariant",))
 
 
@@ -607,28 +674,30 @@ def check_robinson(problem: model.NsdpProblem, x_bar,
     canonical, swept, and Haar bases are screened for positive
     dependence.  If neither side lands, the verdict stays open.
     """
-    budget = budget or CqBudget()
-    x, G, dec, r = _feasibility_gate(problem, x_bar)
-    scale = _scale_v(problem, x)
-    if r == problem.m:
-        return _make_verdict(
-            "robinson", CERTIFIED_HOLDS, problem, x, r, budget, scale,
+    return CHECKS["robinson"].run(PointContext.at(problem, x_bar, budget))
+
+
+def _robinson(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
+    problem, x, G, budget = ctx.problem, ctx.x, ctx.G, ctx.budget
+    if ctx.r == problem.m:
+        return ctx.verdict(
+            spec.name, CERTIFIED_HOLDS,
             witness={"kind": "interior-direction", "direction": np.zeros(problem.n),
-                     "lambda_min": float(dec.eigenvalues[-1])},
+                     "lambda_min": float(ctx.dec.eigenvalues[-1])},
             notes=("constraint has full rank at the point",))
     rng = _rng(budget.seed, 5)
     cert_val, cert_d = _robinson_certificate(problem, x, G, budget, rng)
-    threshold = linalg.EPS_RANK * (1.0 + linalg.frob(G) + scale)
+    threshold = linalg.EPS_RANK * (1.0 + linalg.frob(G) + ctx.scale_v)
     if cert_val > threshold:
-        return _make_verdict(
-            "robinson", CERTIFIED_HOLDS, problem, x, r, budget, scale,
+        return ctx.verdict(
+            spec.name, CERTIFIED_HOLDS,
             witness={"kind": "interior-direction", "direction": cert_d,
                      "lambda_min": cert_val},
             notes=("strictly feasible direction for the linearization found",))
-    E0 = _kernel_basis(dec, r)
-    for label, E, _ in _free_candidates(problem, x, E0, scale, budget):
-        vecs = _diag_vectors(problem, x, E, range(E.shape[1]))
-        if _pos_dep(vecs):
+    dependent = spec.dependent(ctx.scale_v)
+    for label, E, _ in ctx.free_candidates():
+        vecs = model.diag_vectors(problem, x, E)
+        if dependent(vecs):
             witness = {
                 "kind": "diagonal-positive-dependence",
                 "label": label,
@@ -636,12 +705,11 @@ def check_robinson(problem: model.NsdpProblem, x_bar,
                 "vectors": vecs,
                 "dependent": True,
             }
-            return _make_verdict(
-                "robinson", VIOLATED, problem, x, r, budget, scale,
-                witness=witness,
+            return ctx.verdict(
+                spec.name, VIOLATED, witness=witness,
                 notes=("diagonal family positively dependent at a kernel basis",))
-    return _make_verdict(
-        "robinson", NO_VIOLATION_FOUND, problem, x, r, budget, scale,
+    return ctx.verdict(
+        spec.name, NO_VIOLATION_FOUND,
         notes=(f"best linearized eigenvalue {cert_val:.3e} below the "
                f"certificate threshold; no positive dependence sampled",))
 
@@ -650,34 +718,40 @@ def check_robinson(problem: model.NsdpProblem, x_bar,
 # weak constant-rank style conditions
 
 
-def _weak_candidate_fails(problem, x_bar, kind, E_bar, chain, ts, subsets,
-                          scale_v, consecutive):
-    """Evaluate one (limit, chain) candidate; returns a failure record or None."""
-    if kind == "weak-nondegeneracy" or kind == "weak-robinson":
-        vecs = _diag_vectors(problem, x_bar, E_bar, range(E_bar.shape[1]))
-        dep = _lin_dep(vecs, scale_v) if kind == "weak-nondegeneracy" \
-            else _pos_dep(vecs)
-        if dep:
-            return {"E_bar": E_bar, "family_vectors": vecs, "dependent": True}
-        return None
-    pos = kind == "weak-cpld"
-    diag_lim = _diag_vectors(problem, x_bar, E_bar, range(E_bar.shape[1]))
-    tail_idx = list(range(len(ts) - consecutive, len(ts)))
+def _limit_failure(ctx: PointContext, spec: CheckSpec, E_bar) -> dict | None:
+    """Failure record when the diagonal family at (x_bar, E_bar) is dependent."""
+    vecs = model.diag_vectors(ctx.problem, ctx.x, E_bar)
+    if spec.dependent(ctx.scale_v)(vecs):
+        return {"E_bar": E_bar, "family_vectors": vecs, "dependent": True}
+    return None
+
+
+def _rank_failure(ctx: PointContext, spec: CheckSpec, E_bar, chain, ts,
+                  subsets) -> dict | None:
+    """Constant-rank test of one (limit, chain) candidate.
+
+    Fails when some premise subfamily J is dependent at the limit basis
+    while the trailing ``consecutive`` levels of the chain stay linearly
+    independent on J; returns that failure record or None.
+    """
+    problem, scale_v = ctx.problem, ctx.scale_v
+    premise_dependent = spec.dependent(scale_v)
+    diag_lim = model.diag_vectors(problem, ctx.x, E_bar)
+    tail_idx = list(range(len(ts) - ctx.budget.consecutive, len(ts)))
     for J in subsets:
         prem = [diag_lim[i] for i in J]
-        prem_dep = _pos_dep(prem) if pos else _lin_dep(prem, scale_v)
-        if not prem_dep:
+        if not premise_dependent(prem):
             continue
         trailing_indep = True
         for j in tail_idx:
-            vecs = _diag_vectors(problem, chain[j][0], chain[j][1], J)
+            vecs = model.diag_vectors(problem, chain[j][0], chain[j][1], J)
             if _lin_dep(vecs, scale_v):
                 trailing_indep = False
                 break
         if trailing_indep:
             levels = []
             for t, (x_j, E_j) in zip(ts, chain):
-                vecs = _diag_vectors(problem, x_j, E_j, J)
+                vecs = model.diag_vectors(problem, x_j, E_j, J)
                 levels.append({"t": t, "x": x_j, "E": E_j, "vectors": vecs,
                                "dependent": bool(_lin_dep(vecs, scale_v))})
             return {"E_bar": E_bar, "J": [i + 1 for i in J],
@@ -706,54 +780,39 @@ def check_weak_cq(problem: model.NsdpProblem, x_bar, kind: str,
     """
     if kind not in WEAK_KINDS:
         raise ValueError(f"unknown weak condition {kind!r}")
-    budget = budget or CqBudget()
-    x, G, dec, r = _feasibility_gate(problem, x_bar)
+    ctx = PointContext.at(problem, x_bar, budget, curves=curves)
+    return CHECKS[kind].run(ctx)
+
+
+def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
+    problem, x, r, budget = ctx.problem, ctx.x, ctx.r, ctx.budget
     m = problem.m
-    scale = _scale_v(problem, x)
     if r == m:
-        return _make_verdict(kind, CERTIFIED_HOLDS, problem, x, r, budget,
-                             scale, notes=("constraint has full rank at the point",))
+        return ctx.verdict(spec.name, CERTIFIED_HOLDS,
+                           notes=("constraint has full rank at the point",))
     q = m - r
-    limit_only = kind in ("weak-nondegeneracy", "weak-robinson")
-    if not limit_only and q > COMBINATORIAL_CAP:
+    if not spec.limit_only and q > COMBINATORIAL_CAP:
         raise CombinatorialCapError(
             f"m - r = {q} exceeds the subset enumeration cap {COMBINATORIAL_CAP}")
-    subsets = [] if limit_only else _subsets(q)
+    subsets = [] if spec.limit_only else _subsets(q)
     ts = _levels(budget)
 
-    if limit_only:
+    if spec.limit_only:
         failures = []
-        all_fail = True
-        for label, E, _ in _free_candidates(problem, x, _kernel_basis(dec, r),
-                                            scale, budget):
-            vecs = _diag_vectors(problem, x, E, range(q))
-            dep = _lin_dep(vecs, scale) if kind == "weak-nondegeneracy" \
-                else _pos_dep(vecs)
-            if dep:
-                failures.append({"label": label, "E_bar": E,
-                                 "family_vectors": vecs, "dependent": True})
-            else:
-                all_fail = False
+        for label, E, _ in ctx.free_candidates():
+            fail = _limit_failure(ctx, spec, E)
+            if fail is None:
                 break
-        if all_fail and failures:
+            fail["label"] = label
+            failures.append(fail)
+        else:
             witness = {"kind": "constant-sequence", "candidates": failures}
-            return _make_verdict(
-                kind, VIOLATED, problem, x, r, budget, scale, witness=witness,
+            return ctx.verdict(
+                spec.name, VIOLATED, witness=witness,
                 notes=("every sampled kernel basis fails at the point itself",))
 
-    sequences = []
-    for curve in curves:
-        if curve.kind == "x":
-            sequences.append((f"curve:{curve.name}", None, curve))
-    dir_rng = _rng(budget.seed, 4)
-    for d in _unit_directions(problem.n, budget.n_directions, dir_rng):
-        sequences.append((f"ray:{_dir_label(d)}", d, None))
-
-    for seq_idx, (label, d, curve) in enumerate(sequences):
-        if curve is not None:
-            xs = [np.asarray(curve.func(t), dtype=float) for t in ts]
-        else:
-            xs = [x + t * d for t in ts]
+    sequences = _sequences(x, ctx.curves, ts, budget)
+    for seq_idx, (label, d, xs) in enumerate(sequences):
         decs = [linalg.spectral_decompose(problem.g(p)) for p in xs]
         chain_E = []
         prev = None
@@ -781,9 +840,11 @@ def check_weak_cq(problem: model.NsdpProblem, x_bar, kind: str,
             E_bar = _extrapolated_limit(chain)
             if E_bar is None:
                 continue
-            fail = _weak_candidate_fails(
-                problem, x, kind, E_bar, list(zip(xs, chain)), ts, subsets,
-                scale, budget.consecutive)
+            if spec.limit_only:
+                fail = _limit_failure(ctx, spec, E_bar)
+            else:
+                fail = _rank_failure(ctx, spec, E_bar, list(zip(xs, chain)),
+                                     ts, subsets)
             if fail is None:
                 any_saved = True
                 break
@@ -797,10 +858,24 @@ def check_weak_cq(problem: model.NsdpProblem, x_bar, kind: str,
                 "t_levels": ts,
                 "candidates": candidate_failures,
             }
-            return _make_verdict(
-                kind, VIOLATED, problem, x, r, budget, scale, witness=witness,
+            return ctx.verdict(
+                spec.name, VIOLATED, witness=witness,
                 notes=("every reachable eigenbasis limit fails along this sequence",))
-    return _make_verdict(kind, NO_VIOLATION_FOUND, problem, x, r, budget, scale)
+    return ctx.verdict(spec.name, NO_VIOLATION_FOUND)
+
+
+def _sequences(x, curves, ts, budget: CqBudget) -> list:
+    """Sequences x_k -> x as (label, direction or None, points at ``ts``).
+
+    Registered point curves lead, then the signed unit rays and the
+    seeded random rays.
+    """
+    out = [(f"curve:{c.name}", None,
+            [np.asarray(c.func(t), dtype=float) for t in ts])
+           for c in curves if c.kind == "x"]
+    for d in _unit_directions(x.size, budget.n_directions, _rng(budget.seed, 4)):
+        out.append((f"ray:{_dir_label(d)}", d, [x + t * d for t in ts]))
+    return out
 
 
 def _dir_label(d: np.ndarray) -> str:
@@ -826,7 +901,7 @@ def _completion_basis(P_bar: np.ndarray, E: np.ndarray) -> np.ndarray:
 def _seq_full_levels(problem, x_bar, J, ts, point_basis, deltas, scale_v):
     levels = []
     for t, (x_j, E_j), delta in zip(ts, point_basis, deltas):
-        vecs = _diag_vectors(problem, x_j, E_j, J)
+        vecs = model.diag_vectors(problem, x_j, E_j, J)
         levels.append({"t": t, "x": x_j, "E": E_j, "delta": delta,
                        "vectors": vecs,
                        "dependent": bool(_lin_dep(vecs, scale_v))})
@@ -860,7 +935,7 @@ def _seq_tail_violation(problem, x_bar, E_bar, J, budget, scale_v, rng,
             indep = True
             for j in tail_idx:
                 x_j = x_bar + ts[j] * d
-                vecs = _diag_vectors(problem, x_j, basis_at(ts[j]), J)
+                vecs = model.diag_vectors(problem, x_j, basis_at(ts[j]), J)
                 if _lin_dep(vecs, scale_v):
                     indep = False
                     break
@@ -893,36 +968,38 @@ def check_seq_cq(problem: model.NsdpProblem, x_bar, kind: str,
     """
     if kind not in SEQ_KINDS:
         raise ValueError(f"unknown sequential condition {kind!r}")
-    budget = budget or CqBudget()
-    x, G, dec, r = _feasibility_gate(problem, x_bar)
+    ctx = PointContext.at(problem, x_bar, budget, curves=curves)
+    return CHECKS[kind].run(ctx)
+
+
+def _seq(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
+    problem, x, r, budget = ctx.problem, ctx.x, ctx.r, ctx.budget
     m = problem.m
-    scale = _scale_v(problem, x)
+    scale = ctx.scale_v
     if r == m:
-        return _make_verdict(kind, CERTIFIED_HOLDS, problem, x, r, budget,
-                             scale, notes=("constraint has full rank at the point",))
+        return ctx.verdict(spec.name, CERTIFIED_HOLDS,
+                           notes=("constraint has full rank at the point",))
     q = m - r
     if q > COMBINATORIAL_CAP:
         raise CombinatorialCapError(
             f"m - r = {q} exceeds the subset enumeration cap {COMBINATORIAL_CAP}")
-    pos = kind == "seq-cpld"
-    P_bar = dec.eigenvectors[:, :r].copy()
-    E0 = _kernel_basis(dec, r)
+    P_bar = ctx.dec.eigenvectors[:, :r].copy()
     ts = _levels(budget)
     curve_entries = []
-    for curve in curves:
+    for curve in ctx.curves:
         if curve.kind != "x-delta":
             continue
         entry = _curve_candidate(problem, curve, r, ts)
         if entry is not None:
             curve_entries.append(entry)
-    candidates = _free_candidates(problem, x, E0, scale, budget, curve_entries)
+    premise_dependent = spec.dependent(scale)
     subsets = _subsets(q)
-    for cand_idx, (label, E_bar, curve_entry) in enumerate(candidates):
-        diag_lim = _diag_vectors(problem, x, E_bar, range(q))
+    for cand_idx, (label, E_bar, curve_entry) in enumerate(
+            ctx.free_candidates(curve_entries)):
+        diag_lim = model.diag_vectors(problem, x, E_bar)
         for J in subsets:
             prem = [diag_lim[i] for i in J]
-            prem_dep = _pos_dep(prem) if pos else _lin_dep(prem, scale)
-            if not prem_dep:
+            if not premise_dependent(prem):
                 continue
             if curve_entry is not None:
                 viol = _curve_tail_violation(problem, x, curve_entry, J,
@@ -938,16 +1015,15 @@ def check_seq_cq(problem: model.NsdpProblem, x_bar, kind: str,
                     "E_bar": E_bar,
                     "J": [i + 1 for i in J],
                     "premise_vectors": prem,
-                    "premise_positive": pos,
+                    "premise_positive": spec.positive,
                     "t_levels": ts,
                 }
                 witness.update(viol)
-                return _make_verdict(
-                    kind, VIOLATED, problem, x, r, budget, scale,
-                    witness=witness,
+                return ctx.verdict(
+                    spec.name, VIOLATED, witness=witness,
                     notes=("dependent premise at the limit pair with an "
                            "independent nearby tail",))
-    return _make_verdict(kind, NO_VIOLATION_FOUND, problem, x, r, budget, scale)
+    return ctx.verdict(spec.name, NO_VIOLATION_FOUND)
 
 
 def _curve_candidate(problem, curve: WitnessCurve, r: int, ts: list):
@@ -973,7 +1049,7 @@ def _curve_tail_violation(problem, x_bar, curve_entry, J, budget, scale_v):
     levels_raw = curve_entry["levels"]
     tail = levels_raw[-budget.consecutive:]
     for _, x_j, E_j, _ in tail:
-        if _lin_dep(_diag_vectors(problem, x_j, E_j, J), scale_v):
+        if _lin_dep(model.diag_vectors(problem, x_j, E_j, J), scale_v):
             return None
     ts = [lv[0] for lv in levels_raw]
     point_basis = [(lv[1], lv[2]) for lv in levels_raw]
@@ -1159,11 +1235,13 @@ def estimate_msr_trend(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
 def check_msr(problem: model.NsdpProblem, x_bar, budget: CqBudget | None = None,
               radius: float = 0.1, samples: int = 200) -> CqVerdict:
     """Verdict wrapper: VIOLATED means the sampled modulus looks unbounded."""
-    budget = budget or CqBudget()
-    x, G, dec, r = _feasibility_gate(problem, x_bar)
-    scale = _scale_v(problem, x)
-    trend = estimate_msr_trend(problem, x, radius=radius, samples=samples,
-                               seed=budget.seed)
+    ctx = PointContext.at(problem, x_bar, budget, msr_samples=samples)
+    return _msr(ctx, CHECKS["msr"], radius)
+
+
+def _msr(ctx: PointContext, spec: CheckSpec, radius: float = 0.1) -> CqVerdict:
+    trend = estimate_msr_trend(ctx.problem, ctx.x, radius=radius,
+                               samples=ctx.msr_samples, seed=ctx.budget.seed)
     est_big, est_small = trend["estimates"]
     witness = {
         "kind": "ratio-table",
@@ -1179,8 +1257,7 @@ def check_msr(problem: model.NsdpProblem, x_bar, budget: CqBudget | None = None,
     status = VIOLATED if trend["unbounded"] else NO_VIOLATION_FOUND
     if status == VIOLATED:
         notes.append("sampled subregularity ratios grow without bound")
-    return _make_verdict("msr", status, problem, x, r, budget, scale,
-                         witness=witness, notes=notes)
+    return ctx.verdict(spec.name, status, witness=witness, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -1199,7 +1276,8 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
     sampler tests exactly that statement, giving an independent oracle
     for the embedded matrix checks.
     """
-    if kind not in ("crcq", "cpld"):
+    spec = CHECKS.get(f"nlp-{kind}")
+    if spec is None:
         raise ValueError("kind must be 'crcq' or 'cpld'")
     budget = budget or CqBudget()
     problem = embedding.problem
@@ -1213,7 +1291,7 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
     r = embedding.m - len(active)
     grads = embedding.constraint_gradients(x)
     scale = max(1.0, max((float(np.linalg.norm(g)) for g in grads), default=0.0))
-    condition = f"nlp-{kind}"
+    condition = spec.name
     if not active:
         return _make_verdict(condition, CERTIFIED_HOLDS, problem, x, r,
                              budget, scale,
@@ -1221,26 +1299,18 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
     if len(active) > COMBINATORIAL_CAP:
         raise CombinatorialCapError(
             f"{len(active)} active constraints exceed the cap {COMBINATORIAL_CAP}")
-    pos = kind == "cpld"
+    premise_dependent = spec.dependent(scale)
     ts = _levels(budget)
-    sequences = [(f"curve:{c.name}", None, c) for c in curves if c.kind == "x"]
-    dir_rng = _rng(budget.seed, 4)
-    for d in _unit_directions(problem.n, budget.n_directions, dir_rng):
-        sequences.append((f"ray:{_dir_label(d)}", d, None))
+    sequences = _sequences(x, curves, ts, budget)
     subsets = []
     for size in range(1, len(active) + 1):
         subsets.extend(itertools.combinations(active, size))
     tail_idx = list(range(len(ts) - budget.consecutive, len(ts)))
     for J in subsets:
         prem = [grads[i] for i in J]
-        prem_dep = _pos_dep(prem) if pos else _lin_dep(prem, scale)
-        if not prem_dep:
+        if not premise_dependent(prem):
             continue
-        for label, d, curve in sequences:
-            if curve is not None:
-                xs = [np.asarray(curve.func(t), dtype=float) for t in ts]
-            else:
-                xs = [x + t * d for t in ts]
+        for label, d, xs in sequences:
             trailing_indep = True
             for j in tail_idx:
                 gj = embedding.constraint_gradients(xs[j])
@@ -1271,6 +1341,14 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
                          budget, scale)
 
 
+def _nlp(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
+    if ctx.embedding is None:
+        raise ValueError(f"{spec.name} needs a diagonal-embedding fixture")
+    return nlp_constant_rank_check(ctx.embedding, ctx.x,
+                                   spec.name.removeprefix("nlp-"), ctx.budget,
+                                   ctx.curves)
+
+
 # ---------------------------------------------------------------------------
 # witness replay
 
@@ -1281,106 +1359,160 @@ def replay_witness(problem, verdict) -> bool:
     Recomputes every recorded dependence flag from the stored points and
     bases; serialized floats round-trip exactly, so the replay matches
     the original run bit for bit.  Returns True when all recomputed
-    flags agree with the stored ones.
+    flags agree with the stored ones.  ``gradient-sequence`` witnesses
+    replay against the ``DiagonalEmbedding``, all others against the
+    matrix problem.
     """
     payload = verdict.to_payload() if isinstance(verdict, CqVerdict) else dict(verdict)
     witness = payload.get("witness")
     if witness is None:
         return True
-    scale = float(payload["epsilons"]["scale_v"])
+    spec = check_spec(payload["condition"])
+    replay = spec.replay.get(witness["kind"])
+    if replay is None:
+        raise ValueError(f"unknown witness kind {witness['kind']!r} "
+                         f"for {spec.name}")
     x_bar = np.asarray(payload["x_bar"], dtype=float)
-    kind = witness["kind"]
-    if kind == "pair-family":
-        E = np.asarray(witness["E"], dtype=float)
-        fam = v_family(problem, x_bar, E)
-        return bool(_lin_dep(fam.full_list(), scale)) == bool(witness["dependent"])
-    if kind == "diagonal-positive-dependence":
-        E = np.asarray(witness["E"], dtype=float)
-        vecs = _diag_vectors(problem, x_bar, E, range(E.shape[1]))
-        return _pos_dep(vecs) == bool(witness["dependent"])
-    if kind == "interior-direction":
-        d = np.asarray(witness["direction"], dtype=float)
-        G = problem.g(x_bar)
-        M = G.copy()
-        for l in range(problem.n):
-            M = M + d[l] * problem.dg(x_bar)[l]
-        lam_min = float(linalg.spectral_decompose(linalg.sym_part(M)).eigenvalues[-1])
-        return abs(lam_min - float(witness["lambda_min"])) <= 1e-9 * (1.0 + abs(lam_min))
-    if kind == "constant-sequence":
-        pos = payload["condition"] == "weak-robinson"
-        for entry in witness["candidates"]:
-            E = np.asarray(entry["E_bar"], dtype=float)
-            vecs = _diag_vectors(problem, x_bar, E, range(E.shape[1]))
-            dep = _pos_dep(vecs) if pos else _lin_dep(vecs, scale)
-            if dep != bool(entry["dependent"]):
-                return False
-        return True
-    if kind == "sequence":
-        limit_only = payload["condition"] in ("weak-nondegeneracy", "weak-robinson")
-        pos = payload["condition"] in ("weak-robinson", "weak-cpld")
-        for entry in witness["candidates"]:
-            E_bar = np.asarray(entry["E_bar"], dtype=float)
-            if limit_only:
-                vecs = _diag_vectors(problem, x_bar, E_bar, range(E_bar.shape[1]))
-                dep = _pos_dep(vecs) if pos else _lin_dep(vecs, scale)
-                if dep != bool(entry["dependent"]):
-                    return False
-                continue
-            J = [i - 1 for i in entry["J"]]
-            prem = _diag_vectors(problem, x_bar, E_bar, J)
-            prem_dep = _pos_dep(prem) if pos else _lin_dep(prem, scale)
-            if prem_dep != bool(entry["premise_dependent"]):
-                return False
-            for lv in entry["levels"]:
-                x_j = np.asarray(lv["x"], dtype=float)
-                E_j = np.asarray(lv["E"], dtype=float)
-                vecs = _diag_vectors(problem, x_j, E_j, J)
-                if bool(_lin_dep(vecs, scale)) != bool(lv["dependent"]):
-                    return False
-        return True
-    if kind == "pair-sequence":
-        J = [i - 1 for i in witness["J"]]
-        E_bar = np.asarray(witness["E_bar"], dtype=float)
-        prem = _diag_vectors(problem, x_bar, E_bar, J)
-        pos = bool(witness["premise_positive"])
-        prem_dep = _pos_dep(prem) if pos else _lin_dep(prem, scale)
-        if not prem_dep:
+    return bool(replay(problem, witness, x_bar,
+                       float(payload["epsilons"]["scale_v"]), spec))
+
+
+def _replay_pair_family(problem, witness, x_bar, scale, spec) -> bool:
+    fam = v_family(problem, x_bar, np.asarray(witness["E"], dtype=float))
+    return bool(spec.dependent(scale)(fam.full_list())) == bool(witness["dependent"])
+
+
+def _replay_diagonal_family(problem, witness, x_bar, scale, spec) -> bool:
+    return _limits_replay(problem, [witness], "E", x_bar, spec.dependent(scale))
+
+
+def _replay_interior_direction(problem, witness, x_bar, scale, spec) -> bool:
+    d = np.asarray(witness["direction"], dtype=float)
+    M = problem.g(x_bar).copy()
+    for d_l, D in zip(d, problem.dg(x_bar)):
+        M = M + d_l * D
+    lam_min = float(linalg.spectral_decompose(linalg.sym_part(M)).eigenvalues[-1])
+    return abs(lam_min - float(witness["lambda_min"])) <= 1e-9 * (1.0 + abs(lam_min))
+
+
+def _limits_replay(problem, entries, key, x_bar, dependent) -> bool:
+    """Each entry's diagonal family at (x_bar, entry[key]) matches its flag."""
+    for entry in entries:
+        vecs = model.diag_vectors(problem, x_bar,
+                                  np.asarray(entry[key], dtype=float))
+        if bool(dependent(vecs)) != bool(entry["dependent"]):
             return False
-        for lv in witness["levels"]:
-            x_j = np.asarray(lv["x"], dtype=float)
-            E_j = np.asarray(lv["E"], dtype=float)
-            vecs = _diag_vectors(problem, x_j, E_j, J)
-            if bool(_lin_dep(vecs, scale)) != bool(lv["dependent"]):
-                return False
-            delta = np.asarray(lv["delta"], dtype=float)
-            shifted = linalg.sym_part(problem.g(x_j) + delta)
-            r = problem.m - E_j.shape[1]
-            E_check = linalg.eig_basis_smallest(shifted, r).cols
-            proj_err = linalg.frob(E_j @ E_j.T - E_check @ E_check.T)
-            if proj_err > 1e-6:
-                return False
-        return True
-    if kind == "gradient-sequence":
-        embedding = problem
-        if not isinstance(embedding, model.DiagonalEmbedding):
-            raise TypeError("gradient witnesses replay against a DiagonalEmbedding")
-        scale_g = scale
-        J = [i - 1 for i in witness["J"]]
-        pos = payload["condition"].endswith("cpld")
-        prem = [np.asarray(v, dtype=float) for v in witness["premise_gradients"]]
-        prem_dep = _pos_dep(prem) if pos else _lin_dep(prem, scale_g)
-        if not prem_dep:
+    return True
+
+
+def _levels_replay(problem, levels, J, scale) -> bool:
+    """Each level's subfamily J matches its linear-dependence flag."""
+    for lv in levels:
+        vecs = model.diag_vectors(problem, np.asarray(lv["x"], dtype=float),
+                                  np.asarray(lv["E"], dtype=float), J)
+        if bool(_lin_dep(vecs, scale)) != bool(lv["dependent"]):
             return False
-        for lv in witness["levels"]:
-            x_j = np.asarray(lv["x"], dtype=float)
-            gj = embedding.constraint_gradients(x_j)
-            sel = [gj[i] for i in J]
-            if bool(_lin_dep(sel, scale_g)) != bool(lv["dependent"]):
-                return False
-        return True
-    if kind == "ratio-table":
-        return True
-    raise ValueError(f"unknown witness kind {kind!r}")
+    return True
+
+
+def _replay_sequence(problem, witness, x_bar, scale, spec) -> bool:
+    """Replays ``sequence`` and ``constant-sequence`` witnesses."""
+    dependent = spec.dependent(scale)
+    if spec.limit_only:
+        return _limits_replay(problem, witness["candidates"], "E_bar", x_bar,
+                              dependent)
+    for entry in witness["candidates"]:
+        J = [i - 1 for i in entry["J"]]
+        prem = model.diag_vectors(problem, x_bar,
+                                  np.asarray(entry["E_bar"], dtype=float), J)
+        if bool(dependent(prem)) != bool(entry["premise_dependent"]):
+            return False
+        if not _levels_replay(problem, entry["levels"], J, scale):
+            return False
+    return True
+
+
+def _replay_pair_sequence(problem, witness, x_bar, scale, spec) -> bool:
+    J = [i - 1 for i in witness["J"]]
+    prem = model.diag_vectors(problem, x_bar,
+                              np.asarray(witness["E_bar"], dtype=float), J)
+    if not spec.dependent(scale)(prem):
+        return False
+    if not _levels_replay(problem, witness["levels"], J, scale):
+        return False
+    for lv in witness["levels"]:
+        # the recorded shift must make the level's basis an exact
+        # small-eigenvalue eigenbasis of the shifted constraint
+        E_j = np.asarray(lv["E"], dtype=float)
+        delta = np.asarray(lv["delta"], dtype=float)
+        shifted = linalg.sym_part(problem.g(np.asarray(lv["x"], dtype=float)) + delta)
+        E_check = linalg.eig_basis_smallest(shifted, problem.m - E_j.shape[1]).cols
+        if linalg.frob(E_j @ E_j.T - E_check @ E_check.T) > 1e-6:
+            return False
+    return True
+
+
+def _replay_gradient_sequence(embedding, witness, x_bar, scale, spec) -> bool:
+    if not isinstance(embedding, model.DiagonalEmbedding):
+        raise TypeError("gradient witnesses replay against a DiagonalEmbedding")
+    J = [i - 1 for i in witness["J"]]
+    prem = [np.asarray(v, dtype=float) for v in witness["premise_gradients"]]
+    if not spec.dependent(scale)(prem):
+        return False
+    for lv in witness["levels"]:
+        gj = embedding.constraint_gradients(np.asarray(lv["x"], dtype=float))
+        if bool(_lin_dep([gj[i] for i in J], scale)) != bool(lv["dependent"]):
+            return False
+    return True
+
+
+def _replay_ratio_table(problem, witness, x_bar, scale, spec) -> bool:
+    # sampled moduli carry no dependence flag to recompute
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the check registry
+
+
+_WEAK_LIMIT_REPLAY = {"constant-sequence": _replay_sequence,
+                      "sequence": _replay_sequence}
+
+#: Every check, in the order diagnose and regress run them.
+CHECKS = {spec.name: spec for spec in (
+    CheckSpec("nondegeneracy", _nondegeneracy,
+              {"pair-family": _replay_pair_family},
+              positive=False, implies=("seq-crcq",)),
+    CheckSpec("robinson", _robinson,
+              {"interior-direction": _replay_interior_direction,
+               "diagonal-positive-dependence": _replay_diagonal_family},
+              positive=True, implies=("seq-cpld",)),
+    CheckSpec("weak-nondegeneracy", _weak, _WEAK_LIMIT_REPLAY,
+              positive=False, limit_only=True),
+    CheckSpec("weak-robinson", _weak, _WEAK_LIMIT_REPLAY,
+              positive=True, limit_only=True),
+    CheckSpec("weak-crcq", _weak, {"sequence": _replay_sequence},
+              positive=False, implies=("weak-cpld",)),
+    CheckSpec("weak-cpld", _weak, {"sequence": _replay_sequence},
+              positive=True),
+    CheckSpec("seq-crcq", _seq, {"pair-sequence": _replay_pair_sequence},
+              positive=False, implies=("seq-cpld", "weak-crcq")),
+    CheckSpec("seq-cpld", _seq, {"pair-sequence": _replay_pair_sequence},
+              positive=True, implies=("weak-cpld", "msr")),
+    CheckSpec("nlp-crcq", _nlp, {"gradient-sequence": _replay_gradient_sequence},
+              positive=False, scope="embedding"),
+    CheckSpec("nlp-cpld", _nlp, {"gradient-sequence": _replay_gradient_sequence},
+              positive=True, scope="embedding"),
+    CheckSpec("msr", _msr, {"ratio-table": _replay_ratio_table}, scope="full"),
+)}
+
+WEAK_KINDS = tuple(name for name, spec in CHECKS.items() if spec.runner is _weak)
+SEQ_KINDS = tuple(name for name, spec in CHECKS.items() if spec.runner is _seq)
+
+#: Arrows of the implication diagram: where the left check holds, so
+#: does the right one.
+IMPLICATIONS = tuple((name, weaker) for name, spec in CHECKS.items()
+                     for weaker in spec.implies)
 
 
 # ---------------------------------------------------------------------------

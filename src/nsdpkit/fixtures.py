@@ -17,38 +17,23 @@ from importlib import resources
 import numpy as np
 
 from . import model
-from .cq import WitnessCurve
-
-# Arrows of the implication diagram: if the left condition holds, the
-# right one must.  A table breaks the ordering only when the left entry
-# allows nothing but a certified/clean status while the right entry
-# allows nothing but VIOLATED.
-IMPLICATIONS = (
-    ("nondegeneracy", "seq-crcq"),
-    ("seq-crcq", "seq-cpld"),
-    ("seq-crcq", "weak-crcq"),
-    ("seq-cpld", "weak-cpld"),
-    ("weak-crcq", "weak-cpld"),
-    ("robinson", "seq-cpld"),
-    ("seq-cpld", "msr"),
-)
-
-CHECK_NAMES = (
-    "nondegeneracy", "robinson",
-    "weak-nondegeneracy", "weak-robinson", "weak-crcq", "weak-cpld",
-    "seq-crcq", "seq-cpld", "msr",
-)
+from .cq import IMPLICATIONS, WitnessCurve
 
 
 @dataclass(frozen=True)
 class Fixture:
-    """A registered problem plus everything the tooling needs to run it."""
+    """A problem plus everything the tooling needs to run it.
+
+    Built-in fixtures come from the registry; the CLI wraps a problem
+    file in one too, with the file's point and expected table.  ``x_bar``
+    is None when a problem file names no reference point.
+    """
 
     fixture_id: str
     problem: model.NsdpProblem
-    x_bar: np.ndarray
+    x_bar: np.ndarray | None
     x0: np.ndarray
-    description: str
+    description: str = ""
     curves: tuple = ()
     embedding: model.DiagonalEmbedding | None = None
     expected: dict = field(default_factory=dict)
@@ -356,6 +341,12 @@ class FixtureRegistry:
                              "ordering: " + "; ".join(problems))
 
     def _check_tables(self):
+        """Tables that break an arrow of ``cq.IMPLICATIONS``.
+
+        A table breaks an arrow only when the left entry allows nothing
+        but a certified/clean status while the right entry allows
+        nothing but VIOLATED.
+        """
         problems = []
         for fix in self._fixtures.values():
             for strong, weak in IMPLICATIONS:

@@ -166,16 +166,6 @@ def akkt_check(problem: model.NsdpProblem, cert: AkktCertificate, tol: float):
     return True, None
 
 
-def _diag_family(problem: model.NsdpProblem, x, E: np.ndarray) -> list:
-    """Vectors v_i with entries e_i' D_l G(x) e_i, one per basis column."""
-    dG = problem.dg(np.asarray(x, dtype=float))
-    out = []
-    for i in range(E.shape[1]):
-        e = E[:, i]
-        out.append(np.array([float(e @ D @ e) for D in dG]))
-    return out
-
-
 @dataclass(frozen=True)
 class RecoveryResult:
     """Outcome of condensing a multiplier trace to a limit candidate.
@@ -237,7 +227,7 @@ def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
         E_prev = E
         weights = np.array([float(E[:, i] @ rec.y @ E[:, i]) for i in range(E.shape[1])])
         weights = np.maximum(weights, 0.0)
-        fam = _diag_family(problem, rec.x, E)
+        fam = model.diag_vectors(problem, rec.x, E)
         red = caratheodory.reduce(fam, weights, eps_rank)
         per_record.append((red.indices, red.coeffs, E))
     counts = {}
@@ -253,7 +243,7 @@ def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
     growth = peaks[-1] / max(peaks[0], 1e-300)
     E_last = matched[-1][1]
     if growth > DIVERGENCE_GROWTH:
-        fam_bar = _diag_family(problem, x_bar, E_last)
+        fam_bar = model.diag_vectors(problem, x_bar, E_last)
         witness = tuple(fam_bar[i] for i in support)
         return RecoveryResult(
             status="diverged", support=support,
@@ -281,22 +271,6 @@ def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
 # ---------------------------------------------------------------------------
 # trace files (see docs/trace-format.md)
 
-def _upper(M: np.ndarray) -> list:
-    m = M.shape[0]
-    return [float(M[i, j]) for i in range(m) for j in range(i, m)]
-
-
-def _unupper(entries, m: int) -> np.ndarray:
-    M = np.zeros((m, m))
-    it = iter(entries)
-    for i in range(m):
-        for j in range(i, m):
-            v = float(next(it))
-            M[i, j] = v
-            M[j, i] = v
-    return M
-
-
 def write_trace(cert: AkktCertificate, path) -> None:
     """Write a certificate as newline-delimited JSON records."""
     with open(path, "w") as fh:
@@ -304,8 +278,8 @@ def write_trace(cert: AkktCertificate, path) -> None:
             fh.write(json.dumps({
                 "k": k,
                 "x": [float(v) for v in rec.x],
-                "y": _upper(rec.y),
-                "delta": _upper(rec.delta),
+                "y": model._upper_entries(rec.y),
+                "delta": model._upper_entries(rec.delta),
                 "delta_vec": [float(v) for v in rec.delta_vec],
                 "rho": float(rec.rho),
             }, sort_keys=True))
@@ -326,10 +300,16 @@ def read_trace(path, n: int, m: int) -> AkktCertificate:
             x = np.asarray(d["x"], dtype=float)
             if x.shape[0] != n:
                 raise ValueError(f"trace line {line_no + 1}: x has dimension {x.shape[0]}, expected {n}")
+            mats = {}
+            for key in ("y", "delta"):
+                try:
+                    mats[key] = model._from_upper(d[key], m)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"trace line {line_no + 1}: {key}: {exc}") from exc
             records.append(AkktRecord(
                 x=x,
-                y=_unupper(d["y"], m),
-                delta=_unupper(d["delta"], m),
+                y=mats["y"],
+                delta=mats["delta"],
                 delta_vec=np.asarray(d["delta_vec"], dtype=float),
                 rho=float(d.get("rho", 0.0)),
             ))

@@ -11,6 +11,7 @@ accepted through ``NsdpProblem`` directly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,26 @@ def adjoint_dg(problem: NsdpProblem, x: np.ndarray, Y: np.ndarray) -> np.ndarray
 def lagrangian_grad(problem: NsdpProblem, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Gradient in x of f(x) - <G(x), Y>."""
     return problem.grad(x) - adjoint_dg(problem, x, Y)
+
+
+def diag_vectors(problem: NsdpProblem, x, E, indices=None) -> list:
+    """Diagonal curvature vectors v_ii of the constraint at (x, E).
+
+    Entry l of v_ii is e_i' D_l G(x) e_i for column e_i of the basis E;
+    one vector per requested column (all columns by default).  fsum keeps
+    the contraction sign-symmetric (no FMA asymmetry), so identities like
+    v_ii = -v_jj for trace-free derivatives hold exactly.
+    """
+    cols = E.cols if isinstance(E, linalg.EigBasis) else np.asarray(E, dtype=float)
+    Ds = problem.dg(np.asarray(x, dtype=float))
+    m = cols.shape[0]
+    out = []
+    for i in range(cols.shape[1]) if indices is None else indices:
+        c = cols[:, i]
+        Dc = [D @ c for D in Ds]
+        out.append(np.array([math.fsum(c[t] * w[t] for t in range(m))
+                             for w in Dc]))
+    return out
 
 
 def _quad_key(i: int, j: int):
@@ -258,6 +279,7 @@ def _upper_entries(M: np.ndarray) -> list:
 
 
 def _from_upper(entries, m: int) -> np.ndarray:
+    """Symmetric m x m matrix from its row-major upper-triangle entries."""
     want = m * (m + 1) // 2
     if len(entries) != want:
         raise ValueError(f"expected {want} upper-triangle entries, got {len(entries)}")

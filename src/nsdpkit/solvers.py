@@ -160,23 +160,10 @@ def _rhos(s_mem, y_mem):
     return [1.0 / max(float(s @ y), 1e-300) for s, y in zip(s_mem, y_mem)]
 
 
-def _penalty_split(G: np.ndarray, rho: float, Ytilde: np.ndarray):
-    """PSD split of the shifted constraint G - Ytilde/rho.
-
-    Returns (plus, minus) from one spectral decomposition, so that
-    minus == proj_psd(-G + Ytilde/rho) and plus == G + V for the
-    displacement V = minus - Ytilde/rho.  With Ytilde == 0 this is
-    exactly the split used by the penalty multiplier formula, which
-    keeps the zero-safeguard loop and the external penalty method
-    bitwise identical.
-    """
-    return linalg.moreau_split(G - Ytilde / rho)
-
-
 def al_multiplier(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> np.ndarray:
     """First-order multiplier estimate rho * proj_psd(-G(x) + Ytilde/rho)."""
     G = problem.g(np.asarray(x, dtype=float))
-    _, minus = _penalty_split(G, rho, Ytilde)
+    _, minus = linalg.moreau_split(G - Ytilde / rho)
     return rho * minus
 
 
@@ -184,7 +171,7 @@ def al_value(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> f
     """Augmented Lagrangian value at x for carried estimate Ytilde."""
     x = np.asarray(x, dtype=float)
     G = problem.g(x)
-    _, S = _penalty_split(G, rho, Ytilde)
+    _, S = linalg.moreau_split(G - Ytilde / rho)
     return problem.f(x) + 0.5 * rho * linalg.frob(S) ** 2 \
         - linalg.frob(Ytilde) ** 2 / (2.0 * rho)
 
@@ -308,7 +295,11 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
             trust_radius=config.trust_radius,
         )
         G = problem.g(x)
-        _, S = _penalty_split(G, rho_k, Yt)
+        # S = proj_psd(-G + Yt/rho), the displacement is V = S - Yt/rho.
+        # With Yt == 0 this is the split the penalty multiplier formula
+        # makes, which keeps the zero-safeguard loop and the external
+        # penalty method bitwise identical.
+        _, S = linalg.moreau_split(G - Yt / rho_k)
         Y = rho_k * S
         V = S - Yt / rho_k
         v_now = linalg.frob(V)

@@ -1,0 +1,12 @@
+import json
+from pathlib import Path
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def lock():
+    """The behaviour lock: statuses, digests and hashes pinned on one
+    platform (x86_64, Python 3.11, numpy 2.4.6)."""
+    path = Path(__file__).parent / "data" / "behaviour_lock.json"
+    return json.loads(path.read_text())

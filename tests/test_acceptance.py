@@ -6,9 +6,7 @@ are contractual, not tunable.
 """
 
 import functools
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +14,11 @@ import pytest
 from nsdpkit import cq, fixtures, kkt, selftest, solvers
 
 HOLDS = (cq.CERTIFIED_HOLDS, cq.NO_VIOLATION_FOUND)
+# weak-crcq and weak-cpld: the weak checks that compare premise and tail
+WEAK_RANK = tuple(k for k in cq.WEAK_KINDS if not cq.CHECKS[k].limit_only)
 
 NLP_IDS = ("nlp-opposite-sign", "nlp-coords", "nlp-zero-grad",
            "nlp-parallel", "nlp-curve")
-
-# Statuses and verdict digests pinned on one platform (x86_64, Python
-# 3.11, numpy 2.4.6); a refactor that moves any of them changed behaviour.
-LOCK = json.loads((Path(__file__).parent / "data" / "behaviour_lock.json")
-                  .read_text())
 
 
 def criterion(label):
@@ -46,25 +41,19 @@ def registry():
 
 
 @pytest.fixture(scope="module")
-def matrix(registry):
-    """Verdict of every check on every fixture, computed once."""
+def matrix(registry, lock):
+    """Verdict of every registered check on every fixture, computed once.
+
+    The checks at one fixture share one point context, as in diagnose.
+    """
     verdicts = {}
     for fix in registry:
-        fid, problem, x = fix.fixture_id, fix.problem, fix.x_bar
-        verdicts[fid, "nondegeneracy"] = cq.check_nondegeneracy(problem, x)
-        verdicts[fid, "robinson"] = cq.check_robinson(problem, x)
-        for kind in cq.WEAK_KINDS:
-            verdicts[fid, kind] = cq.check_weak_cq(
-                problem, x, kind, curves=fix.curves)
-        for kind in cq.SEQ_KINDS:
-            verdicts[fid, kind] = cq.check_seq_cq(
-                problem, x, kind, curves=fix.curves)
-        verdicts[fid, "msr"] = cq.check_msr(problem, x,
-                                            samples=LOCK["msr_samples"])
-        if fix.embedding is not None:
-            for kind in ("crcq", "cpld"):
-                verdicts[fid, f"nlp-{kind}"] = cq.nlp_constant_rank_check(
-                    fix.embedding, x, kind)
+        ctx = cq.PointContext.at(fix.problem, fix.x_bar, curves=fix.curves,
+                                 embedding=fix.embedding,
+                                 msr_samples=lock["msr_samples"])
+        for name, spec in cq.CHECKS.items():
+            if spec.scope != "embedding" or fix.embedding is not None:
+                verdicts[fix.fixture_id, name] = spec.run(ctx)
     return verdicts
 
 
@@ -145,7 +134,7 @@ def test_criterion_02_fold_breaks_constant_rank(registry):
 @criterion("criterion 3")
 def test_criterion_03_constant_rank_without_robinson(registry):
     fix = registry.get("ex-3.3")
-    for kind in ("weak-crcq", "weak-cpld"):
+    for kind in WEAK_RANK:
         status = cq.check_weak_cq(fix.problem, fix.x_bar, kind,
                                   curves=fix.curves).status
         assert status == cq.NO_VIOLATION_FOUND, kind
@@ -155,12 +144,12 @@ def test_criterion_03_constant_rank_without_robinson(registry):
 @criterion("criterion 4")
 def test_criterion_04_perturbation_breaks_seq_conditions(registry):
     fix = registry.get("ex-4.1")
-    for kind in ("weak-crcq", "weak-cpld"):
+    for kind in WEAK_RANK:
         status = cq.check_weak_cq(fix.problem, fix.x_bar, kind,
                                   curves=fix.curves).status
         assert status == cq.NO_VIOLATION_FOUND, kind
     seen_levels = 0
-    for kind in ("seq-crcq", "seq-cpld"):
+    for kind in cq.SEQ_KINDS:
         verdict = cq.check_seq_cq(fix.problem, fix.x_bar, kind,
                                   curves=fix.curves)
         assert verdict.status == cq.VIOLATED, kind
@@ -211,11 +200,11 @@ def test_criterion_06_diagonal_embedding_equivalence(registry):
     for fid in NLP_IDS:
         fix = registry.get(fid)
         ok = True
-        for kind, weak in (("crcq", "weak-crcq"), ("cpld", "weak-cpld")):
+        for weak in WEAK_RANK:
             sdp = cq.check_weak_cq(fix.problem, fix.x_bar, weak,
                                    curves=fix.curves).status
-            nlp = cq.nlp_constant_rank_check(fix.embedding, fix.x_bar,
-                                             kind).status
+            nlp = cq.nlp_constant_rank_check(
+                fix.embedding, fix.x_bar, weak.removeprefix("weak-")).status
             if sdp != nlp:
                 ok = False
         agreed += ok
@@ -289,34 +278,34 @@ def test_criterion_09_recovery_under_seq_cpld(registry, matrix, recoveries):
 
 @criterion("criterion 10")
 def test_criterion_10_implication_diagram(registry, matrix):
-    assert len(matrix) == len(fixtures.CHECK_NAMES) * len(registry.names()) \
-        + 2 * len(NLP_IDS)
     broken = []
     for fix in registry:
         fid = fix.fixture_id
-        for strong, weak in fixtures.IMPLICATIONS:
+        for strong, weak in cq.IMPLICATIONS:
             if matrix[fid, strong].status in HOLDS \
                     and matrix[fid, weak].status == cq.VIOLATED:
                 broken.append((fid, strong, weak))
     assert not broken, broken
 
 
-def test_behaviour_lock(registry, matrix, recoveries):
+def test_behaviour_lock(registry, matrix, recoveries, lock):
     """Every verdict, its digest and every recovery status match the lock.
 
-    Every VIOLATED witness must also replay from its verdict alone.
+    A refactor that moves any of them changed behaviour.  Every VIOLATED
+    witness must also replay from its verdict alone.
     """
     got = {fid: {} for fid in registry.names()}
     for (fid, check), verdict in matrix.items():
         text = cq.verdict_to_text(verdict, generated_at="-")
         got[fid][check] = {"status": verdict.status,
                            "digest": cq.content_digest(text)}
-    assert got == LOCK["verdicts"]
+    assert got == lock["verdicts"]
     assert {fid: rec.status for fid, (_, rec) in recoveries.items()} \
-        == LOCK["recovery"]
+        == lock["recovery"]
     for (fid, check), verdict in matrix.items():
         if verdict.status != cq.VIOLATED:
             continue
         fix = registry.get(fid)
-        target = fix.embedding if check.startswith("nlp-") else fix.problem
+        target = fix.embedding if cq.CHECKS[check].scope == "embedding" \
+            else fix.problem
         assert cq.replay_witness(target, verdict), (fid, check)

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +139,14 @@ def test_diagnose_unknown_budget_field(tmp_path, capsys):
     assert "unknown budget field" in capsys.readouterr().err
 
 
+def test_diagnose_unknown_check_fails_before_any_run(tmp_path, capsys):
+    rc = run(["diagnose", "--fixture", "ex-4.3",
+              "--checks", "nondegeneracy,bogus", "--out-dir", tmp_path])
+    assert rc == cli.EXIT_ERROR
+    assert "unknown check 'bogus'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.verdict"))
+
+
 def test_diagnose_verdict_file_replayable(tmp_path, capsys):
     from nsdpkit import cq
     rc = run(["diagnose", "--fixture", "ex-3.1", "--checks", "weak-cpld",
@@ -163,7 +170,7 @@ def load_tables():
     return json.loads(raw)
 
 
-def test_regress_cq_deterministic(tmp_path, capsys):
+def test_regress_cq_deterministic(tmp_path, capsys, lock):
     reports = []
     hashes = []
     for sub in ("a", "b"):
@@ -177,10 +184,16 @@ def test_regress_cq_deterministic(tmp_path, capsys):
         reports.append(report)
     assert reports[0] == reports[1]
     assert hashes[0] == hashes[1]
-    lock = json.loads((Path(__file__).parent / "data" / "behaviour_lock.json")
-                      .read_text())
     assert hashes[0] == lock["regress_cq_sha256"]
     assert reports[0]["summary"]["failed"] == 0
+
+
+def test_regress_unknown_budget_field(tmp_path, capsys):
+    rc = run(["regress", "--suite", "cq", "--budget", "bogus=1",
+              "--out-dir", tmp_path])
+    assert rc == cli.EXIT_ERROR
+    assert "error: unknown budget field 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_regress_rejects_implication_breaking_tables(tmp_path, capsys):

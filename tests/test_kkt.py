@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,36 @@ def test_trace_round_trip(tmp_path, registry):
         assert np.array_equal(a.delta, b.delta)
         assert np.array_equal(a.delta_vec, b.delta_vec)
         assert a.rho == b.rho
+
+
+def write_tampered_trace(path, registry, key, entries):
+    """An ex-4.3 trace (m = 2) whose second record carries ``entries`` as ``key``."""
+    fix = registry.get("ex-4.3")
+    kkt.write_trace(penalty_trace(fix.problem, fix.x0, outers=3).certificate(), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key] = entries
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return fix.problem
+
+
+@pytest.mark.parametrize("key", ["y", "delta"])
+def test_read_trace_rejects_short_matrix(tmp_path, registry, key):
+    problem = write_tampered_trace(tmp_path / "t.trace", registry, key, [1.0, 0.0])
+    with pytest.raises(ValueError, match=f"trace line 2: {key}: expected 3 "
+                                         "upper-triangle entries, got 2"):
+        kkt.read_trace(tmp_path / "t.trace", problem.n, problem.m)
+
+
+@pytest.mark.parametrize("key", ["y", "delta"])
+def test_read_trace_rejects_long_matrix(tmp_path, registry, key):
+    # the first three entries alone would load as a valid 2 x 2 matrix
+    problem = write_tampered_trace(tmp_path / "t.trace", registry, key,
+                                   [1.0, 0.0, 0.0, 5.0])
+    with pytest.raises(ValueError, match=f"trace line 2: {key}: expected 3 "
+                                         "upper-triangle entries, got 4"):
+        kkt.read_trace(tmp_path / "t.trace", problem.n, problem.m)
 
 
 # ---------------------------------------------------------------------------
