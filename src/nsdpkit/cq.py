@@ -811,8 +811,7 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
                 spec.name, VIOLATED, witness=witness,
                 notes=("every sampled kernel basis fails at the point itself",))
 
-    sequences = _sequences(x, ctx.curves, ts, budget)
-    for seq_idx, (label, d, xs) in enumerate(sequences):
+    for seq_idx, (label, d, xs) in enumerate(_sequences(x, ctx.curves, ts, budget)):
         decs = [linalg.spectral_decompose(problem.g(p)) for p in xs]
         chain_E = []
         prev = None
@@ -1291,9 +1290,8 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
     r = embedding.m - len(active)
     grads = embedding.constraint_gradients(x)
     scale = max(1.0, max((float(np.linalg.norm(g)) for g in grads), default=0.0))
-    condition = spec.name
     if not active:
-        return _make_verdict(condition, CERTIFIED_HOLDS, problem, x, r,
+        return _make_verdict(spec.name, CERTIFIED_HOLDS, problem, x, r,
                              budget, scale,
                              notes=("no active constraints at the point",))
     if len(active) > COMBINATORIAL_CAP:
@@ -1333,11 +1331,11 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
                 "premise_gradients": prem,
                 "levels": levels,
             }
-            return _make_verdict(condition, VIOLATED, problem, x, r, budget,
+            return _make_verdict(spec.name, VIOLATED, problem, x, r, budget,
                                  scale, witness=witness,
                                  notes=("dependent active gradients become "
                                         "independent along the sequence",))
-    return _make_verdict(condition, NO_VIOLATION_FOUND, problem, x, r,
+    return _make_verdict(spec.name, NO_VIOLATION_FOUND, problem, x, r,
                          budget, scale)
 
 

@@ -305,7 +305,8 @@ def read_trace(path, n: int, m: int) -> AkktCertificate:
                 try:
                     mats[key] = model._from_upper(d[key], m)
                 except (TypeError, ValueError) as exc:
-                    raise ValueError(f"trace line {line_no + 1}: {key}: {exc}") from exc
+                    raise ValueError(
+                        f"trace line {line_no + 1}: {key}: {exc}") from exc
             records.append(AkktRecord(
                 x=x,
                 y=mats["y"],
