@@ -15,7 +15,9 @@ Exit codes: solve 0 converged / 2 iteration cap / 3 error; diagnose 0
 match or no comparison / 1 mismatch / 3 error; regress 0 clean / 1 any
 failed entry or an expected table that breaks the implication order / 3
 malformed option.  Malformed input (an unknown check or budget field, a
-missing reference point) ends in exit 3 before any check runs.
+missing reference point, a non-finite number) ends in exit 3 before any
+check runs; an eigendecomposition that does not converge ends in exit 3
+in every subcommand.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cq, fixtures, kkt, model, selftest, solvers
+from . import cq, fixtures, kkt, linalg, model, selftest, solvers
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -62,6 +64,8 @@ def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
         raise ValueError(f"cannot parse {label} {text!r}: {exc}") from exc
     if vec.shape != (n,):
         raise ValueError(f"{label} has {vec.shape[0]} entries, expected {n}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{label} {text!r} has a non-finite entry")
     return vec
 
 
@@ -557,7 +561,11 @@ def cmd_fixtures(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except linalg.JacobiConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1219,16 +1219,21 @@ def estimate_msr_trend(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
                                    samples=samples, seed=seed)
     est_small = estimate_msr_modulus(problem, x_bar, radius=radius / 4.0,
                                      samples=samples, seed=seed + 1)
-    gamma_max = max(est_big.gamma_hat, est_small.gamma_hat)
-    growing = est_small.gamma_hat > growth_factor * max(est_big.gamma_hat, 1e-12) \
-        and est_small.gamma_hat > 10.0
-    unbounded = gamma_max > bound_cap or growing
     return {
         "estimates": (est_big, est_small),
-        "gamma_max": float(gamma_max),
-        "unbounded": bool(unbounded),
+        "gamma_max": float(max(est_big.gamma_hat, est_small.gamma_hat)),
+        "unbounded": _msr_unbounded(est_big.gamma_hat, est_small.gamma_hat,
+                                    growth_factor, bound_cap),
         "unreliable": bool(est_big.unreliable or est_small.unreliable),
     }
+
+
+def _msr_unbounded(gamma_big: float, gamma_small: float,
+                   growth_factor: float = 3.0, bound_cap: float = 100.0) -> bool:
+    """The trend rule: a ratio above the cap, or strong growth as the ball shrinks."""
+    growing = gamma_small > growth_factor * max(gamma_big, 1e-12) \
+        and gamma_small > 10.0
+    return bool(max(gamma_big, gamma_small) > bound_cap or growing)
 
 
 def check_msr(problem: model.NsdpProblem, x_bar, budget: CqBudget | None = None,
@@ -1357,9 +1362,10 @@ def replay_witness(problem, verdict) -> bool:
     Recomputes every recorded dependence flag from the stored points and
     bases; serialized floats round-trip exactly, so the replay matches
     the original run bit for bit.  Returns True when all recomputed
-    flags agree with the stored ones.  ``gradient-sequence`` witnesses
-    replay against the ``DiagonalEmbedding``, all others against the
-    matrix problem.
+    flags agree with the stored ones; a ``ratio-table`` (msr) replays
+    True only when its recorded moduli support a VIOLATED verdict.
+    ``gradient-sequence`` witnesses replay against the
+    ``DiagonalEmbedding``, all others against the matrix problem.
     """
     payload = verdict.to_payload() if isinstance(verdict, CqVerdict) else dict(verdict)
     witness = payload.get("witness")
@@ -1465,8 +1471,29 @@ def _replay_gradient_sequence(embedding, witness, x_bar, scale, spec) -> bool:
 
 
 def _replay_ratio_table(problem, witness, x_bar, scale, spec) -> bool:
-    # sampled moduli carry no dependence flag to recompute
-    return True
+    """Recompute each radius's worst sample and re-apply the trend rule.
+
+    The distance came from projection solves and is only checked against
+    its bounds: at most ||x - x_bar||, since x_bar is feasible.  True
+    only when the gammas meet the unbounded rule, the VIOLATED claim.
+    """
+    for radius, gamma, worst in zip(witness["radius"], witness["gamma_hat"],
+                                    witness["worst"]):
+        if worst is None:
+            if gamma != 0.0:
+                return False
+            continue
+        x = np.asarray(worst["x"], dtype=float)
+        residual = linalg.frob(linalg.proj_psd(-problem.g(x)))
+        span = float(np.linalg.norm(x - x_bar))
+        if not (abs(residual - worst["residual"]) <= 1e-9 * abs(worst["residual"])
+                and worst["ratio"] == worst["distance"] / worst["residual"]
+                and gamma == worst["ratio"]
+                # x = x_bar + rad u with rad <= radius, up to rounding
+                and span <= radius + 1e-12 * (radius + float(np.linalg.norm(x_bar)))
+                and worst["distance"] <= span):
+            return False
+    return _msr_unbounded(*witness["gamma_hat"])
 
 
 # ---------------------------------------------------------------------------

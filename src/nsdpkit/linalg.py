@@ -2,16 +2,29 @@
 
 Everything here operates on dense symmetric matrices at desk scale
 (dimension up to a few dozen).  The eigensolver is a cyclic Jacobi
-iteration rather than a LAPACK call so that results are deterministic
-across platforms and the off-diagonal residual is available as an
-explicit diagnostic.  Eigenvalues are always reported in non-increasing
-order; ties are broken by a lexicographic comparison of the
-sign-canonicalized eigenvectors so that equal inputs produce identical
-output arrays.
+iteration rather than a LAPACK call: Jacobi is more accurate than QR
+for small eigenvalues (Demmel & Veselic 1992), its fixed rotation
+order makes equal inputs give equal bits, and the off-diagonal residual
+is available as an explicit diagnostic.  Eigenvalues are always
+reported in non-increasing order; ties are broken by a lexicographic
+comparison of the sign-canonicalized eigenvectors so that equal inputs
+produce identical output arrays.
+
+The kernel has two paths.  A 2x2 matrix needs exactly one rotation,
+which ``_jacobi_2x2`` replays on Python floats; larger matrices run
+``_jacobi`` on nested lists of Python floats.  Both do the IEEE
+operations of the numpy-scalar loop they replaced, in the same order,
+and return its bits; ``tests/test_linalg.py`` keeps that loop as the
+reference and compares with ``np.array_equal``.  The bits depend on
+numpy (the Frobenius norm goes through BLAS, the off-diagonal norm is a
+numpy pairwise sum), so they are reproducible on one platform with one
+numpy, not across platforms.  Non-finite input is rejected with
+ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,11 +64,13 @@ def sym_part(M: np.ndarray) -> np.ndarray:
 
 
 def check_symmetric(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Return M as a float array, raising ValueError if not symmetric."""
+    """Return M as a float array; ValueError if not finite and symmetric."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     scale = 1.0 + float(np.abs(M).max(initial=0.0))
+    if not math.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
     if float(np.abs(M - M.T).max(initial=0.0)) > tol * scale:
         raise ValueError("matrix is not symmetric")
     return M
@@ -107,59 +122,105 @@ class EigBasis:
         return self.cols.shape[1]
 
 
+def _off_norm(A: np.ndarray, lower: np.ndarray):
+    """Off-diagonal Frobenius norm: sqrt(2 * sum of squared upper entries).
+
+    ``lower`` is ``np.tri(m, dtype=bool)``, the mask ``np.triu(A, 1)``
+    zeroes; the masked array is C-ordered whatever A's layout.  Kept a
+    numpy reduction: the kernel's bits depend on numpy's pairwise
+    summation order.
+    """
+    return np.sqrt(max(np.sum(np.where(lower, 0.0, A) ** 2) * 2.0, 0.0))
+
+
 def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi iteration; returns (diagonal values, rotation matrix)."""
+    """Cyclic Jacobi iteration on lists of Python floats.
+
+    Returns (diagonal values, rotation columns) as lists.  Rotations run
+    row by row in a fixed (p, q) order.  The matrix is held by columns,
+    ``C[j][i] = A[i][j]``, so a rotation maps whole columns; only the
+    per-sweep ``_off_norm`` goes through numpy.
+    """
     A = np.array(M, dtype=float)
     m = A.shape[0]
-    V = np.eye(m)
+    C = A.T.tolist()
+    V = np.eye(m).tolist()  # V[j] is column j of the rotation matrix
     if m <= 1:
-        return np.diag(A).copy(), V
+        return [col[j] for j, col in enumerate(C)], V
     scale = 1.0 + frob(A)
     off_tol = 1e-14 * scale
-    for sweep in range(max_sweeps):
-        off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
+    skip_tol = 1e-18 * scale
+    lower = np.tri(m, dtype=bool)
+    off = _off_norm(A, lower)
+    for _ in range(max_sweeps):
         if off <= off_tol:
-            return np.diag(A).copy(), V
+            break
         for p in range(m - 1):
             for q in range(p + 1, m):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * scale:
+                Cp, Cq = C[p], C[q]
+                apq = Cq[p]
+                if not abs(apq) > skip_tol:  # a NaN scale skips them all
                     continue
-                # 2x2 rotation zeroing A[p, q]; the smaller-angle root is
+                # 2x2 rotation zeroing A[p][q]; the smaller-angle root is
                 # chosen for stability.
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0.0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                theta = (Cq[q] - Cp[p]) / (2.0 * apq)
+                t = -1.0 if theta < 0.0 else 1.0
+                t = t / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                app, aqq = A[p, p], A[q, q]
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                for i in range(m):
-                    if i == p or i == q:
-                        continue
-                    aip, aiq = A[i, p], A[i, q]
-                    A[i, p] = c * aip - s * aiq
-                    A[p, i] = A[i, p]
-                    A[i, q] = s * aip + c * aiq
-                    A[q, i] = A[i, q]
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
-    if off <= off_tol:
-        return np.diag(A).copy(), V
-    raise JacobiConvergenceError(off, max_sweeps)
+                # Columns p and q rotate; entries p and q of each are then
+                # overwritten, and rows p and q mirror the new columns.
+                # Each entry sees the same operations as a scalar loop.
+                Np = [c * a - s * b for a, b in zip(Cp, Cq)]
+                Nq = [s * a + c * b for a, b in zip(Cp, Cq)]
+                Np[p] = Cp[p] - t * apq
+                Nq[q] = Cq[q] + t * apq
+                Np[q] = Nq[p] = 0.0
+                C[p], C[q] = Np, Nq
+                for Ci, x, y in zip(C, Np, Nq):
+                    Ci[p] = x
+                    Ci[q] = y
+                Vp, Vq = V[p], V[q]
+                V[p] = [c * a - s * b for a, b in zip(Vp, Vq)]
+                V[q] = [s * a + c * b for a, b in zip(Vp, Vq)]
+        A = np.array(C).T
+        off = _off_norm(A, lower)
+    else:
+        if not off <= off_tol:
+            # With a NaN entry the test fails whatever the off-diagonal
+            # holds; report the residual as NaN, not as that norm.
+            residual = off if np.isfinite(A).all() else float("nan")
+            raise JacobiConvergenceError(residual, max_sweeps)
+    return [col[j] for j, col in enumerate(C)], V
 
 
-def _canonical_sign(col: np.ndarray) -> np.ndarray:
-    """Flip a vector so its largest-magnitude entry is positive."""
-    idx = int(np.argmax(np.abs(col)))
-    if col[idx] < -_SIGN_TINY:
-        return -col
+def _jacobi_2x2(M: np.ndarray):
+    """``_jacobi`` of a 2x2 matrix: its single rotation, on floats.
+
+    Same tests and expressions as the cyclic loop.  The off-diagonal norm
+    of a 2x2 sums one square, so it needs no numpy reduction; passing the
+    off test implies |a01| > 1e-18 * scale, so the rotation is never
+    skipped, and it zeroes a01, so the next sweep's test passes.
+    """
+    (a00, a01), (_, a11) = M.tolist()
+    scale = 1.0 + frob(M)
+    if math.sqrt(a01 * a01 * 2.0) <= 1e-14 * scale:
+        return [a00, a11], [[1.0, 0.0], [0.0, 1.0]]
+    theta = (a11 - a00) / (2.0 * a01)
+    t = -1.0 if theta < 0.0 else 1.0
+    t = t / (abs(theta) + math.sqrt(theta * theta + 1.0))
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    s = t * c
+    # the rotation applied to the identity's columns (1, 0) and (0, 1)
+    return ([a00 - t * a01, a11 + t * a01],
+            [[c * 1.0 - s * 0.0, c * 0.0 - s * 1.0],
+             [s * 1.0 + c * 0.0, s * 0.0 + c * 1.0]])
+
+
+def _canonical_sign(col: list) -> list:
+    """Flip a vector so its first largest-magnitude entry is positive."""
+    if max(col, key=abs) < -_SIGN_TINY:
+        return [-v for v in col]
     return col
 
 
@@ -171,14 +232,11 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
     inputs return identical arrays.
     """
     M = check_symmetric(M)
-    vals, V = _jacobi(M)
-    cols = [_canonical_sign(V[:, i].copy()) for i in range(M.shape[0])]
-    order = sorted(
-        range(M.shape[0]),
-        key=lambda i: (-vals[i], tuple(cols[i])),
-    )
+    vals, V = _jacobi_2x2(M) if M.shape[0] == 2 else _jacobi(M)
+    cols = [_canonical_sign(col) for col in V]
+    order = sorted(range(len(vals)), key=lambda i: (-vals[i], cols[i]))
     lam = np.array([vals[i] for i in order])
-    U = np.column_stack([cols[i] for i in order]) if order else np.eye(0)
+    U = np.array([cols[i] for i in order]).T.copy() if order else np.eye(0)
     return SpectralDecomp(eigenvalues=lam, eigenvectors=U)
 
 

@@ -293,14 +293,21 @@ def _from_upper(entries, m: int) -> np.ndarray:
     return M
 
 
-def _matrix_from_field(value, m: int) -> np.ndarray:
-    """Accept an upper-triangle list or a full nested list (must be symmetric)."""
+def _finite_field(value, label: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{label} has a non-finite entry")
+    return arr
+
+
+def _matrix_from_field(value, m: int, label: str) -> np.ndarray:
+    """Accept an upper-triangle list or a full nested list (must be symmetric)."""
+    arr = _finite_field(value, label)
     if arr.ndim == 1:
         return _from_upper([float(v) for v in value], m)
     if arr.shape == (m, m):
         return linalg.check_symmetric(arr)
-    raise ValueError(f"matrix field has shape {arr.shape}, expected ({m},{m}) or upper triangle")
+    raise ValueError(f"{label} has shape {arr.shape}, expected ({m},{m}) or upper triangle")
 
 
 def problem_to_dict(p: MatrixPolyProblem) -> dict:
@@ -347,17 +354,20 @@ def problem_from_dict(d: dict) -> MatrixPolyProblem:
         key = (i, j)
         if key in b_quad:
             raise ValueError(f"duplicate quadratic term for vars {key}")
-        b_quad[key] = _matrix_from_field(item["matrix"], m)
+        b_quad[key] = _matrix_from_field(item["matrix"], m,
+                                         "constraint.quadratic matrix")
     return MatrixPolyProblem(
         n=n, m=m,
-        c0=float(obj.get("constant", 0.0)),
-        c_lin=np.asarray(obj.get("linear", [0.0] * n), dtype=float),
-        c_quad=_matrix_from_field(obj.get("quadratic", [0.0] * (n * (n + 1) // 2)), n),
-        a0=_matrix_from_field(con["constant"], m),
-        a_lin=tuple(_matrix_from_field(A, m) for A in con["linear"]),
+        c0=float(_finite_field(obj.get("constant", 0.0), "objective.constant")),
+        c_lin=_finite_field(obj.get("linear", [0.0] * n), "objective.linear"),
+        c_quad=_matrix_from_field(obj.get("quadratic", [0.0] * (n * (n + 1) // 2)),
+                                  n, "objective.quadratic"),
+        a0=_matrix_from_field(con["constant"], m, "constraint.constant"),
+        a_lin=tuple(_matrix_from_field(A, m, "constraint.linear matrix")
+                    for A in con["linear"]),
         b_quad=b_quad,
         name=str(d.get("name", "")),
-        x_bar=(np.asarray(d["x_bar"], dtype=float)
+        x_bar=(_finite_field(d["x_bar"], "x_bar")
                if d.get("x_bar") is not None else None),
         expected=d.get("expected"),
     )

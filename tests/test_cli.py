@@ -147,6 +147,53 @@ def test_diagnose_unknown_check_fails_before_any_run(tmp_path, capsys):
     assert not list(tmp_path.glob("*.verdict"))
 
 
+def assert_clean_error(rc, capsys, fragment):
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_ERROR
+    assert f"error: {fragment}" in err
+    assert "Traceback" not in err
+
+
+def test_problem_file_with_nan_is_rejected(tmp_path, capsys):
+    path = tmp_path / "scaled-identity.json"
+    model.save_problem(scaled_identity_poly(x_bar=np.array([0.0])), path)
+    data = json.loads(path.read_text())
+    data["constraint"]["constant"][0] = float("nan")
+    path.write_text(json.dumps(data))  # json writes the NaN literal
+    rc = run(["diagnose", "--problem", path, "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "constraint.constant has a non-finite entry")
+    assert not list(tmp_path.glob("*.verdict"))
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("diagnose", "--point", "nan"),
+    ("diagnose", "--point", "inf"),
+    ("solve", "--x0", "nan"),
+])
+def test_non_finite_vector_is_rejected(tmp_path, capsys, command, option, value):
+    path = tmp_path / "scaled-identity.json"
+    model.save_problem(scaled_identity_poly(x_bar=np.array([0.0])), path)
+    rc = run([command, "--problem", path, f"{option}={value}",
+              "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, f"{option} '{value}' has a non-finite entry")
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--fixture", "ex-4.2"],
+    ["solve", "--fixture", "ex-4.2"],
+    ["regress", "--suite", "cq"],
+])
+def test_kernel_failure_exits_3(tmp_path, capsys, monkeypatch, argv):
+    from nsdpkit import linalg
+
+    def stall(M):
+        raise linalg.JacobiConvergenceError(float("nan"), 100)
+
+    monkeypatch.setattr(linalg, "_jacobi_2x2", stall)
+    rc = run(argv + ["--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "Jacobi iteration did not converge")
+
+
 def test_diagnose_verdict_file_replayable(tmp_path, capsys):
     from nsdpkit import cq
     rc = run(["diagnose", "--fixture", "ex-3.1", "--checks", "weak-cpld",

@@ -371,12 +371,50 @@ def test_msr_all_feasible_flagged(registry):
 
 
 def test_msr_verdict_statuses(registry):
-    v_bad = cq.check_msr(registry.get("ex-3.1").problem, np.array([0.0]),
-                         samples=30)
+    bad = registry.get("ex-3.1").problem
+    v_bad = cq.check_msr(bad, np.array([0.0]), samples=30)
     assert v_bad.status == cq.VIOLATED
-    v_good = cq.check_msr(registry.get("ex-4.3").problem, np.zeros(2),
-                          samples=30)
+    assert cq.replay_witness(bad, v_bad)
+    good = registry.get("ex-4.3").problem
+    v_good = cq.check_msr(good, np.zeros(2), samples=30)
     assert v_good.status == cq.NO_VIOLATION_FOUND
+    # the table is consistent, but its gammas do not meet the unbounded rule
+    assert not cq.replay_witness(good, v_good)
+
+
+def _scale_worst(payload, i, factor):
+    """Shrink or grow radius i's worst distance, keeping the table consistent."""
+    w = payload["witness"]
+    worst = w["worst"][i]
+    worst["distance"] *= factor
+    worst["ratio"] = worst["distance"] / worst["residual"]
+    w["gamma_hat"][i] = worst["ratio"]
+
+
+@pytest.mark.parametrize("tamper", [
+    "residual", "ratio", "gamma", "distance-above-span", "bounded-gammas"])
+def test_msr_ratio_table_replay_rejects_tampering(registry, tmp_path, tamper):
+    fix = registry.get("ex-3.1")
+    path = tmp_path / "msr.verdict"
+    cq.write_verdict(cq.check_msr(fix.problem, fix.x_bar, samples=4), path)
+    payload = cq.read_verdict(path)
+    assert payload["status"] == cq.VIOLATED
+    assert cq.replay_witness(fix.problem, payload)
+    w = payload["witness"]
+    worst = w["worst"][0]
+    if tamper == "residual":
+        worst["residual"] *= 1.0 + 1e-6
+    elif tamper == "ratio":
+        worst["ratio"] = np.nextafter(worst["ratio"], np.inf)
+    elif tamper == "gamma":
+        w["gamma_hat"][0] *= 2.0
+    elif tamper == "distance-above-span":
+        span = float(np.linalg.norm(np.asarray(worst["x"]) - fix.x_bar))
+        _scale_worst(payload, 0, 2.0 * span / worst["distance"])
+    else:
+        _scale_worst(payload, 0, 1e-3)
+        _scale_worst(payload, 1, 1e-3)
+    assert not cq.replay_witness(fix.problem, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,162 @@ def test_decompose_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# parity with the reference kernel
+#
+# The numpy-scalar cyclic Jacobi and the canonical sign and sort that
+# spectral_decompose replaced.  The kernel does the same IEEE operations in
+# the same order on Python floats, so every bit must agree, signed zeros
+# included.
+
+
+def _reference_jacobi(M, max_sweeps=100):
+    A = np.array(M, dtype=float)
+    m = A.shape[0]
+    V = np.eye(m)
+    if m <= 1:
+        return np.diag(A).copy(), V
+    scale = 1.0 + linalg.frob(A)
+    off_tol = 1e-14 * scale
+    for sweep in range(max_sweeps):
+        off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
+        if off <= off_tol:
+            return np.diag(A).copy(), V
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                apq = A[p, q]
+                if abs(apq) <= 1e-18 * scale:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(theta) if theta != 0.0 else 1.0
+                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = A[p, p], A[q, q]
+                A[p, p] = app - t * apq
+                A[q, q] = aqq + t * apq
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                for i in range(m):
+                    if i == p or i == q:
+                        continue
+                    aip, aiq = A[i, p], A[i, q]
+                    A[i, p] = c * aip - s * aiq
+                    A[p, i] = A[i, p]
+                    A[i, q] = s * aip + c * aiq
+                    A[q, i] = A[i, q]
+                vp = V[:, p].copy()
+                vq = V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
+    if off <= off_tol:
+        return np.diag(A).copy(), V
+    raise linalg.JacobiConvergenceError(off, max_sweeps)
+
+
+def _reference_canonical_sign(col):
+    idx = int(np.argmax(np.abs(col)))
+    if col[idx] < -1e-300:
+        return -col
+    return col
+
+
+def reference_decompose(M):
+    M = linalg.check_symmetric(M)
+    vals, V = _reference_jacobi(M)
+    cols = [_reference_canonical_sign(V[:, i].copy()) for i in range(M.shape[0])]
+    order = sorted(range(M.shape[0]), key=lambda i: (-vals[i], tuple(cols[i])))
+    lam = np.array([vals[i] for i in order])
+    U = np.column_stack([cols[i] for i in order]) if order else np.eye(0)
+    return lam, U
+
+
+def assert_same_bits(M):
+    lam_ref, U_ref = reference_decompose(M)
+    dec = linalg.spectral_decompose(M)
+    for got, want in ((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
+               1.0, -1.0, 0.5, 3.0)
+
+
+def parity_matrices(m, seed):
+    """Random, edge-valued, diagonal, zero, tied and rank-deficient inputs."""
+    gen = rng(seed)
+    out = [np.zeros((m, m)), np.eye(m), np.diag(np.arange(m, 0.0, -1.0))]
+    for _ in range(3):
+        out.append(random_sym(gen, m, scale=10.0 ** gen.integers(-12, 13)))
+        E = gen.choice(EDGE_VALUES, size=(m, m))
+        out.append(np.triu(E) + np.triu(E, 1).T)
+        out.append(np.diag(gen.choice(EDGE_VALUES, size=m)))
+        Q = linalg.haar_orthogonal(m, gen)
+        # ties and rank deficiency: eigenvalues drawn from a small set
+        out.append(Q @ np.diag(gen.choice([0.0, 1.0, -2.0], size=m)) @ Q.T)
+        A = gen.integers(-2, 3, size=(m, m)).astype(float)
+        out.append(A + A.T)
+    # off-diagonal norms around the convergence test 1e-14 * (1 + ||M||_F)
+    D = np.diag(gen.choice([1.0, 2.0], size=m))
+    W = np.triu(gen.normal(size=(m, m)), 1)
+    W = (W + W.T) / max(linalg.frob(W + W.T), 1e-300)
+    for k in (0.3, 0.6, 0.8, 0.95, 1.05, 1.5):
+        out.append(D + W * (k * 1e-14 * (1.0 + linalg.frob(D))))
+    # asymmetric within check_symmetric's tolerance: the lower triangle is
+    # read until a rotation overwrites it
+    S = random_sym(gen, m)
+    out.append(S + np.tril(gen.normal(size=(m, m)), -1) * 1e-14)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 8, 16])
+def test_kernel_matches_reference_bits(m):
+    seeds = {0: 1, 1: 20, 2: 60, 3: 20, 4: 10, 8: 3, 16: 1}[m]
+    for seed in range(seeds):
+        for M in parity_matrices(m, seed):
+            assert_same_bits(M)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@given(st.lists(finite, min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_kernel_2x2_matches_reference_property(upper):
+    a, b, c = upper
+    assert_same_bits(np.array([[a, b], [b, c]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@given(st.lists(finite, min_size=6, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_kernel_3x3_matches_reference_property(upper):
+    a, b, c, d, e, f = upper
+    assert_same_bits(np.array([[a, b, c], [b, d, e], [c, e, f]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_rejects_non_finite(bad, m):
+    M = np.eye(m)
+    M[m - 1, 0] = M[0, m - 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.spectral_decompose(M)
+
+
+def test_jacobi_reports_nan_residual():
+    # NaN on the diagonal only: the off-diagonal is zero, yet the test fails
+    with pytest.raises(linalg.JacobiConvergenceError) as info:
+        linalg._jacobi(np.diag([np.nan, 1.0, 2.0]))
+    assert np.isnan(info.value.offdiag_residual)
+
+
+# ---------------------------------------------------------------------------
 # proj_psd / moreau_split
 
 
