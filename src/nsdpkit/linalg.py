@@ -122,24 +122,14 @@ class EigBasis:
         return self.cols.shape[1]
 
 
-def _off_norm(A: np.ndarray, lower: np.ndarray):
-    """Off-diagonal Frobenius norm: sqrt(2 * sum of squared upper entries).
-
-    ``lower`` is ``np.tri(m, dtype=bool)``, the mask ``np.triu(A, 1)``
-    zeroes; the masked array is C-ordered whatever A's layout.  Kept a
-    numpy reduction: the kernel's bits depend on numpy's pairwise
-    summation order.
-    """
-    return np.sqrt(max(np.sum(np.where(lower, 0.0, A) ** 2) * 2.0, 0.0))
-
-
 def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     """Cyclic Jacobi iteration on lists of Python floats.
 
     Returns (diagonal values, rotation columns) as lists.  Rotations run
     row by row in a fixed (p, q) order.  The matrix is held by columns,
     ``C[j][i] = A[i][j]``, so a rotation maps whole columns; only the
-    per-sweep ``_off_norm`` goes through numpy.
+    per-sweep off-diagonal norm goes through numpy: the kernel's bits
+    depend on numpy's pairwise summation order.
     """
     A = np.array(M, dtype=float)
     m = A.shape[0]
@@ -150,8 +140,7 @@ def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     scale = 1.0 + frob(A)
     off_tol = 1e-14 * scale
     skip_tol = 1e-18 * scale
-    lower = np.tri(m, dtype=bool)
-    off = _off_norm(A, lower)
+    off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
     for _ in range(max_sweeps):
         if off <= off_tol:
             break
@@ -184,7 +173,7 @@ def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
                 V[p] = [c * a - s * b for a, b in zip(Vp, Vq)]
                 V[q] = [s * a + c * b for a, b in zip(Vp, Vq)]
         A = np.array(C).T
-        off = _off_norm(A, lower)
+        off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
     else:
         if not off <= off_tol:
             # With a NaN entry the test fails whatever the off-diagonal

@@ -168,10 +168,17 @@ def al_multiplier(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray)
 
 
 def al_value(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> float:
-    """Augmented Lagrangian value at x for carried estimate Ytilde."""
+    """Augmented Lagrangian value at x for carried estimate Ytilde.
+
+    inf where the shifted constraint value overflows, so that a line
+    search backs off from the trial point instead of failing in the
+    kernel's non-finite check.
+    """
     x = np.asarray(x, dtype=float)
-    G = problem.g(x)
-    _, S = linalg.moreau_split(G - Ytilde / rho)
+    Z = problem.g(x) - Ytilde / rho
+    if not np.isfinite(Z).all():
+        return float("inf")
+    _, S = linalg.moreau_split(Z)
     return problem.f(x) + 0.5 * rho * linalg.frob(S) ** 2 \
         - linalg.frob(Ytilde) ** 2 / (2.0 * rho)
 

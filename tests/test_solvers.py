@@ -68,6 +68,25 @@ def test_al_value_reduces_to_penalty_at_zero_safeguard(registry):
         assert abs(val - pen) <= 1e-12 * (1.0 + abs(pen))
 
 
+def test_line_search_backs_off_where_g_overflows():
+    # f = 1e154 x and G = (1 + 10 x^2) I: the first full step lands at
+    # x = -1e154, where G is inf but f is finite
+    problem = model.MatrixPolyProblem(
+        n=1, m=2, c0=0.0, c_lin=np.array([1e154]), c_quad=np.zeros((1, 1)),
+        a0=np.eye(2), a_lin=(np.zeros((2, 2)),), b_quad={(0, 0): 10.0 * np.eye(2)},
+        name="overflow").problem()
+    Y = np.zeros((2, 2))
+    with np.errstate(over="ignore"):
+        assert solvers.al_value(problem, np.array([-1e154]), 1.0, Y) == np.inf
+        x, stats = solvers.inner_minimize(
+            lambda z: solvers.al_value(problem, z, 1.0, Y),
+            lambda z: solvers.al_gradient(problem, z, 1.0, Y),
+            np.array([0.0]), grad_tol=1e-8, max_iter=1)
+    assert stats.reason == "max_iter"
+    assert x[0] == -0.25e154  # two halvings: at t = 0.5 G still overflows
+    assert np.isfinite(problem.g(x)).all()
+
+
 # ---------------------------------------------------------------------------
 # external penalty
 
