@@ -5,8 +5,8 @@ for problems min f(x) subject to G(x) positive semidefinite.
 """
 
 from .linalg import (
-    EPS_ORTH_FACTOR, EPS_RECON_FACTOR, EPS_PSD_FACTOR, EPS_RANK, EPS_PLD,
-    JacobiConvergenceError, SpectralDecomp, EigBasis,
+    EPS_ORTH_FACTOR, EPS_PSD_FACTOR, EPS_RANK, EPS_PLD,
+    JacobiConvergenceError, SpectralDecomp,
     spectral_decompose, proj_psd, moreau_split, eig_basis_smallest,
     numerical_rank, lin_dependent, pos_lin_dependent,
 )
@@ -15,7 +15,7 @@ from .model import (
     embed_diagonal_nlp, audit_derivatives, adjoint_dg, lagrangian_grad,
     load_problem, save_problem,
 )
-from .caratheodory import ConicCombination, reduce
+from .caratheodory import ConicCombination, ReductionError, reduce
 from .kkt import (
     KktResidual, MultiplierEstimate, AkktRecord, AkktCertificate,
     RecoveryResult, TraceTooShortError,

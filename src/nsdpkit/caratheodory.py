@@ -20,6 +20,10 @@ _SNAP = 1e-14
 _MAX_ROUNDS_PER_VECTOR = 4
 
 
+class ReductionError(RuntimeError):
+    """Raised when the exchange steps fail to reach an independent support."""
+
+
 @dataclass(frozen=True)
 class ConicCombination:
     """A reduced combination: surviving indices, their coefficients, vectors.
@@ -34,8 +38,7 @@ class ConicCombination:
 
     def combined(self) -> np.ndarray:
         if not self.vectors:
-            dim = 0
-            return np.zeros(dim)
+            return np.zeros(0)
         out = np.zeros_like(np.asarray(self.vectors[0], dtype=float))
         for c, v in zip(self.coeffs, self.vectors):
             out = out + c * np.asarray(v, dtype=float)
@@ -70,7 +73,7 @@ def reduce(vectors, coeffs, eps_rank: float = linalg.EPS_RANK) -> ConicCombinati
     while len(active) > 0 and linalg.lin_dependent([vecs[i] for i in active], eps_rank):
         rounds += 1
         if rounds > max_rounds:
-            raise RuntimeError("reduction failed to terminate")
+            raise ReductionError("reduction failed to terminate")
         beta = _null_direction([vecs[i] for i in active])
         a = alpha[active]
         # candidate steps a_i / b_i; positive-direction candidates have
@@ -94,7 +97,7 @@ def reduce(vectors, coeffs, eps_rank: float = linalg.EPS_RANK) -> ConicCombinati
                 t_pos, pos_drop = 0.0, k
                 break
         if pos_drop < 0 and neg_drop < 0:
-            raise RuntimeError("null direction produced no usable step")
+            raise ReductionError("null direction produced no usable step")
         if pos_drop >= 0 and (neg_drop < 0 or t_pos <= -t_neg):
             t, drop = t_pos, pos_drop
         else:

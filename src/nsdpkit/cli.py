@@ -14,10 +14,11 @@ content hashes exclude.
 Exit codes: solve 0 converged / 2 iteration cap / 3 error; diagnose 0
 match or no comparison / 1 mismatch / 3 error; regress 0 clean / 1 any
 failed entry or an expected table that breaks the implication order / 3
-malformed option.  Malformed input (an unknown check or budget field, a
+malformed option.  Malformed input (an unknown check, budget field or
+config key, a config or problem file of the wrong shape or JSON type, a
 missing reference point, a non-finite number) ends in exit 3 before any
-check runs; an eigendecomposition that does not converge ends in exit 3
-in every subcommand.
+check runs; an eigendecomposition that does not converge, or a
+Caratheodory reduction that fails, ends in exit 3 in every subcommand.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cq, fixtures, kkt, linalg, model, selftest, solvers
+from . import caratheodory, cq, fixtures, kkt, linalg, model, selftest, solvers
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -42,6 +43,9 @@ EXIT_ERROR = 3
 
 DEFAULT_CHECKS = tuple(name for name, spec in cq.CHECKS.items()
                        if spec.scope == "default")
+#: --config keys: the AlConfig fields plus tolerance, schedule and caps
+AL_KEYS = {f.name for f in dataclass_fields(solvers.AlConfig)}
+CONFIG_KEYS = AL_KEYS | {"target_tol", "rho_growth", "max_outer", "max_iter"}
 
 
 def _out_dir(args) -> Path:
@@ -110,10 +114,18 @@ def _parse_budget(args) -> cq.CqBudget:
 
 
 def _load_config(args) -> dict:
+    """The --config object; ValueError for anything but known keys."""
     if not getattr(args, "config", None):
         return {}
     with open(args.config, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("--config must hold a JSON object")
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(sorted(CONFIG_KEYS))}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +133,7 @@ def _load_config(args) -> dict:
 
 
 def _run_solver(problem, x0, solver: str, config: dict) -> solvers.SolverTrace:
-    al_keys = {f.name for f in dataclass_fields(solvers.AlConfig)}
-    al_overrides = {k: v for k, v in config.items() if k in al_keys}
-    cfg = solvers.AlConfig(**al_overrides) if al_overrides else solvers.AlConfig()
+    cfg = solvers.AlConfig(**{k: v for k, v in config.items() if k in AL_KEYS})
     target_tol = float(config.get("target_tol", 1e-6))
     if solver == "penalty":
         rho1 = float(config.get("rho1", 10.0))
@@ -404,19 +414,14 @@ def _regress_props(registry, cases, seed):
 
 def _regress_meta(recorded):
     entries = []
-    holds = ("CERTIFIED_HOLDS", "NO_VIOLATION_FOUND")
     by_fixture = {}
     for (fid, check), status in recorded.items():
-        by_fixture.setdefault(fid, {})[check] = status
+        by_fixture.setdefault(fid, {})[check] = (status,)
     for fid, table in sorted(by_fixture.items()):
-        for strong, weak in cq.IMPLICATIONS:
-            a, b = table.get(strong), table.get(weak)
-            if a is None or b is None:
-                continue
-            bad = a in holds and b == "VIOLATED"
-            if bad:
-                entries.append(_entry("meta", fid, f"{strong}->{weak}",
-                                      f"{a} vs {b}", None, False))
+        for strong, weak in cq.broken_implications(table):
+            entries.append(_entry("meta", fid, f"{strong}->{weak}",
+                                  f"{table[strong][0]} vs {table[weak][0]}",
+                                  None, False))
     entries.append(_entry("meta", "-", "implication-order",
                           "violated" if any(not e["ok"] for e in entries)
                           else "consistent", ("consistent",),
@@ -563,7 +568,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except linalg.JacobiConvergenceError as exc:
+    except (linalg.JacobiConvergenceError, caratheodory.ReductionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

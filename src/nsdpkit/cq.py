@@ -127,10 +127,6 @@ class VFamily:
     pairs: tuple
     vectors: np.ndarray
 
-    @property
-    def q(self) -> int:
-        return self.basis.shape[1]
-
     def vector(self, i: int, j: int) -> np.ndarray:
         key = (min(i, j), max(i, j))
         return self.vectors[self.pairs.index(key)]
@@ -146,7 +142,7 @@ class VFamily:
 def v_family(problem: model.NsdpProblem, x, E) -> VFamily:
     """Column-pair curvature family of the constraint at (x, E)."""
     x = np.asarray(x, dtype=float)
-    cols = E.cols if isinstance(E, linalg.EigBasis) else np.asarray(E, dtype=float)
+    cols = np.asarray(E, dtype=float)
     if cols.ndim != 2 or cols.shape[0] != problem.m:
         raise ValueError(f"basis must have {problem.m} rows")
     q = cols.shape[1]
@@ -445,15 +441,6 @@ def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
     return [(f"sweep@{th:.8f}", basis(th)) for th in deduped]
 
 
-def _base_epsilons(scale_v: float) -> dict:
-    return {
-        "eps_rank": linalg.EPS_RANK,
-        "eps_pld": linalg.EPS_PLD,
-        "eps_psd_factor": linalg.EPS_PSD_FACTOR,
-        "scale_v": scale_v,
-    }
-
-
 def _make_verdict(condition: str, status: str, problem: model.NsdpProblem,
                   x_bar, r: int, budget: CqBudget, scale_v: float,
                   witness=None, notes=()) -> CqVerdict:
@@ -462,7 +449,8 @@ def _make_verdict(condition: str, status: str, problem: model.NsdpProblem,
         m=problem.m, n=problem.n, rank=int(r),
         x_bar=tuple(float(v) for v in np.asarray(x_bar, dtype=float)),
         seed=budget.seed, budget=asdict(budget),
-        epsilons=_base_epsilons(scale_v),
+        epsilons={"eps_rank": linalg.EPS_RANK, "eps_pld": linalg.EPS_PLD,
+                  "eps_psd_factor": linalg.EPS_PSD_FACTOR, "scale_v": scale_v},
         notes=tuple(notes), witness=_jsonify(witness) if witness else None)
 
 
@@ -694,15 +682,14 @@ def _robinson(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
             witness={"kind": "interior-direction", "direction": cert_d,
                      "lambda_min": cert_val},
             notes=("strictly feasible direction for the linearization found",))
-    dependent = spec.dependent(ctx.scale_v)
     for label, E, _ in ctx.free_candidates():
-        vecs = model.diag_vectors(problem, x, E)
-        if dependent(vecs):
+        fail = _limit_failure(ctx, spec, E)
+        if fail is not None:
             witness = {
                 "kind": "diagonal-positive-dependence",
                 "label": label,
                 "E": E,
-                "vectors": vecs,
+                "vectors": fail["family_vectors"],
                 "dependent": True,
             }
             return ctx.verdict(
@@ -726,37 +713,56 @@ def _limit_failure(ctx: PointContext, spec: CheckSpec, E_bar) -> dict | None:
     return None
 
 
-def _rank_failure(ctx: PointContext, spec: CheckSpec, E_bar, chain, ts,
-                  subsets) -> dict | None:
-    """Constant-rank test of one (limit, chain) candidate.
+# The constant-rank falsification rule, shared by the weak, sequential
+# and scalar samplers: a premise subfamily J is dependent at the limit,
+# and the trailing ``consecutive`` levels stay linearly independent on J.
 
-    Fails when some premise subfamily J is dependent at the limit basis
-    while the trailing ``consecutive`` levels of the chain stay linearly
-    independent on J; returns that failure record or None.
-    """
-    problem, scale_v = ctx.problem, ctx.scale_v
-    premise_dependent = spec.dependent(scale_v)
-    diag_lim = model.diag_vectors(problem, ctx.x, E_bar)
-    tail_idx = list(range(len(ts) - ctx.budget.consecutive, len(ts)))
+
+def _dependent_premises(limit_vectors, subsets, dependent):
+    """Yield (J, premise family) for each subset J dependent at the limit."""
     for J in subsets:
-        prem = [diag_lim[i] for i in J]
-        if not premise_dependent(prem):
-            continue
-        trailing_indep = True
-        for j in tail_idx:
-            vecs = model.diag_vectors(problem, chain[j][0], chain[j][1], J)
-            if _lin_dep(vecs, scale_v):
-                trailing_indep = False
-                break
-        if trailing_indep:
-            levels = []
-            for t, (x_j, E_j) in zip(ts, chain):
-                vecs = model.diag_vectors(problem, x_j, E_j, J)
-                levels.append({"t": t, "x": x_j, "E": E_j, "vectors": vecs,
-                               "dependent": bool(_lin_dep(vecs, scale_v))})
+        prem = [limit_vectors[i] for i in J]
+        if dependent(prem):
+            yield J, prem
+
+
+def _tail_independent(levels, consecutive: int, family, scale: float) -> bool:
+    """Whether ``family(level)`` is independent at each trailing level."""
+    return not any(_lin_dep(family(lv), scale) for lv in levels[-consecutive:])
+
+
+def _falsifying_levels(levels, consecutive: int, family, scale: float,
+                       key: str = "vectors") -> list | None:
+    """Records of every level, or None when a trailing level is dependent.
+
+    ``levels`` are dicts of level data; each record adds the family under
+    ``key`` and its linear-dependence flag.  The trailing levels are
+    tested before any record is built.
+    """
+    if not _tail_independent(levels, consecutive, family, scale):
+        return None
+    records = []
+    for lv in levels:
+        vecs = family(lv)
+        records.append({**lv, key: vecs, "dependent": bool(_lin_dep(vecs, scale))})
+    return records
+
+
+def _rank_failure(ctx: PointContext, spec: CheckSpec, E_bar, levels,
+                  subsets) -> dict | None:
+    """Constant-rank failure record of one (limit, chain) candidate, or None."""
+    problem = ctx.problem
+    diag_lim = model.diag_vectors(problem, ctx.x, E_bar)
+    for J, prem in _dependent_premises(diag_lim, subsets,
+                                       spec.dependent(ctx.scale_v)):
+        records = _falsifying_levels(
+            levels, ctx.budget.consecutive,
+            lambda lv: model.diag_vectors(problem, lv["x"], lv["E"], J),
+            ctx.scale_v)
+        if records is not None:
             return {"E_bar": E_bar, "J": [i + 1 for i in J],
                     "premise_vectors": prem, "premise_dependent": True,
-                    "levels": levels}
+                    "levels": records}
     return None
 
 
@@ -842,8 +848,9 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
             if spec.limit_only:
                 fail = _limit_failure(ctx, spec, E_bar)
             else:
-                fail = _rank_failure(ctx, spec, E_bar, list(zip(xs, chain)),
-                                     ts, subsets)
+                levels = [{"t": t, "x": x_j, "E": E_j}
+                          for t, x_j, E_j in zip(ts, xs, chain)]
+                fail = _rank_failure(ctx, spec, E_bar, levels, subsets)
             if fail is None:
                 any_saved = True
                 break
@@ -853,7 +860,7 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
             witness = {
                 "kind": "sequence",
                 "sequence": label,
-                "direction": None if d is None else d,
+                "direction": d,
                 "t_levels": ts,
                 "candidates": candidate_failures,
             }
@@ -897,18 +904,8 @@ def _completion_basis(P_bar: np.ndarray, E: np.ndarray) -> np.ndarray:
     return linalg.orthonormal_columns(raw)
 
 
-def _seq_full_levels(problem, x_bar, J, ts, point_basis, deltas, scale_v):
-    levels = []
-    for t, (x_j, E_j), delta in zip(ts, point_basis, deltas):
-        vecs = model.diag_vectors(problem, x_j, E_j, J)
-        levels.append({"t": t, "x": x_j, "E": E_j, "delta": delta,
-                       "vectors": vecs,
-                       "dependent": bool(_lin_dep(vecs, scale_v))})
-    return levels
-
-
 def _seq_tail_violation(problem, x_bar, E_bar, J, budget, scale_v, rng,
-                        P_bar, r):
+                        P_bar):
     """Look for tails (x_j, E_j) -> (x_bar, E_bar) staying independent on J.
 
     Basis perturbations decay like t and like t^(1/4); the slow decay
@@ -916,39 +913,31 @@ def _seq_tail_violation(problem, x_bar, E_bar, J, budget, scale_v, rng,
     offset would otherwise sink below the rank threshold before the
     trailing levels are reached.
     """
-    ts = _levels(budget)
-    n = problem.n
-    dirs = _unit_directions(n, min(4, budget.n_directions), rng)
+    levels = [{"t": t} for t in _levels(budget)]
+    dirs = _unit_directions(problem.n, min(4, budget.n_directions), rng)
     Ws = [rng.standard_normal(E_bar.shape) for _ in range(budget.n_stiefel)]
     variants = [("fixed-basis", None, 1.0)]
     for i, W in enumerate(Ws):
         for expo in (1.0, 0.25):
             variants.append((f"stiefel-{i}@t^{expo}", W, expo))
-    tail_idx = list(range(len(ts) - budget.consecutive, len(ts)))
     for d in dirs:
         for v_label, W, expo in variants:
             def basis_at(t):
                 if W is None:
                     return E_bar
                 return linalg.orthonormal_columns(E_bar + (t ** expo) * W)
-            indep = True
-            for j in tail_idx:
-                x_j = x_bar + ts[j] * d
-                vecs = model.diag_vectors(problem, x_j, basis_at(ts[j]), J)
-                if _lin_dep(vecs, scale_v):
-                    indep = False
-                    break
-            if not indep:
+            records = _falsifying_levels(
+                levels, budget.consecutive,
+                lambda lv: model.diag_vectors(problem, x_bar + lv["t"] * d,
+                                              basis_at(lv["t"]), J),
+                scale_v)
+            if records is None:
                 continue
-            point_basis = [(x_bar + t * d, basis_at(t)) for t in ts]
-            deltas = []
-            for (x_j, E_j) in point_basis:
-                P_j = _completion_basis(P_bar, E_j)
-                deltas.append(separating_perturbation(problem, x_j, x_bar,
-                                                      E_j, P_j))
-            levels = _seq_full_levels(problem, x_bar, J, ts, point_basis,
-                                      deltas, scale_v)
-            return {"direction": d, "variant": v_label, "levels": levels}
+            for rec in records:
+                x_j, E_j = x_bar + rec["t"] * d, basis_at(rec["t"])
+                rec.update(x=x_j, E=E_j, delta=separating_perturbation(
+                    problem, x_j, x_bar, E_j, _completion_basis(P_bar, E_j)))
+            return {"direction": d, "variant": v_label, "levels": records}
     return None
 
 
@@ -991,22 +980,24 @@ def _seq(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
         entry = _curve_candidate(problem, curve, r, ts)
         if entry is not None:
             curve_entries.append(entry)
-    premise_dependent = spec.dependent(scale)
     subsets = _subsets(q)
     for cand_idx, (label, E_bar, curve_entry) in enumerate(
             ctx.free_candidates(curve_entries)):
         diag_lim = model.diag_vectors(problem, x, E_bar)
-        for J in subsets:
-            prem = [diag_lim[i] for i in J]
-            if not premise_dependent(prem):
-                continue
+        for J, prem in _dependent_premises(diag_lim, subsets,
+                                           spec.dependent(scale)):
             if curve_entry is not None:
-                viol = _curve_tail_violation(problem, x, curve_entry, J,
-                                             budget, scale)
+                records = _falsifying_levels(
+                    curve_entry["levels"], budget.consecutive,
+                    lambda lv: model.diag_vectors(problem, lv["x"], lv["E"], J),
+                    scale)
+                viol = None if records is None else {
+                    "direction": None, "variant": "registered-curve",
+                    "levels": records}
             else:
                 rng = _rng(budget.seed, 3, cand_idx)
                 viol = _seq_tail_violation(problem, x, E_bar, J, budget,
-                                           scale, rng, P_bar, r)
+                                           scale, rng, P_bar)
             if viol is not None:
                 witness = {
                     "kind": "pair-sequence",
@@ -1033,29 +1024,15 @@ def _curve_candidate(problem, curve: WitnessCurve, r: int, ts: list):
         x_t = np.asarray(x_t, dtype=float)
         delta_t = linalg.sym_part(np.asarray(delta_t, dtype=float))
         shifted = linalg.sym_part(problem.g(x_t) + delta_t)
-        E = linalg.eig_basis_smallest(shifted, r).cols
+        E = linalg.eig_basis_smallest(shifted, r)
         if prev is not None:
             E = linalg.align_columns(prev, E)
-        levels.append((float(t), x_t, E, delta_t))
+        levels.append({"t": float(t), "x": x_t, "E": E, "delta": delta_t})
         prev = E
-    E_bar = _extrapolated_limit([lv[2] for lv in levels])
+    E_bar = _extrapolated_limit([lv["E"] for lv in levels])
     if E_bar is None:
         return None
     return {"label": f"curve:{curve.name}", "E_bar": E_bar, "levels": levels}
-
-
-def _curve_tail_violation(problem, x_bar, curve_entry, J, budget, scale_v):
-    levels_raw = curve_entry["levels"]
-    tail = levels_raw[-budget.consecutive:]
-    for _, x_j, E_j, _ in tail:
-        if _lin_dep(model.diag_vectors(problem, x_j, E_j, J), scale_v):
-            return None
-    ts = [lv[0] for lv in levels_raw]
-    point_basis = [(lv[1], lv[2]) for lv in levels_raw]
-    deltas = [lv[3] for lv in levels_raw]
-    levels = _seq_full_levels(problem, x_bar, J, ts, point_basis, deltas,
-                              scale_v)
-    return {"direction": None, "variant": "registered-curve", "levels": levels}
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1054,7 @@ def separating_perturbation(problem: model.NsdpProblem, x, x_bar, E, P) -> np.nd
     s = float(np.linalg.norm(x - x_bar))
     if s <= 0.0:
         raise ValueError("separating perturbation needs x distinct from x_bar")
-    E = E.cols if isinstance(E, linalg.EigBasis) else np.asarray(E, dtype=float)
+    E = np.asarray(E, dtype=float)
     P = np.asarray(P, dtype=float) if P is not None \
         else np.zeros((E.shape[0], 0))
     m = problem.m
@@ -1119,26 +1096,24 @@ class MsrEstimate:
 
 
 def estimate_msr_modulus(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
-                         samples: int = 200, seed: int = 0,
-                         config: solvers.AlConfig | None = None,
-                         dist_tol: float = 1e-8) -> MsrEstimate:
+                         samples: int = 200, seed: int = 0) -> MsrEstimate:
     """Largest sampled ratio dist(x, F) / ||proj_psd(-G(x))|| on a ball.
 
     Distances to the feasible set are computed by solving the projection
     problem min ||z - x||^2 s.t. G(z) PSD with the augmented Lagrangian
-    from both x and x_bar; the trivial bound ||x - x_bar|| caps the
-    result since x_bar is feasible.  Samples whose projection runs all
-    end infeasible fall back on that bound and are counted as failures;
-    more than ten percent of failures marks the estimate unreliable.
+    (default configuration, tolerance 1e-8) from both x and x_bar; the
+    trivial bound ||x - x_bar|| caps the result since x_bar is feasible.
+    Samples whose projection runs all end infeasible fall back on that
+    bound and are counted as failures; more than ten percent of failures
+    marks the estimate unreliable.
     """
-    x_ref, G_ref, _, _ = _feasibility_gate(problem, x_bar)
+    x_ref = _feasibility_gate(problem, x_bar)[0]
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = _rng(seed, 6)
     n = problem.n
-    cfg = config or solvers.AlConfig()
     ratios = []
     n_feasible = 0
     n_failed = 0
@@ -1154,7 +1129,7 @@ def estimate_msr_modulus(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
         if residual <= linalg.EPS_RANK * (1.0 + linalg.frob(G_i)):
             n_feasible += 1
             continue
-        dist, ok = _projection_distance(problem, x_i, x_ref, cfg, dist_tol)
+        dist, ok = _projection_distance(problem, x_i, x_ref)
         if not ok:
             n_failed += 1
         ratio = dist / residual
@@ -1178,7 +1153,7 @@ def estimate_msr_modulus(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
         ratios=tuple(float(rt) for rt in ratios))
 
 
-def _projection_distance(problem, x_i, x_ref, cfg, dist_tol):
+def _projection_distance(problem, x_i, x_ref):
     """Distance from x_i to the feasible set, with a feasibility fallback."""
     n = problem.n
 
@@ -1194,8 +1169,8 @@ def _projection_distance(problem, x_i, x_ref, cfg, dist_tol):
     best = float(np.linalg.norm(x_i - x_ref))
     ok = False
     for start in (x_i, x_ref):
-        trace = solvers.solve_augmented_lagrangian(
-            proj, start, config=cfg, target_tol=dist_tol, max_outer=25)
+        trace = solvers.solve_augmented_lagrangian(proj, start, target_tol=1e-8,
+                                                   max_outer=25)
         z = trace.final.x
         Gz = problem.g(z)
         feas = linalg.frob(linalg.proj_psd(-Gz))
@@ -1302,37 +1277,24 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
     if len(active) > COMBINATORIAL_CAP:
         raise CombinatorialCapError(
             f"{len(active)} active constraints exceed the cap {COMBINATORIAL_CAP}")
-    premise_dependent = spec.dependent(scale)
     ts = _levels(budget)
     sequences = _sequences(x, curves, ts, budget)
-    subsets = []
-    for size in range(1, len(active) + 1):
-        subsets.extend(itertools.combinations(active, size))
-    tail_idx = list(range(len(ts) - budget.consecutive, len(ts)))
-    for J in subsets:
-        prem = [grads[i] for i in J]
-        if not premise_dependent(prem):
-            continue
+    subsets = [tuple(active[i] for i in S) for S in _subsets(len(active))]
+    for J, prem in _dependent_premises(grads, subsets, spec.dependent(scale)):
+        def family(lv):
+            gj = embedding.constraint_gradients(lv["x"])
+            return [gj[i] for i in J]
         for label, d, xs in sequences:
-            trailing_indep = True
-            for j in tail_idx:
-                gj = embedding.constraint_gradients(xs[j])
-                if _lin_dep([gj[i] for i in J], scale):
-                    trailing_indep = False
-                    break
-            if not trailing_indep:
+            levels = _falsifying_levels(
+                [{"t": t, "x": x_j} for t, x_j in zip(ts, xs)],
+                budget.consecutive, family, scale, key="gradients")
+            if levels is None:
                 continue
-            levels = []
-            for t, x_j in zip(ts, xs):
-                gj = embedding.constraint_gradients(x_j)
-                sel = [gj[i] for i in J]
-                levels.append({"t": t, "x": x_j, "gradients": sel,
-                               "dependent": bool(_lin_dep(sel, scale))})
             witness = {
                 "kind": "gradient-sequence",
                 "J": [i + 1 for i in J],
                 "sequence": label,
-                "direction": None if d is None else d,
+                "direction": d,
                 "premise_gradients": prem,
                 "levels": levels,
             }
@@ -1450,7 +1412,7 @@ def _replay_pair_sequence(problem, witness, x_bar, scale, spec) -> bool:
         E_j = np.asarray(lv["E"], dtype=float)
         delta = np.asarray(lv["delta"], dtype=float)
         shifted = linalg.sym_part(problem.g(np.asarray(lv["x"], dtype=float)) + delta)
-        E_check = linalg.eig_basis_smallest(shifted, problem.m - E_j.shape[1]).cols
+        E_check = linalg.eig_basis_smallest(shifted, problem.m - E_j.shape[1])
         if linalg.frob(E_j @ E_j.T - E_check @ E_check.T) > 1e-6:
             return False
     return True
@@ -1540,6 +1502,21 @@ IMPLICATIONS = tuple((name, weaker) for name, spec in CHECKS.items()
                      for weaker in spec.implies)
 
 
+def broken_implications(table: dict) -> list:
+    """The arrows of ``IMPLICATIONS`` that a table of statuses breaks.
+
+    ``table`` maps check names to tuples of statuses; an arrow is broken
+    when every status on its left holds (CERTIFIED_HOLDS or
+    NO_VIOLATION_FOUND) and every status on its right is VIOLATED.
+    Arrows with a side missing from the table, or None, are skipped.
+    """
+    holds = (CERTIFIED_HOLDS, NO_VIOLATION_FOUND)
+    return [(strong, weak) for strong, weak in IMPLICATIONS
+            if table.get(strong) is not None and table.get(weak) is not None
+            and all(s in holds for s in table[strong])
+            and all(s == VIOLATED for s in table[weak])]
+
+
 # ---------------------------------------------------------------------------
 # tangent cone predicates
 
@@ -1555,7 +1532,7 @@ def in_tangent_cone(M: np.ndarray, N: np.ndarray) -> bool:
     r = linalg.rank_of_psd(M)
     if r == M.shape[0]:
         return True
-    E = linalg.eig_basis_smallest(M, r).cols
+    E = linalg.eig_basis_smallest(M, r)
     W = linalg.sym_part(E.T @ N @ E)
     lam_min = float(linalg.spectral_decompose(W).eigenvalues[-1])
     return lam_min >= -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(N))
@@ -1568,5 +1545,5 @@ def in_lineality_space(M: np.ndarray, N: np.ndarray) -> bool:
     r = linalg.rank_of_psd(M)
     if r == M.shape[0]:
         return True
-    E = linalg.eig_basis_smallest(M, r).cols
+    E = linalg.eig_basis_smallest(M, r)
     return linalg.frob(E.T @ N @ E) <= linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(N))

@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import model
-from .cq import IMPLICATIONS, WitnessCurve
+from .cq import CHECKS, WitnessCurve, broken_implications
 
 
 @dataclass(frozen=True)
@@ -304,14 +304,6 @@ _NLP_BUILDERS = {
 }
 
 
-def _holds_only(statuses) -> bool:
-    return all(s in ("CERTIFIED_HOLDS", "NO_VIOLATION_FOUND") for s in statuses)
-
-
-def _violated_only(statuses) -> bool:
-    return all(s == "VIOLATED" for s in statuses)
-
-
 class FixtureRegistry:
     """All built-in fixtures, keyed by id.
 
@@ -341,22 +333,11 @@ class FixtureRegistry:
                              "ordering: " + "; ".join(problems))
 
     def _check_tables(self):
-        """Tables that break an arrow of ``cq.IMPLICATIONS``.
-
-        A table breaks an arrow only when the left entry allows nothing
-        but a certified/clean status while the right entry allows
-        nothing but VIOLATED.
-        """
-        problems = []
-        for fix in self._fixtures.values():
-            for strong, weak in IMPLICATIONS:
-                a, b = fix.allowed(strong), fix.allowed(weak)
-                if a is None or b is None:
-                    continue
-                if _holds_only(a) and _violated_only(b):
-                    problems.append(
-                        f"{fix.fixture_id}: {strong} holds but {weak} violated")
-        return problems
+        """Tables that break an arrow (see ``cq.broken_implications``)."""
+        return [f"{fix.fixture_id}: {strong} holds but {weak} violated"
+                for fix in self._fixtures.values()
+                for strong, weak in broken_implications(
+                    {name: fix.allowed(name) for name in CHECKS})]
 
     def names(self):
         return sorted(self._fixtures)

@@ -44,14 +44,6 @@ class KktResidual:
         return max(self.stationarity, self.feasibility,
                    self.complementarity, self.dual_feasibility)
 
-    def as_dict(self) -> dict:
-        return {
-            "stationarity": self.stationarity,
-            "feasibility": self.feasibility,
-            "complementarity": self.complementarity,
-            "dual_feasibility": self.dual_feasibility,
-        }
-
 
 def kkt_residual(problem: model.NsdpProblem, x, Y) -> KktResidual:
     """Residuals of the KKT system at (x, Y).
@@ -221,7 +213,7 @@ def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
     per_record = []
     for rec in window:
         shifted = problem.g(rec.x) + rec.delta
-        E = linalg.eig_basis_smallest(shifted, r).cols
+        E = linalg.eig_basis_smallest(shifted, r)
         if E_prev is not None:
             E = linalg.align_columns(E_prev, E)
         E_prev = E

@@ -18,21 +18,20 @@ and return its bits; ``tests/test_linalg.py`` keeps that loop as the
 reference and compares with ``np.array_equal``.  The bits depend on
 numpy (the Frobenius norm goes through BLAS, the off-diagonal norm is a
 numpy pairwise sum), so they are reproducible on one platform with one
-numpy, not across platforms.  Non-finite input is rejected with
-ValueError.
+numpy, not across platforms.  Non-finite input, and input whose
+Frobenius norm overflows, is rejected with ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Default tolerances.  Scale-dependent ones are documented at the use
 # site; each function takes an override so callers can tighten or relax.
 EPS_ORTH_FACTOR = 1e-10     # orthogonality: eps * m
-EPS_RECON_FACTOR = 1e-9     # reconstruction: eps * (1 + ||M||_F)
 EPS_PSD_FACTOR = 1e-9       # cone membership: eps * (1 + ||M||_F)
 EPS_RANK = 1e-7             # relative rank threshold
 EPS_PLD = 1e-8              # positive-linear-dependence residual
@@ -99,28 +98,6 @@ class SpectralDecomp:
     def m(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        U = self.eigenvectors
-        return (U * self.eigenvalues) @ U.T
-
-
-@dataclass(frozen=True)
-class EigBasis:
-    """Column-orthonormal basis for the span of the smallest eigenvalues.
-
-    ``cols`` has shape (m, m - r); columns are ordered to match the
-    eigenvalues sorted non-increasingly, i.e. column 0 pairs with the
-    (r+1)-th largest eigenvalue.  ``rank`` is the r used to split.
-    An empty basis (r == m) has shape (m, 0).
-    """
-
-    cols: np.ndarray
-    rank: int
-
-    @property
-    def width(self) -> int:
-        return self.cols.shape[1]
-
 
 def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     """Cyclic Jacobi iteration on lists of Python floats.
@@ -138,6 +115,8 @@ def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     if m <= 1:
         return [col[j] for j, col in enumerate(C)], V
     scale = 1.0 + frob(A)
+    if math.isinf(scale):  # the convergence test would pass at once
+        raise ValueError("matrix Frobenius norm overflows")
     off_tol = 1e-14 * scale
     skip_tol = 1e-18 * scale
     off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
@@ -193,6 +172,8 @@ def _jacobi_2x2(M: np.ndarray):
     """
     (a00, a01), (_, a11) = M.tolist()
     scale = 1.0 + frob(M)
+    if math.isinf(scale):
+        raise ValueError("matrix Frobenius norm overflows")
     if math.sqrt(a01 * a01 * 2.0) <= 1e-14 * scale:
         return [a00, a11], [[1.0, 0.0], [0.0, 1.0]]
     theta = (a11 - a00) / (2.0 * a01)
@@ -252,11 +233,11 @@ def moreau_split(M: np.ndarray):
     return plus, minus
 
 
-def eig_basis_smallest(M: np.ndarray, r: int) -> EigBasis:
+def eig_basis_smallest(M: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal eigenvectors for the m - r smallest eigenvalues.
 
-    Columns are ordered by increasing eigenvalue, so the first column
-    tracks the smallest one.  This matches how synthetic shifts assign
+    Returns an m x (m - r) array whose columns are ordered by increasing
+    eigenvalue, so the first column tracks the smallest one.  This matches how synthetic shifts assign
     eigenvalues (r+1)s, ..., ms to columns 1..m-r.  r == m yields an
     empty basis, which is the legitimate full-rank outcome rather than
     an error.
@@ -265,7 +246,7 @@ def eig_basis_smallest(M: np.ndarray, r: int) -> EigBasis:
     m = dec.m
     if not 0 <= r <= m:
         raise ValueError(f"rank split r={r} out of range for m={m}")
-    return EigBasis(cols=dec.eigenvectors[:, r:][:, ::-1].copy(), rank=r)
+    return dec.eigenvectors[:, r:][:, ::-1].copy()
 
 
 def numerical_rank(values: np.ndarray, scale: float, eps_rank: float = EPS_RANK) -> int:

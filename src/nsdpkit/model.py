@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def diag_vectors(problem: NsdpProblem, x, E, indices=None) -> list:
     the contraction sign-symmetric (no FMA asymmetry), so identities like
     v_ii = -v_jj for trace-free derivatives hold exactly.
     """
-    cols = E.cols if isinstance(E, linalg.EigBasis) else np.asarray(E, dtype=float)
+    cols = np.asarray(E, dtype=float)
     Ds = problem.dg(np.asarray(x, dtype=float))
     m = cols.shape[0]
     out = []
@@ -93,10 +93,6 @@ def diag_vectors(problem: NsdpProblem, x, E, indices=None) -> list:
         out.append(np.array([math.fsum(c[t] * w[t] for t in range(m))
                              for w in Dc]))
     return out
-
-
-def _quad_key(i: int, j: int):
-    return (i, j) if i <= j else (j, i)
 
 
 @dataclass(frozen=True)
@@ -293,8 +289,35 @@ def _from_upper(entries, m: int) -> np.ndarray:
     return M
 
 
-def _finite_field(value, label: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+def _object(value, label: str, *required) -> dict:
+    """A JSON object holding the ``required`` keys; ValueError otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{label} must be a JSON object")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValueError(f"{label} is missing {', '.join(missing)}")
+    return value
+
+
+def _count(value, label: str) -> int:
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{label} must be an integer")
+    return int(value)
+
+
+def _numbers(value, label: str) -> np.ndarray:
+    """A JSON number or nested list of numbers as a finite float array."""
+    def numeric(v):
+        if isinstance(v, list):
+            return all(numeric(u) for u in v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not numeric(value):
+        raise ValueError(f"{label} must hold numbers")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{label} is malformed: {exc}") from None
     if not np.isfinite(arr).all():
         raise ValueError(f"{label} has a non-finite entry")
     return arr
@@ -302,9 +325,9 @@ def _finite_field(value, label: str) -> np.ndarray:
 
 def _matrix_from_field(value, m: int, label: str) -> np.ndarray:
     """Accept an upper-triangle list or a full nested list (must be symmetric)."""
-    arr = _finite_field(value, label)
+    arr = _numbers(value, label)
     if arr.ndim == 1:
-        return _from_upper([float(v) for v in value], m)
+        return _from_upper(arr.tolist(), m)
     if arr.shape == (m, m):
         return linalg.check_symmetric(arr)
     raise ValueError(f"{label} has shape {arr.shape}, expected ({m},{m}) or upper triangle")
@@ -338,17 +361,28 @@ def problem_to_dict(p: MatrixPolyProblem) -> dict:
 
 
 def problem_from_dict(d: dict) -> MatrixPolyProblem:
-    if d.get("format") != "nsdp-problem/1":
+    """The problem a file document describes; ValueError naming a bad field."""
+    if _object(d, "problem document").get("format") != "nsdp-problem/1":
         raise ValueError("unrecognized problem format tag")
-    n = int(d["n"])
-    m = int(d["m"])
+    _object(d, "problem document", "n", "m", "objective", "constraint")
+    n, m = _count(d["n"], "n"), _count(d["m"], "m")
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    obj = d["objective"]
-    con = d["constraint"]
+    obj = _object(d["objective"], "objective")
+    con = _object(d["constraint"], "constraint", "constant", "linear")
+    a_lin = con["linear"]
+    if not isinstance(a_lin, list) or len(a_lin) != n:
+        raise ValueError(f"constraint.linear must be a list of {n} matrices")
+    quadratic = con.get("quadratic", [])
+    if not isinstance(quadratic, list):
+        raise ValueError("constraint.quadratic must be a list")
     b_quad = {}
-    for item in con.get("quadratic", []):
-        i, j = (int(v) for v in item["vars"])
+    for item in quadratic:
+        item = _object(item, "constraint.quadratic term", "vars", "matrix")
+        pair = item["vars"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("constraint.quadratic vars must be a pair of indices")
+        i, j = (_count(v, "constraint.quadratic vars") for v in pair)
         if i > j:
             raise ValueError(f"quadratic term vars must satisfy i <= j, got {(i, j)}")
         key = (i, j)
@@ -356,20 +390,30 @@ def problem_from_dict(d: dict) -> MatrixPolyProblem:
             raise ValueError(f"duplicate quadratic term for vars {key}")
         b_quad[key] = _matrix_from_field(item["matrix"], m,
                                          "constraint.quadratic matrix")
+    c0 = _numbers(obj.get("constant", 0.0), "objective.constant")
+    if c0.ndim != 0:
+        raise ValueError("objective.constant must be a number")
+    name = d.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError("name must be a string")
+    expected = d.get("expected")
+    if expected is not None:
+        checks = _object(_object(expected, "expected").get("checks", {}), "expected.checks")
+        for val in checks.values():
+            if not all(isinstance(v, str) for v in (val if isinstance(val, list) else [val])):
+                raise ValueError("expected.checks entries must be status strings")
     return MatrixPolyProblem(
-        n=n, m=m,
-        c0=float(_finite_field(obj.get("constant", 0.0), "objective.constant")),
-        c_lin=_finite_field(obj.get("linear", [0.0] * n), "objective.linear"),
-        c_quad=_matrix_from_field(obj.get("quadratic", [0.0] * (n * (n + 1) // 2)),
-                                  n, "objective.quadratic"),
+        n=n, m=m, c0=float(c0),
+        c_lin=_numbers(obj["linear"], "objective.linear") if "linear" in obj
+        else np.zeros(n),
+        c_quad=_matrix_from_field(obj["quadratic"], n, "objective.quadratic")
+        if "quadratic" in obj else np.zeros((n, n)),
         a0=_matrix_from_field(con["constant"], m, "constraint.constant"),
-        a_lin=tuple(_matrix_from_field(A, m, "constraint.linear matrix")
-                    for A in con["linear"]),
+        a_lin=tuple(_matrix_from_field(A, m, "constraint.linear matrix") for A in a_lin),
         b_quad=b_quad,
-        name=str(d.get("name", "")),
-        x_bar=(_finite_field(d["x_bar"], "x_bar")
-               if d.get("x_bar") is not None else None),
-        expected=d.get("expected"),
+        name=name,
+        x_bar=(_numbers(d["x_bar"], "x_bar") if d.get("x_bar") is not None else None),
+        expected=expected,
     )
 
 

@@ -2,20 +2,22 @@
 
 Three outer algorithms share one smooth inner loop:
 
-* ``solve_external_penalty``: minimize f + (rho_k / 2) ||neg part of
-  G||_F^2 for an increasing penalty schedule; multiplier estimates are
-  rho_k times the projected negative part.
-* ``solve_augmented_lagrangian``: the safeguarded variant.  A carried
+* ``solve_augmented_lagrangian``: the safeguarded method.  A carried
   estimate Ytilde enters through the shifted projection
   S(x) = proj_psd(-G(x) + Ytilde / rho); the penalty parameter is
   frozen whenever the measure V = S - Ytilde / rho shrinks by a fixed
   factor, and the next safeguard is the current multiplier projected
-  into a norm ball.  With a zero-radius ball the method reduces to the
-  external penalty scheme exactly.
+  into a norm ball.
+* ``solve_external_penalty``: the same loop with a zero-radius ball, so
+  the carried estimate stays zero, driven by prescribed penalty and
+  tolerance schedules: it minimizes f + (rho_k / 2) ||neg part of
+  G||_F^2, and its multiplier estimates are rho_k times the projected
+  negative part.
 * ``solve_sqp``: sequential linearization.  Each step solves
   min d'Hd + grad f . d subject to G(x) + DG(x)[d] PSD (itself a
-  matrix-constrained problem, handled by the augmented Lagrangian), and
-  a backtracking line search on f accepts the step.
+  matrix-constrained problem, handled by the augmented Lagrangian), with
+  H a damped BFGS approximation of the Lagrangian Hessian, and an Armijo
+  backtracking line search on f accepts the step.
 
 The inner minimizer is gradient descent with a limited-memory
 quasi-Newton direction (two-loop recursion, memory 5) and an Armijo
@@ -30,7 +32,8 @@ the sequential-certificate checks without recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +48,6 @@ class AlConfig:
     gamma: float = 10.0
     theta: float = 0.5
     safeguard_radius: float = 1e3
-    safeguard_policy: str = "project"   # "project", "zero", or "hold"
     eps0: float = 1e-1
     eps_decay: float = 0.5
     inner_max_iter: int = 4000
@@ -66,8 +68,6 @@ class AlConfig:
             raise ValueError("eps_decay must lie in (0, 1)")
         if self.eps0 <= 0.0:
             raise ValueError("eps0 must be positive")
-        if self.safeguard_policy not in ("project", "zero", "hold"):
-            raise ValueError(f"unknown safeguard policy {self.safeguard_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,8 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
             return x, InnerStats("stagnation", it, gn, f)
         # two-loop recursion for the quasi-Newton direction
         q = g.copy()
-        pairs = list(zip(s_mem, y_mem, _rhos(s_mem, y_mem)))
+        pairs = [(s, y, 1.0 / max(float(s @ y), 1e-300))
+                 for s, y in zip(s_mem, y_mem)]
         alphas = []
         for s, y, rho_i in reversed(pairs):
             a = rho_i * float(s @ q)
@@ -156,10 +157,6 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
     return x, InnerStats("max_iter", max_iter, gn, f)
 
 
-def _rhos(s_mem, y_mem):
-    return [1.0 / max(float(s @ y), 1e-300) for s, y in zip(s_mem, y_mem)]
-
-
 def al_multiplier(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> np.ndarray:
     """First-order multiplier estimate rho * proj_psd(-G(x) + Ytilde/rho)."""
     G = problem.g(np.asarray(x, dtype=float))
@@ -170,13 +167,13 @@ def al_multiplier(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray)
 def al_value(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> float:
     """Augmented Lagrangian value at x for carried estimate Ytilde.
 
-    inf where the shifted constraint value overflows, so that a line
-    search backs off from the trial point instead of failing in the
-    kernel's non-finite check.
+    inf where the shifted constraint value or its Frobenius norm
+    overflows, so that a line search backs off from the trial point
+    instead of failing in the kernel's non-finite check.
     """
     x = np.asarray(x, dtype=float)
     Z = problem.g(x) - Ytilde / rho
-    if not np.isfinite(Z).all():
+    if not math.isfinite(linalg.frob(Z)):
         return float("inf")
     _, S = linalg.moreau_split(Z)
     return problem.f(x) + 0.5 * rho * linalg.frob(S) ** 2 \
@@ -207,7 +204,6 @@ class IterRecord:
     v_norm: float | None = None
     y_safe: np.ndarray | None = None
     inner: InnerStats | None = None
-    step: float | None = None
     d_norm: float | None = None
 
 
@@ -239,52 +235,33 @@ class SolverTrace:
             for r in self.records
         ))
 
-    @property
-    def rhos(self) -> list:
-        return [r.rho for r in self.records]
-
-
-def _as_schedule(sched):
-    if callable(sched):
-        return sched
-    seq = list(sched)
-
-    def lookup(k: int) -> float:
-        idx = min(k - 1, len(seq) - 1)
-        return float(seq[idx])
-
-    return lookup
-
 
 def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
                target_tol: float | None, max_outer: int,
                rho_schedule=None, eps_schedule=None,
-               adaptive_rho: bool = True, safeguard: bool = True,
                Ytilde0: np.ndarray | None = None,
                solver_name: str = "augmented_lagrangian") -> SolverTrace:
     """Shared outer loop for the penalty and augmented Lagrangian methods.
 
-    With ``safeguard`` False the carried estimate is pinned to zero and
-    ``rho_schedule`` drives the penalty growth; this is the external
-    penalty method, and it matches the safeguarded loop with a
-    zero-radius ball bit for bit when fed the same schedules.
+    ``rho_schedule`` and ``eps_schedule`` are callables indexed from 1;
+    without them rho grows adaptively and the tolerance decays
+    geometrically.  The next carried estimate is the multiplier projected
+    into the ball of radius ``config.safeguard_radius``.
     """
     x = np.asarray(x0, dtype=float).copy()
     m = problem.m
     Ytilde = np.zeros((m, m)) if Ytilde0 is None else np.asarray(Ytilde0, dtype=float).copy()
-    rho = config.rho1 if rho_schedule is None else _as_schedule(rho_schedule)(1)
-    rho_fn = _as_schedule(rho_schedule) if rho_schedule is not None else None
-    eps_fn = _as_schedule(eps_schedule) if eps_schedule is not None else None
+    rho = config.rho1
     records = []
     termination = "iteration_cap"
     v_prev = None
     x_prev = None
     stalled = 0
     for k in range(1, max_outer + 1):
-        if rho_fn is not None:
-            rho = rho_fn(k)
-        if eps_fn is not None:
-            eps_k = eps_fn(k)
+        if rho_schedule is not None:
+            rho = rho_schedule(k)
+        if eps_schedule is not None:
+            eps_k = eps_schedule(k)
         else:
             eps_k = config.eps0 * config.eps_decay ** (k - 1)
             if target_tol is not None:
@@ -303,9 +280,6 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
         )
         G = problem.g(x)
         # S = proj_psd(-G + Yt/rho), the displacement is V = S - Yt/rho.
-        # With Yt == 0 this is the split the penalty multiplier formula
-        # makes, which keeps the zero-safeguard loop and the external
-        # penalty method bitwise identical.
         _, S = linalg.moreau_split(G - Yt / rho_k)
         Y = rho_k * S
         V = S - Yt / rho_k
@@ -332,17 +306,11 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
             termination = "stagnation"
             break
         x_prev = x.copy()
-        if adaptive_rho and rho_fn is None:
-            if k > 1 and v_prev is not None and v_now > config.theta * v_prev:
-                rho = rho * config.gamma
+        if rho_schedule is None and k > 1 and v_prev is not None \
+                and v_now > config.theta * v_prev:
+            rho = rho * config.gamma
         v_prev = v_now
-        if safeguard:
-            if config.safeguard_policy == "zero":
-                Ytilde = np.zeros((m, m))
-            elif config.safeguard_policy == "hold":
-                pass
-            else:
-                Ytilde = _project_ball(Y, config.safeguard_radius)
+        Ytilde = _project_ball(Y, config.safeguard_radius)
     return SolverTrace(records=tuple(records), termination=termination,
                        solver=solver_name)
 
@@ -364,15 +332,15 @@ def solve_external_penalty(problem: model.NsdpProblem, x0, rho_schedule,
                            config: AlConfig | None = None) -> SolverTrace:
     """Quadratic external penalty method with a prescribed schedule.
 
-    ``rho_schedule`` and ``inner_tol_schedule`` are sequences or
-    callables indexed from 1.  Each outer iterate minimizes
-    f + (rho_k/2) ||proj_psd(-G)||^2 to the scheduled gradient
-    tolerance, warm-started from the previous iterate.
+    ``rho_schedule`` and ``inner_tol_schedule`` are callables indexed
+    from 1.  Each outer iterate minimizes f + (rho_k/2) ||proj_psd(-G)||^2
+    to the scheduled gradient tolerance, warm-started from the previous
+    iterate: the augmented Lagrangian loop with a zero-radius safeguard
+    ball, whose carried estimate is always zero.
     """
-    cfg = config or AlConfig()
+    cfg = replace(config or AlConfig(), safeguard_radius=0.0)
     return _al_engine(problem, x0, cfg, target_tol, max_outer,
                       rho_schedule=rho_schedule, eps_schedule=inner_tol_schedule,
-                      adaptive_rho=False, safeguard=False,
                       solver_name="external_penalty")
 
 
@@ -386,8 +354,8 @@ def solve_augmented_lagrangian(problem: model.NsdpProblem, x0,
                       solver_name="augmented_lagrangian")
 
 
-def _bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, cap: float) -> np.ndarray:
-    """Damped BFGS update keeping B symmetric positive definite."""
+def _bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Damped BFGS update keeping B symmetric positive definite, ||B|| <= 1e6."""
     sBs = float(s @ B @ s)
     if sBs <= 1e-16:
         return B
@@ -402,51 +370,39 @@ def _bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray, cap: float) -> np.
     B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
     B = linalg.sym_part(B)
     nrm = linalg.frob(B)
-    if nrm > cap:
-        B = B * (cap / nrm)
+    if nrm > 1e6:
+        B = B * (1e6 / nrm)
     lam_min = float(linalg.spectral_decompose(B).eigenvalues[-1])
     if lam_min < 1e-10:
         B = B + (1e-10 - lam_min) * np.eye(B.shape[0])
     return B
 
 
-def solve_sqp(problem: model.NsdpProblem, x0, Y0: np.ndarray | None = None,
-              target_tol: float = 1e-6,
-              max_iter: int = 40, armijo_sigma: float = 1e-4,
-              h_policy="bfgs", h_cap: float = 1e6,
-              sub_config: AlConfig | None = None,
-              sub_tol: float | None = None,
-              sub_max_outer: int = 40) -> SolverTrace:
+def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
+              max_iter: int = 40) -> SolverTrace:
     """Sequential linearization with quasi-Newton curvature.
 
     The direction subproblem min d'Hd + grad f(x).d subject to
-    G(x) + DG(x)[d] PSD is solved by the augmented Lagrangian; its
-    multiplier is adopted as the next dual estimate.  The recorded
+    G(x) + DG(x)[d] PSD is solved by the augmented Lagrangian to
+    min(1e-8, 1e-2 * target_tol); its multiplier is adopted as the next
+    dual estimate and warm-starts the next subproblem.  The recorded
     constraint shift is DG(x)[d] plus the subproblem's own residual
     shift, so the shifted constraint is PSD and exactly complementary
     with the adopted multiplier and the trace passes the sequential
-    certificate checks as the subproblem tolerance tightens.
-
-    ``Y0`` warm-starts the first subproblem's carried dual estimate;
-    afterwards each subproblem is warm-started from the previous
-    multiplier.  ``h_policy`` is "bfgs" (damped update on Lagrangian
-    gradient differences), "identity", or a callable
-    (k, x, B_prev) -> matrix.
+    certificate checks as the subproblem tolerance tightens.  H starts
+    at the identity and takes a damped BFGS update on Lagrangian
+    gradient differences, its norm capped at 1e6; an Armijo search
+    (sigma 1e-4) accepts the step.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = problem.n
     B = np.eye(n)
-    cfg = sub_config or AlConfig(trust_radius=1e8)
-    stol = sub_tol if sub_tol is not None else min(1e-8, 1e-2 * target_tol)
-    Y_carry = np.zeros((problem.m, problem.m)) if Y0 is None \
-        else linalg.proj_psd(np.asarray(Y0, dtype=float))
+    cfg = AlConfig(trust_radius=1e8)
+    stol = min(1e-8, 1e-2 * target_tol)
+    Y = np.zeros((problem.m, problem.m))
     records = []
     termination = "iteration_cap"
     for k in range(1, max_iter + 1):
-        if callable(h_policy):
-            B = linalg.sym_part(np.asarray(h_policy(k, x, B), dtype=float))
-        elif h_policy == "identity":
-            B = np.eye(n)
         gf = problem.grad(x)
         G0 = problem.g(x)
         Ds = problem.dg(x)
@@ -470,8 +426,8 @@ def solve_sqp(problem: model.NsdpProblem, x0, Y0: np.ndarray | None = None,
         sub = model.NsdpProblem(n=n, m=problem.m, f_eval=sub_f, grad_f=sub_grad,
                                 g_eval=sub_g, dg_eval=sub_dg,
                                 name=f"{problem.name}:linearized@{k}")
-        sub_trace = _al_engine(sub, np.zeros(n), cfg, stol, sub_max_outer,
-                               Ytilde0=_project_ball(Y_carry, cfg.safeguard_radius),
+        sub_trace = _al_engine(sub, np.zeros(n), cfg, stol, 40,
+                               Ytilde0=_project_ball(Y, cfg.safeguard_radius),
                                solver_name="augmented_lagrangian")
         d = sub_trace.final.x
         if sub_trace.termination != "converged":
@@ -489,16 +445,15 @@ def solve_sqp(problem: model.NsdpProblem, x0, Y0: np.ndarray | None = None,
                         "subproblem_residual": sub_trace.final.residual.max_entry}
                 return SolverTrace(records=tuple(records), termination=termination,
                                    solver="sqp", diagnostics=diag)
-        Y_next = sub_trace.final.y
-        Y_carry = Y_next
+        Y = sub_trace.final.y
         lin_shift = np.zeros_like(G0)
         for l in range(n):
             lin_shift = lin_shift + d[l] * Ds[l]
         delta = linalg.sym_part(lin_shift + sub_trace.final.delta)
-        delta_vec = model.lagrangian_grad(problem, x, Y_next)
-        residual = kkt.kkt_residual(problem, x, Y_next)
+        delta_vec = model.lagrangian_grad(problem, x, Y)
+        residual = kkt.kkt_residual(problem, x, Y)
         d_norm = float(np.linalg.norm(d))
-        rec = IterRecord(k=k, x=x.copy(), y=Y_next, rho=sub_trace.final.rho,
+        rec = IterRecord(k=k, x=x.copy(), y=Y, rho=sub_trace.final.rho,
                          delta=delta, delta_vec=delta_vec, residual=residual,
                          d_norm=d_norm)
         records.append(rec)
@@ -510,7 +465,7 @@ def solve_sqp(problem: model.NsdpProblem, x0, Y0: np.ndarray | None = None,
         accepted = False
         f0 = problem.f(x)
         for _ in range(50):
-            if problem.f(x + t * d) <= f0 + armijo_sigma * t * slope:
+            if problem.f(x + t * d) <= f0 + 1e-4 * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -518,9 +473,7 @@ def solve_sqp(problem: model.NsdpProblem, x0, Y0: np.ndarray | None = None,
             termination = "line_search_failure"
             break
         x_new = x + t * d
-        if h_policy == "bfgs":
-            s_vec = x_new - x
-            y_vec = model.lagrangian_grad(problem, x_new, Y_next) - delta_vec
-            B = _bfgs_update(B, s_vec, y_vec, h_cap)
+        y_vec = model.lagrangian_grad(problem, x_new, Y) - delta_vec
+        B = _bfgs_update(B, x_new - x, y_vec)
         x = x_new
     return SolverTrace(records=tuple(records), termination=termination, solver="sqp")

@@ -165,6 +165,43 @@ def test_problem_file_with_nan_is_rejected(tmp_path, capsys):
     assert not list(tmp_path.glob("*.verdict"))
 
 
+@pytest.mark.parametrize("path,value,fragment", [
+    (("n",), None, "n must be an integer"),
+    (("constraint", "linear"), 5, "constraint.linear must be a list of 1 matrices"),
+    (("objective",), [1.0], "objective must be a JSON object"),
+    ((), [1, 2], "problem document must be a JSON object"),
+], ids=["n-null", "constraint-linear-5", "objective-list", "top-level-list"])
+def test_malformed_problem_file_exits_3(tmp_path, capsys, path, value, fragment):
+    doc = model.problem_to_dict(scaled_identity_poly(x_bar=np.array([0.0])))
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    problem = tmp_path / "bad.json"
+    problem.write_text(json.dumps(doc))
+    rc = run(["diagnose", "--problem", problem, "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, fragment)
+    assert not list(tmp_path.glob("*.verdict"))
+
+
+@pytest.mark.parametrize("config,fragment", [
+    ([1, 2], "--config must hold a JSON object"),
+    ({"safeguard_polcy": "zero"}, "unknown config key(s) 'safeguard_polcy'"),
+    ({"safeguard_policy": "zero", "theta": 0.5},
+     "unknown config key(s) 'safeguard_policy'"),
+], ids=["not-an-object", "misspelled-key", "removed-key"])
+def test_config_rejects_what_it_cannot_use(tmp_path, capsys, config, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = run(["solve", "--fixture", "ex-4.2", "--config", path,
+              "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, fragment)
+    assert not list(tmp_path.glob("*.trace"))
+
+
 @pytest.mark.parametrize("command,option,value", [
     ("diagnose", "--point", "nan"),
     ("diagnose", "--point", "inf"),
@@ -192,6 +229,17 @@ def test_kernel_failure_exits_3(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(linalg, "_jacobi_2x2", stall)
     rc = run(argv + ["--out-dir", tmp_path])
     assert_clean_error(rc, capsys, "Jacobi iteration did not converge")
+
+
+def test_reduction_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from nsdpkit import caratheodory
+
+    def fail(*args, **kwargs):
+        raise caratheodory.ReductionError("reduction failed to terminate")
+
+    monkeypatch.setattr(caratheodory, "reduce", fail)
+    rc = run(["regress", "--suite", "solvers", "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "reduction failed to terminate")
 
 
 def test_diagnose_verdict_file_replayable(tmp_path, capsys):

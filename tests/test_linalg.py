@@ -139,6 +139,11 @@ def reference_decompose(M):
 
 
 def assert_same_bits(M):
+    """Reference bits, or ValueError where the kernel's scale overflows."""
+    if M.shape[0] >= 2 and np.isinf(1.0 + linalg.frob(M)):
+        with pytest.raises(ValueError, match="norm overflows"):
+            linalg.spectral_decompose(M)
+        return
     lam_ref, U_ref = reference_decompose(M)
     dec = linalg.spectral_decompose(M)
     for got, want in ((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref)):
@@ -214,6 +219,14 @@ def test_kernel_rejects_non_finite(bad, m):
     M[m - 1, 0] = M[0, m - 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         linalg.spectral_decompose(M)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_kernel_rejects_overflowing_norm():
+    # 1 + ||M||_F is inf, so without the check the convergence test passes
+    # at once and the eigenvalues come back as [0, 0]
+    with pytest.raises(ValueError, match="norm overflows"):
+        linalg.spectral_decompose(np.array([[0.0, 1e200], [1e200, 0.0]]))
 
 
 def test_jacobi_reports_nan_residual():
@@ -295,8 +308,7 @@ def test_proj_in_distance_against_random_psd():
 
 
 def test_basis_diagonal_spans_small_eigenvectors():
-    basis = linalg.eig_basis_smallest(np.diag([2.0, 0.0, 0.0]), 1)
-    E = basis.cols
+    E = linalg.eig_basis_smallest(np.diag([2.0, 0.0, 0.0]), 1)
     assert E.shape == (3, 2)
     assert linalg.frob(E.T @ E - np.eye(2)) <= 3e-10
     # span of e2, e3: the first coordinate row must vanish
@@ -304,20 +316,18 @@ def test_basis_diagonal_spans_small_eigenvectors():
 
 
 def test_basis_zero_matrix_full_orthogonal():
-    E = linalg.eig_basis_smallest(np.zeros((2, 2)), 0).cols
+    E = linalg.eig_basis_smallest(np.zeros((2, 2)), 0)
     assert E.shape == (2, 2)
     assert linalg.frob(E.T @ E - np.eye(2)) <= 2e-10
 
 
 def test_basis_full_rank_is_empty():
-    basis = linalg.eig_basis_smallest(np.eye(2), 2)
-    assert basis.cols.shape == (2, 0)
+    assert linalg.eig_basis_smallest(np.eye(2), 2).shape == (2, 0)
 
 
 def test_basis_columns_are_eigenvectors_ascending():
     M = np.diag([5.0, 1.0, 3.0])
-    basis = linalg.eig_basis_smallest(M, 1)
-    E = basis.cols
+    E = linalg.eig_basis_smallest(M, 1)
     # smallest eigenvalue leads: first column pairs with 1, second with 3
     assert np.allclose(M @ E[:, 0], 1.0 * E[:, 0], atol=1e-9)
     assert np.allclose(M @ E[:, 1], 3.0 * E[:, 1], atol=1e-9)

@@ -1,7 +1,9 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsdpkit import fixtures, model
 
@@ -206,6 +208,55 @@ def test_loader_rejects_wrong_triangle_length(tmp_path):
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError):
         model.load_problem(path)
+
+
+DELETE = object()   # mutation: drop the key or list element
+MUTATIONS = st.one_of(
+    st.sampled_from([DELETE, None, True, "1.5", {}, [], [[]], float("nan"),
+                     float("inf"), -float("inf"), 10 ** 400,
+                     [[0.0, 1.0], [2.0, 0.0]], [[[0.0, 1.0], [2.0, 0.0]]]]),
+    st.integers(-2, 4),
+    st.floats(),
+    st.lists(st.floats(), max_size=7),
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return None if value is DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_problem_from_dict_loads_or_raises_value_error(data):
+    # wrong JSON types, non-finite numbers, wrong lengths, asymmetric
+    # matrices and empty lists, up to three at a time
+    doc = model.problem_to_dict(_sample_poly())
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        doc = _mutated(doc, path, data.draw(MUTATIONS))
+    try:
+        poly = model.problem_from_dict(doc)
+    except ValueError:
+        return
+    poly.problem().g(np.zeros(poly.n))
 
 
 def test_constructor_rejects_asymmetric_matrix():
