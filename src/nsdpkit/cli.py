@@ -5,6 +5,13 @@ and writes a trace plus a summary, ``diagnose`` runs the constraint
 qualification checks and writes one verdict document per check, and
 ``regress`` executes the fixture-by-check-by-solver matrix together
 with the implication ordering and the randomized property suites.
+Each parses only the options it reads:
+
+- solve: --fixture, --problem, --point, --x0, --config, --solver, --out-dir
+- diagnose: --fixture, --problem, --point, --checks, --seed, --budget,
+  --expected, --msr-samples, --out-dir
+- regress: --suite, --prop-cases, --seed, --budget, --expected,
+  --msr-samples, --out-dir
 
 Outputs land in --out-dir, the NSDPKIT_OUT_DIR environment variable, or
 ``./nsdpkit-out``.  Identical commands with identical seeds produce
@@ -14,11 +21,15 @@ content hashes exclude.
 Exit codes: solve 0 converged / 2 iteration cap / 3 error; diagnose 0
 match or no comparison / 1 mismatch / 3 error; regress 0 clean / 1 any
 failed entry or an expected table that breaks the implication order / 3
-malformed option.  Malformed input (an unknown check, budget field or
-config key, a config or problem file of the wrong shape or JSON type, a
-missing reference point, a non-finite number) ends in exit 3 before any
-check runs; an eigendecomposition that does not converge, or a
-Caratheodory reduction that fails, ends in exit 3 in every subcommand.
+error.  A usage error (an unknown option, an option of another
+subcommand, a bad choice or number) exits 3, never argparse's 2, and
+--help exits 0.  Malformed input (an unknown check, budget field or
+config key, a config or budget value of the wrong type, a config,
+problem or expected-table file of the wrong shape or JSON type, a
+missing file, a missing reference point, a non-finite number) ends in
+exit 3 before any check runs; an eigendecomposition that does not
+converge, or a Caratheodory reduction that fails, ends in exit 3 in
+every subcommand.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ import sys
 from dataclasses import fields as dataclass_fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,9 +55,12 @@ EXIT_ERROR = 3
 
 DEFAULT_CHECKS = tuple(name for name, spec in cq.CHECKS.items()
                        if spec.scope == "default")
-#: --config keys: the AlConfig fields plus tolerance, schedule and caps
+#: --config keys and their types: the AlConfig fields plus tolerance,
+#: schedule and caps
 AL_KEYS = {f.name for f in dataclass_fields(solvers.AlConfig)}
-CONFIG_KEYS = AL_KEYS | {"target_tol", "rho_growth", "max_outer", "max_iter"}
+CONFIG_TYPES = {**get_type_hints(solvers.AlConfig), "target_tol": float,
+                "rho_growth": float, "max_outer": int, "max_iter": int}
+BUDGET_TYPES = get_type_hints(cq.CqBudget)
 
 
 def _out_dir(args) -> Path:
@@ -73,17 +88,42 @@ def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
     return vec
 
 
+def _typed(value, kind: type, label: str):
+    """``value`` as an ``int`` or ``float`` field, or ValueError naming ``label``.
+
+    int fields take integers only, float fields any finite number;
+    booleans are neither.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and (isinstance(value, int) if kind is int
+                   else abs(value) <= sys.float_info.max):
+        return kind(value)
+    raise ValueError(f"{label} must be "
+                     + ("an integer" if kind is int else "a finite number"))
+
+
+def _number(raw: str):
+    """An int where ``raw`` spells one, else a float, else ``raw`` itself."""
+    for kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    return raw
+
+
 def _load_source(args) -> fixtures.Fixture:
-    if getattr(args, "fixture", None):
-        registry = fixtures.FixtureRegistry(getattr(args, "expected", None)) \
-            if getattr(args, "expected", None) else fixtures.default_registry()
+    if args.fixture:
+        expected = getattr(args, "expected", None)
+        registry = fixtures.FixtureRegistry(expected) if expected \
+            else fixtures.default_registry()
         return registry.get(args.fixture)
-    if getattr(args, "problem", None):
+    if args.problem:
         poly = model.load_problem(args.problem)
         problem = poly.problem()
         x_bar = poly.x_bar
         expected = poly.expected
-        if getattr(args, "point", None):
+        if args.point:
             # the file's expected verdicts refer to the file's own point
             x_bar = _parse_vector(args.point, problem.n, "--point")
             expected = None
@@ -98,34 +138,33 @@ def _load_source(args) -> fixtures.Fixture:
 
 def _parse_budget(args) -> cq.CqBudget:
     overrides = {}
-    if getattr(args, "budget", None):
-        valid = {f.name for f in dataclass_fields(cq.CqBudget)}
-        for pair in args.budget.split(","):
-            key, _, raw = pair.partition("=")
-            key = key.strip()
-            if key not in valid:
-                raise ValueError(f"unknown budget field {key!r}; "
-                                 f"known: {', '.join(sorted(valid))}")
-            overrides[key] = float(raw) if "." in raw or "e" in raw.lower() \
-                else int(raw)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = int(args.seed)
+    for pair in args.budget.split(",") if args.budget else ():
+        key, _, raw = pair.partition("=")
+        key = key.strip()
+        if key not in BUDGET_TYPES:
+            raise ValueError(f"unknown budget field {key!r}; "
+                             f"known: {', '.join(sorted(BUDGET_TYPES))}")
+        overrides[key] = _typed(_number(raw), BUDGET_TYPES[key],
+                                f"budget field {key!r}")
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     return cq.CqBudget(**overrides)
 
 
 def _load_config(args) -> dict:
-    """The --config object; ValueError for anything but known keys."""
-    if not getattr(args, "config", None):
+    """The --config object; ValueError for an unknown key or a wrong type."""
+    if not args.config:
         return {}
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("--config must hold a JSON object")
-    unknown = sorted(set(config) - CONFIG_KEYS)
+    unknown = sorted(set(config) - set(CONFIG_TYPES))
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
-                         f"known: {', '.join(sorted(CONFIG_KEYS))}")
-    return config
+                         f"known: {', '.join(sorted(CONFIG_TYPES))}")
+    return {key: _typed(value, CONFIG_TYPES[key], f"config key {key!r}")
+            for key, value in config.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +173,11 @@ def _load_config(args) -> dict:
 
 def _run_solver(problem, x0, solver: str, config: dict) -> solvers.SolverTrace:
     cfg = solvers.AlConfig(**{k: v for k, v in config.items() if k in AL_KEYS})
-    target_tol = float(config.get("target_tol", 1e-6))
+    target_tol = config.get("target_tol", 1e-6)
     if solver == "penalty":
-        rho1 = float(config.get("rho1", 10.0))
-        growth = float(config.get("rho_growth", 10.0))
-        max_outer = int(config.get("max_outer", 12))
+        rho1 = config.get("rho1", 10.0)
+        growth = config.get("rho_growth", 10.0)
+        max_outer = config.get("max_outer", 12)
         return solvers.solve_external_penalty(
             problem, x0,
             rho_schedule=lambda k: rho1 * growth ** (k - 1),
@@ -146,12 +185,12 @@ def _run_solver(problem, x0, solver: str, config: dict) -> solvers.SolverTrace:
                                              min(0.1, target_tol)),
             max_outer=max_outer, target_tol=target_tol, config=cfg)
     if solver == "al":
-        max_outer = int(config.get("max_outer", 30))
+        max_outer = config.get("max_outer", 30)
         return solvers.solve_augmented_lagrangian(
             problem, x0, config=cfg, target_tol=target_tol,
             max_outer=max_outer)
     if solver == "sqp":
-        max_iter = int(config.get("max_iter", 40))
+        max_iter = config.get("max_iter", 40)
         return solvers.solve_sqp(problem, x0, target_tol=target_tol,
                                  max_iter=max_iter)
     raise ValueError(f"unknown solver {solver!r}; choose penalty, al, or sqp")
@@ -440,15 +479,14 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_regress(args) -> int:
     try:
         budget = _parse_budget(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
         registry = fixtures.FixtureRegistry(args.expected) if args.expected \
             else fixtures.default_registry()
-    except (OSError, ValueError) as exc:
+    except fixtures.ImplicationOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     out = _out_dir(args)
     suite = args.suite
     entries = []
@@ -506,15 +544,25 @@ def cmd_regress(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 3, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_source_args(sub):
-    sub.add_argument("--fixture", help="built-in fixture id (see --list)")
+    """The problem and point options of solve and diagnose."""
+    sub.add_argument("--fixture",
+                     help="built-in fixture id (see the fixtures subcommand)")
     sub.add_argument("--problem", help="path to a problem file")
     sub.add_argument("--point", help="reference point as comma-separated floats")
-    sub.add_argument("--x0", help="solver start as comma-separated floats")
-    sub.add_argument("--out-dir", help="output directory "
-                     "(default $NSDPKIT_OUT_DIR or ./nsdpkit-out)")
+
+
+def _add_sampling_args(sub):
+    """The check-sampling and expected-table options of diagnose and regress."""
     sub.add_argument("--seed", type=int, default=None, help="sampling seed")
-    sub.add_argument("--config", help="JSON file with solver overrides")
     sub.add_argument("--budget", help="comma-separated budget overrides, "
                      "e.g. n_directions=8,shrink_levels=10")
     sub.add_argument("--expected", help="alternate expected-verdict table file")
@@ -523,7 +571,7 @@ def _add_source_args(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nsdpkit",
         description="solvers and constraint-qualification diagnostics for "
                     "nonlinear semidefinite programming")
@@ -531,12 +579,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subs.add_parser("solve", help="run a solver, write trace + summary")
     _add_source_args(solve)
+    solve.add_argument("--x0", help="solver start as comma-separated floats")
+    solve.add_argument("--config", help="JSON file with solver overrides")
     solve.add_argument("--solver", choices=("penalty", "al", "sqp"),
                        default="al")
     solve.set_defaults(func=cmd_solve)
 
     diag = subs.add_parser("diagnose", help="run CQ checks, write verdicts")
     _add_source_args(diag)
+    _add_sampling_args(diag)
     extra = [name for name in cq.CHECKS if name not in DEFAULT_CHECKS]
     diag.add_argument("--checks", help="comma-separated check names "
                       f"(default {','.join(DEFAULT_CHECKS)}; also "
@@ -544,12 +595,16 @@ def build_parser() -> argparse.ArgumentParser:
     diag.set_defaults(func=cmd_diagnose)
 
     reg = subs.add_parser("regress", help="run the regression matrix")
-    _add_source_args(reg)
+    _add_sampling_args(reg)
     reg.add_argument("--suite", choices=("full", "cq", "solvers", "msr",
                                          "props"), default="full")
     reg.add_argument("--prop-cases", type=int, default=500,
                      help="cases per property suite")
     reg.set_defaults(func=cmd_regress)
+
+    for sub in (solve, diag, reg):
+        sub.add_argument("--out-dir", help="output directory "
+                         "(default $NSDPKIT_OUT_DIR or ./nsdpkit-out)")
 
     lst = subs.add_parser("fixtures", help="list built-in fixtures")
     lst.set_defaults(func=cmd_fixtures)
@@ -564,8 +619,11 @@ def cmd_fixtures(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; its exit code, --help and usage errors included."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except (linalg.JacobiConvergenceError, caratheodory.ReductionError) as exc:

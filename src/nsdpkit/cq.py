@@ -25,7 +25,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -146,16 +146,9 @@ def v_family(problem: model.NsdpProblem, x, E) -> VFamily:
     if cols.ndim != 2 or cols.shape[0] != problem.m:
         raise ValueError(f"basis must have {problem.m} rows")
     q = cols.shape[1]
-    Ds = problem.dg(x)
-    DE = [D @ cols for D in Ds]
     pairs = tuple((i, j) for i in range(q) for j in range(i, q))
-    vecs = np.zeros((len(pairs), problem.n))
-    # fsum keeps the contraction sign-symmetric (no FMA asymmetry), so
-    # identities like v_ii = -v_jj for trace-free derivatives hold exactly
-    for k, (i, j) in enumerate(pairs):
-        for l in range(problem.n):
-            vecs[k, l] = math.fsum(
-                cols[t, i] * DE[l][t, j] for t in range(problem.m))
+    vecs = np.array(model.curvature_vectors(problem, x, cols, pairs),
+                    dtype=float).reshape(len(pairs), problem.n)
     return VFamily(x=x.copy(), basis=cols.copy(), pairs=pairs, vectors=vecs)
 
 
@@ -177,20 +170,10 @@ class CqVerdict:
     witness: dict | None = None
 
     def to_payload(self) -> dict:
-        return _jsonify({
-            "condition": self.condition,
-            "status": self.status,
-            "problem": self.problem_name,
-            "m": self.m,
-            "n": self.n,
-            "rank": self.rank,
-            "x_bar": list(self.x_bar),
-            "seed": self.seed,
-            "budget": dict(self.budget),
-            "epsilons": dict(self.epsilons),
-            "notes": list(self.notes),
-            "witness": self.witness,
-        })
+        """The fields as JSON values, ``problem_name`` under "problem"."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["problem"] = payload.pop("problem_name")
+        return _jsonify(payload)
 
 
 def _jsonify(obj):
@@ -252,17 +235,7 @@ def _feasibility_gate(problem: model.NsdpProblem, x_bar):
     tol = linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(G))
     if float(dec.eigenvalues[-1]) < -tol:
         raise InfeasiblePointError(linalg.frob(linalg.proj_psd(-G)), problem.name)
-    r = linalg.rank_of_psd(G)
-    return x, G, dec, r
-
-
-def _kernel_basis(dec: linalg.SpectralDecomp, r: int) -> np.ndarray:
-    """Tail eigenvectors reordered so the smallest eigenvalue leads.
-
-    Matches the column convention of linalg.eig_basis_smallest without
-    redoing the decomposition.
-    """
-    return dec.eigenvectors[:, r:][:, ::-1].copy()
+    return x, G, dec, dec.psd_rank()
 
 
 def _lin_dep(vectors, scale: float) -> bool:
@@ -273,12 +246,8 @@ def _lin_dep(vectors, scale: float) -> bool:
     bases needs near-zero vectors of the problem's own scale to count as
     dependent, so the threshold is eps_rank times the derivative scale.
     """
-    vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not vecs:
-        return False
-    sig = linalg.family_singular_values(vecs)
-    rank = linalg.numerical_rank(sig, scale)
-    return rank < len(vecs)
+    sig = linalg.family_singular_values(vectors)
+    return linalg.numerical_rank(sig, scale) < sig.size
 
 
 def _unit_directions(n: int, extra: int, rng: np.random.Generator) -> list:
@@ -308,6 +277,10 @@ def _levels(budget: CqBudget) -> list:
 
 
 def _subsets(q: int) -> list:
+    """Every nonempty subset of range(q); CombinatorialCapError past the cap."""
+    if q > COMBINATORIAL_CAP:
+        raise CombinatorialCapError(f"subset enumeration over {q} columns "
+                                    f"exceeds the cap {COMBINATORIAL_CAP}")
     out = []
     for size in range(1, q + 1):
         out.extend(itertools.combinations(range(q), size))
@@ -488,7 +461,7 @@ class PointContext:
         Ds = problem.dg(x)
         # the derivative magnitude is the floor for every rank test
         scale_v = max(1.0, max((linalg.frob(D) for D in Ds), default=0.0))
-        E0 = _kernel_basis(dec, r) if r < problem.m else None
+        E0 = dec.kernel_basis(r) if r < problem.m else None
         return cls(problem=problem, x=x, G=G, dec=dec, r=r, scale_v=scale_v,
                    E0=E0, budget=budget or CqBudget(), curves=tuple(curves),
                    embedding=embedding, msr_samples=msr_samples)
@@ -619,9 +592,7 @@ def _robinson_certificate(problem: model.NsdpProblem, x, G, budget: CqBudget,
     Ds = problem.dg(x)
 
     def phi(d):
-        M = G.copy()
-        for l in range(n):
-            M = M + d[l] * Ds[l]
+        M = model.linearize(G, Ds, d)
         dec = linalg.spectral_decompose(linalg.sym_part(M))
         return float(dec.eigenvalues[-1]), dec.eigenvectors[:, -1]
 
@@ -796,11 +767,7 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
     if r == m:
         return ctx.verdict(spec.name, CERTIFIED_HOLDS,
                            notes=("constraint has full rank at the point",))
-    q = m - r
-    if not spec.limit_only and q > COMBINATORIAL_CAP:
-        raise CombinatorialCapError(
-            f"m - r = {q} exceeds the subset enumeration cap {COMBINATORIAL_CAP}")
-    subsets = [] if spec.limit_only else _subsets(q)
+    subsets = [] if spec.limit_only else _subsets(m - r)
     ts = _levels(budget)
 
     if spec.limit_only:
@@ -819,14 +786,7 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
 
     for seq_idx, (label, d, xs) in enumerate(_sequences(x, ctx.curves, ts, budget)):
         decs = [linalg.spectral_decompose(problem.g(p)) for p in xs]
-        chain_E = []
-        prev = None
-        for dc in decs:
-            E = _kernel_basis(dc, r)
-            if prev is not None:
-                E = linalg.align_columns(prev, E)
-            chain_E.append(E)
-            prev = E
+        chain_E = linalg.aligned_kernel_bases(decs, r)
         patterns = []
         for dc in decs:
             lam = dc.eigenvalues
@@ -967,10 +927,7 @@ def _seq(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
     if r == m:
         return ctx.verdict(spec.name, CERTIFIED_HOLDS,
                            notes=("constraint has full rank at the point",))
-    q = m - r
-    if q > COMBINATORIAL_CAP:
-        raise CombinatorialCapError(
-            f"m - r = {q} exceeds the subset enumeration cap {COMBINATORIAL_CAP}")
+    subsets = _subsets(m - r)
     P_bar = ctx.dec.eigenvectors[:, :r].copy()
     ts = _levels(budget)
     curve_entries = []
@@ -980,7 +937,6 @@ def _seq(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
         entry = _curve_candidate(problem, curve, r, ts)
         if entry is not None:
             curve_entries.append(entry)
-    subsets = _subsets(q)
     for cand_idx, (label, E_bar, curve_entry) in enumerate(
             ctx.free_candidates(curve_entries)):
         diag_lim = model.diag_vectors(problem, x, E_bar)
@@ -1017,18 +973,17 @@ def _seq(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
 
 
 def _curve_candidate(problem, curve: WitnessCurve, r: int, ts: list):
-    levels = []
-    prev = None
+    points, decs = [], []
     for t in ts:
         x_t, delta_t = curve.func(t)
         x_t = np.asarray(x_t, dtype=float)
         delta_t = linalg.sym_part(np.asarray(delta_t, dtype=float))
-        shifted = linalg.sym_part(problem.g(x_t) + delta_t)
-        E = linalg.eig_basis_smallest(shifted, r)
-        if prev is not None:
-            E = linalg.align_columns(prev, E)
-        levels.append({"t": float(t), "x": x_t, "E": E, "delta": delta_t})
-        prev = E
+        points.append((float(t), x_t, delta_t))
+        decs.append(linalg.spectral_decompose(
+            linalg.sym_part(problem.g(x_t) + delta_t)))
+    levels = [{"t": t, "x": x_t, "E": E, "delta": delta_t}
+              for (t, x_t, delta_t), E in zip(
+                  points, linalg.aligned_kernel_bases(decs, r))]
     E_bar = _extrapolated_limit([lv["E"] for lv in levels])
     if E_bar is None:
         return None
@@ -1196,7 +1151,6 @@ def estimate_msr_trend(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
                                      samples=samples, seed=seed + 1)
     return {
         "estimates": (est_big, est_small),
-        "gamma_max": float(max(est_big.gamma_hat, est_small.gamma_hat)),
         "unbounded": _msr_unbounded(est_big.gamma_hat, est_small.gamma_hat,
                                     growth_factor, bound_cap),
         "unreliable": bool(est_big.unreliable or est_small.unreliable),
@@ -1274,12 +1228,9 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
         return _make_verdict(spec.name, CERTIFIED_HOLDS, problem, x, r,
                              budget, scale,
                              notes=("no active constraints at the point",))
-    if len(active) > COMBINATORIAL_CAP:
-        raise CombinatorialCapError(
-            f"{len(active)} active constraints exceed the cap {COMBINATORIAL_CAP}")
+    subsets = [tuple(active[i] for i in S) for S in _subsets(len(active))]
     ts = _levels(budget)
     sequences = _sequences(x, curves, ts, budget)
-    subsets = [tuple(active[i] for i in S) for S in _subsets(len(active))]
     for J, prem in _dependent_premises(grads, subsets, spec.dependent(scale)):
         def family(lv):
             gj = embedding.constraint_gradients(lv["x"])
@@ -1353,10 +1304,8 @@ def _replay_diagonal_family(problem, witness, x_bar, scale, spec) -> bool:
 
 
 def _replay_interior_direction(problem, witness, x_bar, scale, spec) -> bool:
-    d = np.asarray(witness["direction"], dtype=float)
-    M = problem.g(x_bar).copy()
-    for d_l, D in zip(d, problem.dg(x_bar)):
-        M = M + d_l * D
+    M = model.linearize(problem.g(x_bar), problem.dg(x_bar),
+                        np.asarray(witness["direction"], dtype=float))
     lam_min = float(linalg.spectral_decompose(linalg.sym_part(M)).eigenvalues[-1])
     return abs(lam_min - float(witness["lambda_min"])) <= 1e-9 * (1.0 + abs(lam_min))
 
@@ -1521,18 +1470,23 @@ def broken_implications(table: dict) -> list:
 # tangent cone predicates
 
 
+def _kernel_and_direction(M: np.ndarray, N: np.ndarray):
+    """Kernel basis of PSD M (None at full rank) and the symmetric part of N."""
+    dec = linalg.spectral_decompose(M)
+    r = dec.psd_rank()
+    N = linalg.sym_part(np.asarray(N, dtype=float))
+    return (None if r == dec.m else dec.kernel_basis(r)), N
+
+
 def in_tangent_cone(M: np.ndarray, N: np.ndarray) -> bool:
     """Membership of N in the tangent cone to the PSD cone at M.
 
     The cone is {N : E' N E PSD} for any kernel basis E of M; full-rank
     M makes the condition vacuous.
     """
-    M = linalg.check_symmetric(np.asarray(M, dtype=float))
-    N = linalg.sym_part(np.asarray(N, dtype=float))
-    r = linalg.rank_of_psd(M)
-    if r == M.shape[0]:
+    E, N = _kernel_and_direction(M, N)
+    if E is None:
         return True
-    E = linalg.eig_basis_smallest(M, r)
     W = linalg.sym_part(E.T @ N @ E)
     lam_min = float(linalg.spectral_decompose(W).eigenvalues[-1])
     return lam_min >= -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(N))
@@ -1540,10 +1494,7 @@ def in_tangent_cone(M: np.ndarray, N: np.ndarray) -> bool:
 
 def in_lineality_space(M: np.ndarray, N: np.ndarray) -> bool:
     """Membership of N in the lineality space {N : E' N E = 0} at M."""
-    M = linalg.check_symmetric(np.asarray(M, dtype=float))
-    N = linalg.sym_part(np.asarray(N, dtype=float))
-    r = linalg.rank_of_psd(M)
-    if r == M.shape[0]:
+    E, N = _kernel_and_direction(M, N)
+    if E is None:
         return True
-    E = linalg.eig_basis_smallest(M, r)
     return linalg.frob(E.T @ N @ E) <= linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(N))

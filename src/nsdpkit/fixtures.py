@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -46,13 +47,19 @@ class Fixture:
         return tuple(val) if isinstance(val, list) else (val,)
 
 
+class ImplicationOrderError(ValueError):
+    """Raised when an expected-verdict table breaks an implication arrow."""
+
+
 def _expected_tables(tables_path=None) -> dict:
-    if tables_path is not None:
-        with open(tables_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    path = resources.files("nsdpkit").joinpath("data/expected_verdicts.json")
-    with path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Tables keyed by fixture id; ValueError for a malformed document."""
+    source = Path(tables_path) if tables_path is not None else \
+        resources.files("nsdpkit").joinpath("data/expected_verdicts.json")
+    tables = model._object(json.loads(source.read_text(encoding="utf-8")),
+                           "expected-verdict tables")
+    for fid, table in tables.items():
+        model.expected_table(table, f"expected table {fid!r}")
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +314,10 @@ _NLP_BUILDERS = {
 class FixtureRegistry:
     """All built-in fixtures, keyed by id.
 
-    Raises ValueError at construction when any expected-verdict table
-    breaks the implication ordering, so a corrupted data file cannot be
-    loaded silently.
+    Raises ImplicationOrderError at construction when any
+    expected-verdict table breaks the implication ordering, and
+    ValueError when a table is malformed, so a corrupted data file
+    cannot be loaded silently.
     """
 
     def __init__(self, tables_path=None):
@@ -329,8 +337,9 @@ class FixtureRegistry:
                 embedding=emb, expected=tables.get(fid, {}))
         problems = self._check_tables()
         if problems:
-            raise ValueError("expected-verdict tables break the implication "
-                             "ordering: " + "; ".join(problems))
+            raise ImplicationOrderError("expected-verdict tables break the "
+                                        "implication ordering: "
+                                        + "; ".join(problems))
 
     def _check_tables(self):
         """Tables that break an arrow (see ``cq.broken_implications``)."""

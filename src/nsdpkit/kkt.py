@@ -209,14 +209,11 @@ def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
                               residual=res,
                               message="constraint has full rank at the limit")
     window = cert.records[-max(5, len(cert) // 2):]
-    E_prev = None
+    chain = linalg.aligned_kernel_bases(
+        [linalg.spectral_decompose(problem.g(rec.x) + rec.delta)
+         for rec in window], r)
     per_record = []
-    for rec in window:
-        shifted = problem.g(rec.x) + rec.delta
-        E = linalg.eig_basis_smallest(shifted, r)
-        if E_prev is not None:
-            E = linalg.align_columns(E_prev, E)
-        E_prev = E
+    for rec, E in zip(window, chain):
         weights = np.array([float(E[:, i] @ rec.y @ E[:, i]) for i in range(E.shape[1])])
         weights = np.maximum(weights, 0.0)
         fam = model.diag_vectors(problem, rec.x, E)
@@ -279,31 +276,41 @@ def write_trace(cert: AkktCertificate, path) -> None:
 
 
 def read_trace(path, n: int, m: int) -> AkktCertificate:
+    """The certificate a trace file holds; ValueError names a bad line and field."""
     records = []
     with open(path, "r") as fh:
-        for line_no, line in enumerate(fh):
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"trace line {line_no + 1} is not valid JSON: {exc}") from exc
-            x = np.asarray(d["x"], dtype=float)
-            if x.shape[0] != n:
-                raise ValueError(f"trace line {line_no + 1}: x has dimension {x.shape[0]}, expected {n}")
-            mats = {}
-            for key in ("y", "delta"):
-                try:
-                    mats[key] = model._from_upper(d[key], m)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(
-                        f"trace line {line_no + 1}: {key}: {exc}") from exc
-            records.append(AkktRecord(
-                x=x,
-                y=mats["y"],
-                delta=mats["delta"],
-                delta_vec=np.asarray(d["delta_vec"], dtype=float),
-                rho=float(d.get("rho", 0.0)),
-            ))
+                records.append(_trace_record(line, n, m))
+            except ValueError as exc:
+                raise ValueError(f"trace line {line_no}: {exc}") from None
     return AkktCertificate(records=tuple(records))
+
+
+def _trace_record(line: str, n: int, m: int) -> AkktRecord:
+    try:
+        d = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+    d = model._object(d, "record", "x", "y", "delta", "delta_vec")
+    fields = {}
+    for key in ("x", "delta_vec"):
+        fields[key] = model._numbers(d[key], key)
+        if fields[key].shape != (n,):
+            raise ValueError(f"{key} must be a list of {n} numbers")
+    for key in ("y", "delta"):
+        entries = model._numbers(d[key], key)
+        if entries.ndim != 1:
+            raise ValueError(f"{key} must be a list of numbers")
+        try:
+            fields[key] = model._from_upper(entries.tolist(), m)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    rho = model._numbers(d.get("rho", 0.0), "rho")
+    if rho.ndim != 0:
+        raise ValueError("rho must be a number")
+    return AkktRecord(x=fields["x"], y=fields["y"], delta=fields["delta"],
+                      delta_vec=fields["delta_vec"], rho=float(rho))

@@ -98,6 +98,23 @@ class SpectralDecomp:
     def m(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def psd_rank(self, eps_rank: float = EPS_RANK) -> int:
+        """Numerical rank of the (nearly) PSD matrix decomposed."""
+        lam = self.eigenvalues
+        scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+        return numerical_rank(np.maximum(lam, 0.0), scale, eps_rank)
+
+    def kernel_basis(self, r: int) -> np.ndarray:
+        """Eigenvectors of the m - r smallest eigenvalues, smallest first.
+
+        The column order matches how synthetic shifts assign eigenvalues
+        (r+1)s, ..., ms to columns 1..m-r.  r == m yields an empty basis,
+        the legitimate full-rank outcome rather than an error.
+        """
+        if not 0 <= r <= self.m:
+            raise ValueError(f"rank split r={r} out of range for m={self.m}")
+        return self.eigenvectors[:, r:][:, ::-1].copy()
+
 
 def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     """Cyclic Jacobi iteration on lists of Python floats.
@@ -234,19 +251,25 @@ def moreau_split(M: np.ndarray):
 
 
 def eig_basis_smallest(M: np.ndarray, r: int) -> np.ndarray:
-    """Orthonormal eigenvectors for the m - r smallest eigenvalues.
+    """Orthonormal eigenvectors for the m - r smallest eigenvalues of M.
 
-    Returns an m x (m - r) array whose columns are ordered by increasing
-    eigenvalue, so the first column tracks the smallest one.  This matches how synthetic shifts assign
-    eigenvalues (r+1)s, ..., ms to columns 1..m-r.  r == m yields an
-    empty basis, which is the legitimate full-rank outcome rather than
-    an error.
+    An m x (m - r) array, columns ordered by increasing eigenvalue; see
+    ``SpectralDecomp.kernel_basis``.
     """
-    dec = spectral_decompose(M)
-    m = dec.m
-    if not 0 <= r <= m:
-        raise ValueError(f"rank split r={r} out of range for m={m}")
-    return dec.eigenvectors[:, r:][:, ::-1].copy()
+    return spectral_decompose(M).kernel_basis(r)
+
+
+def aligned_kernel_bases(decs, r: int) -> list:
+    """Kernel basis of each decomposition, aligned to the one before.
+
+    The eigenbasis chain followed along a sequence x_k -> x_bar; each
+    basis after the first is matched to its predecessor by ``align_columns``.
+    """
+    chain = []
+    for dec in decs:
+        E = dec.kernel_basis(r)
+        chain.append(align_columns(chain[-1], E) if chain else E)
+    return chain
 
 
 def numerical_rank(values: np.ndarray, scale: float, eps_rank: float = EPS_RANK) -> int:
@@ -265,10 +288,7 @@ def numerical_rank(values: np.ndarray, scale: float, eps_rank: float = EPS_RANK)
 
 def rank_of_psd(M: np.ndarray, eps_rank: float = EPS_RANK) -> int:
     """Numerical rank of a (nearly) PSD matrix via its eigenvalues."""
-    dec = spectral_decompose(M)
-    lam = dec.eigenvalues
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    return numerical_rank(np.maximum(lam, 0.0), scale, eps_rank)
+    return spectral_decompose(M).psd_rank(eps_rank)
 
 
 def family_singular_values(vectors) -> np.ndarray:
@@ -293,16 +313,9 @@ def lin_dependent(vectors, eps_rank: float = EPS_RANK) -> bool:
     as zero; an all-zero family (including a single zero vector) counts
     as dependent.
     """
-    vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    p = len(vecs)
-    if p == 0:
-        return False
-    sig = family_singular_values(vecs)
+    sig = family_singular_values(vectors)
     smax = float(sig.max(initial=0.0))
-    if smax <= 0.0:
-        return True
-    rank = int(np.sum(sig > eps_rank * smax))
-    return rank < p
+    return sig.size > 0 and (smax <= 0.0 or int(np.sum(sig > eps_rank * smax)) < sig.size)
 
 
 def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> float:
@@ -393,15 +406,8 @@ def pos_lin_dependent(vectors, eps_pld: float = EPS_PLD) -> bool:
 
 
 def haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via QR of a Gaussian draw."""
-    if k == 0:
-        return np.zeros((0, 0))
-    Z = rng.standard_normal((k, k))
-    Q, R = np.linalg.qr(Z)
-    # fix the QR sign ambiguity so the distribution is exactly Haar
-    d = np.sign(np.diag(R))
-    d[d == 0.0] = 1.0
-    return Q * d
+    """Haar-distributed orthogonal matrix: the sign-fixed QR of a Gaussian draw."""
+    return orthonormal_columns(rng.standard_normal((k, k)))
 
 
 def orthonormal_columns(B: np.ndarray) -> np.ndarray:
@@ -409,6 +415,8 @@ def orthonormal_columns(B: np.ndarray) -> np.ndarray:
     if B.shape[1] == 0:
         return B.copy()
     Q, R = np.linalg.qr(B)
+    # fix the QR sign ambiguity (R gets a positive diagonal), which is
+    # also what makes the QR of a Gaussian draw exactly Haar
     d = np.sign(np.diag(R))
     d[d == 0.0] = 1.0
     return Q * d

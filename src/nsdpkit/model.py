@@ -75,23 +75,49 @@ def lagrangian_grad(problem: NsdpProblem, x: np.ndarray, Y: np.ndarray) -> np.nd
     return problem.grad(x) - adjoint_dg(problem, x, Y)
 
 
-def diag_vectors(problem: NsdpProblem, x, E, indices=None) -> list:
-    """Diagonal curvature vectors v_ii of the constraint at (x, E).
+def curvature_vectors(problem: NsdpProblem, x, E, pairs) -> list:
+    """Curvature vectors v_ij of the constraint at (x, E), one per pair.
 
-    Entry l of v_ii is e_i' D_l G(x) e_i for column e_i of the basis E;
-    one vector per requested column (all columns by default).  fsum keeps
-    the contraction sign-symmetric (no FMA asymmetry), so identities like
-    v_ii = -v_jj for trace-free derivatives hold exactly.
+    Entry l of v_ij is e_i' D_l G(x) e_j for columns e_i, e_j of the
+    basis E.  Each entry is the fsum of e_i[t] (D_l e_j)[t] over t, with
+    D_l e_j formed once per column j; fsum keeps the contraction
+    sign-symmetric (no FMA asymmetry), so identities like v_ii = -v_jj
+    for trace-free derivatives hold exactly.
     """
     cols = np.asarray(E, dtype=float)
     Ds = problem.dg(np.asarray(x, dtype=float))
     m = cols.shape[0]
+    images = {}
     out = []
-    for i in range(cols.shape[1]) if indices is None else indices:
+    for i, j in pairs:
         c = cols[:, i]
-        Dc = [D @ c for D in Ds]
+        if j not in images:
+            e = c if j == i else cols[:, j]
+            images[j] = [D @ e for D in Ds]
         out.append(np.array([math.fsum(c[t] * w[t] for t in range(m))
-                             for w in Dc]))
+                             for w in images[j]]))
+    return out
+
+
+def diag_vectors(problem: NsdpProblem, x, E, indices=None) -> list:
+    """Diagonal curvature vectors v_ii at (x, E), one per requested column.
+
+    The (i, i) pairs of ``curvature_vectors``; all columns by default.
+    """
+    if indices is None:
+        indices = range(np.shape(E)[1])
+    return curvature_vectors(problem, x, E, [(i, i) for i in indices])
+
+
+def linearize(G: np.ndarray, Ds, d) -> np.ndarray:
+    """G + sum_l d_l Ds[l]: the constraint linearized along d.
+
+    Summed in coordinate order, one term at a time, so every caller
+    gets the same bits.
+    """
+    out = np.array(G, dtype=float)
+    for d_l, D in zip(d, Ds):
+        out = out + d_l * D
     return out
 
 
@@ -333,6 +359,19 @@ def _matrix_from_field(value, m: int, label: str) -> np.ndarray:
     raise ValueError(f"{label} has shape {arr.shape}, expected ({m},{m}) or upper triangle")
 
 
+def expected_table(value, label: str) -> dict:
+    """An expected-verdict table: ``checks`` maps check names to statuses.
+
+    Each status is a string or a list of strings; ValueError naming
+    ``label`` otherwise.
+    """
+    checks = _object(_object(value, label).get("checks", {}), f"{label}.checks")
+    for val in checks.values():
+        if not all(isinstance(v, str) for v in (val if isinstance(val, list) else [val])):
+            raise ValueError(f"{label}.checks entries must be status strings")
+    return value
+
+
 def problem_to_dict(p: MatrixPolyProblem) -> dict:
     d = {
         "format": "nsdp-problem/1",
@@ -398,10 +437,7 @@ def problem_from_dict(d: dict) -> MatrixPolyProblem:
         raise ValueError("name must be a string")
     expected = d.get("expected")
     if expected is not None:
-        checks = _object(_object(expected, "expected").get("checks", {}), "expected.checks")
-        for val in checks.values():
-            if not all(isinstance(v, str) for v in (val if isinstance(val, list) else [val])):
-                raise ValueError("expected.checks entries must be status strings")
+        expected_table(expected, "expected")
     return MatrixPolyProblem(
         n=n, m=m, c0=float(c0),
         c_lin=_numbers(obj["linear"], "objective.linear") if "linear" in obj

@@ -140,8 +140,6 @@ def _exact_pos_dep(vectors) -> bool:
             cols = [lifted[i] for i in S]
             if _fraction_rank(cols) != size:
                 continue
-            square = [[cols[j][r] for j in range(size)] for r in range(size)]
-            rhs = [target[r] for r in range(size)]
             # pick `size` independent rows of the lifted system
             rows_idx = []
             for r in range(d + 1):

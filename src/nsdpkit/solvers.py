@@ -415,10 +415,7 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
             return 2.0 * (Bk @ d) + gf
 
         def sub_g(d, G0=G0, Ds=Ds):
-            out = G0.copy()
-            for l in range(n):
-                out = out + d[l] * Ds[l]
-            return out
+            return model.linearize(G0, Ds, d)
 
         def sub_dg(d, Ds=Ds):
             return Ds
@@ -446,9 +443,7 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
                 return SolverTrace(records=tuple(records), termination=termination,
                                    solver="sqp", diagnostics=diag)
         Y = sub_trace.final.y
-        lin_shift = np.zeros_like(G0)
-        for l in range(n):
-            lin_shift = lin_shift + d[l] * Ds[l]
+        lin_shift = model.linearize(np.zeros_like(G0), Ds, d)
         delta = linalg.sym_part(lin_shift + sub_trace.final.delta)
         delta_vec = model.lagrangian_grad(problem, x, Y)
         residual = kkt.kkt_residual(problem, x, Y)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from nsdpkit import cli, fixtures, kkt, model
 
@@ -192,7 +193,11 @@ def test_malformed_problem_file_exits_3(tmp_path, capsys, path, value, fragment)
     ({"safeguard_polcy": "zero"}, "unknown config key(s) 'safeguard_polcy'"),
     ({"safeguard_policy": "zero", "theta": 0.5},
      "unknown config key(s) 'safeguard_policy'"),
-], ids=["not-an-object", "misspelled-key", "removed-key"])
+    ({"theta": "x"}, "config key 'theta' must be a finite number"),
+    ({"max_outer": 12.5}, "config key 'max_outer' must be an integer"),
+    ({"rho1": True}, "config key 'rho1' must be a finite number"),
+], ids=["not-an-object", "misspelled-key", "removed-key", "string-float",
+        "float-int", "bool-float"])
 def test_config_rejects_what_it_cannot_use(tmp_path, capsys, config, fragment):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -200,6 +205,75 @@ def test_config_rejects_what_it_cannot_use(tmp_path, capsys, config, fragment):
               "--out-dir", tmp_path])
     assert_clean_error(rc, capsys, fragment)
     assert not list(tmp_path.glob("*.trace"))
+
+
+@pytest.mark.parametrize("budget,fragment", [
+    ("n_q=16.0", "budget field 'n_q' must be an integer"),
+    ("angle_grid=1e3", "budget field 'angle_grid' must be an integer"),
+    ("t0=nan", "budget field 't0' must be a finite number"),
+], ids=["float-n_q", "float-angle_grid", "nan-t0"])
+def test_budget_rejects_wrong_type(tmp_path, capsys, budget, fragment):
+    rc = run(["diagnose", "--fixture", "ex-4.2", "--checks", "robinson",
+              "--budget", budget, "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, fragment)
+    assert not list(tmp_path.glob("*.verdict"))
+
+
+#: Options a subcommand used to parse without reading them, each given
+#: after an otherwise valid and cheap command line.
+REMOVED_OPTIONS = [
+    ("solve", "--seed", "5"), ("solve", "--budget", "n_q=1"),
+    ("solve", "--msr-samples", "-3"), ("solve", "--expected", "tables.json"),
+    ("diagnose", "--x0", "0"), ("diagnose", "--config", "nope.json"),
+    ("regress", "--fixture", "nope"), ("regress", "--problem", "nope.json"),
+    ("regress", "--point", "0"), ("regress", "--x0", "0"),
+    ("regress", "--config", "nope.json"),
+]
+VALID = {"solve": ["solve", "--fixture", "ex-4.2"],
+         "diagnose": ["diagnose", "--fixture", "ex-4.2", "--checks", "nondegeneracy"],
+         "regress": ["regress", "--suite", "props", "--prop-cases", "1"]}
+
+
+@pytest.mark.parametrize("argv", [
+    VALID["solve"] + ["--solver", "bogus"],
+    VALID["diagnose"] + ["--bogus", "1"],
+    VALID["diagnose"] + ["--msr-samples", "abc"],
+    ["regress", "--suite", "bogus"],
+] + [VALID[command] + [option, value] for command, option, value in REMOVED_OPTIONS],
+    ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
+def test_usage_error_exits_3(tmp_path, capsys, argv):
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps(load_tables()))
+    rc = run([tables if a == "tables.json" else a for a in argv]
+             + ["--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_ERROR
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    assert run(["diagnose", "--help"]) == cli.EXIT_OK
+    assert "--checks" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["diagnose", "regress"])
+@pytest.mark.parametrize("tables,fragment", [
+    ([1, 2], "expected-verdict tables must be a JSON object"),
+    ({"ex-4.2": {"checks": 5}},
+     "expected table 'ex-4.2'.checks must be a JSON object"),
+    (None, "[Errno 2] No such file or directory"),
+], ids=["list", "checks-number", "missing"])
+def test_malformed_expected_tables_exit_3(tmp_path, capsys, command, tables,
+                                          fragment):
+    path = tmp_path / "tables.json"
+    if tables is not None:
+        path.write_text(json.dumps(tables))
+    argv = ["diagnose", "--fixture", "ex-4.2", "--checks", "nondegeneracy"] \
+        if command == "diagnose" else ["regress", "--suite", "cq"]
+    rc = run(argv + ["--expected", path, "--out-dir", tmp_path / "out"])
+    assert_clean_error(rc, capsys, fragment)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,option,value", [
@@ -333,3 +407,97 @@ def test_entry_point_rejects_missing_source(tmp_path, capsys):
     rc = run(["diagnose", "--out-dir", tmp_path])
     assert rc == cli.EXIT_ERROR
     assert "need --fixture or --problem" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzz of the three subcommands
+
+#: JSON documents the fuzz hands over as files, by name; "missing" names
+#: no file.
+FUZZ_FILES = {
+    "problem": model.problem_to_dict(scaled_identity_poly(x_bar=np.array([0.0]))),
+    "problem-list": [1, 2],
+    "problem-n-null": {**model.problem_to_dict(scaled_identity_poly()), "n": None},
+    "problem-asymmetric": {**model.problem_to_dict(scaled_identity_poly()),
+                           "constraint": {"constant": [[0.0, 1.0], [0.0, 0.0]],
+                                          "linear": [[1.0, 0.0, 1.0]]}},
+    "problem-empty-lists": {**model.problem_to_dict(scaled_identity_poly()),
+                            "constraint": {"constant": [], "linear": [[]]}},
+    "config-ok": {"max_outer": 4, "theta": 0.25},
+    "config-list": [1, 2],
+    "config-theta-str": {"theta": "x"},
+    "config-theta-out-of-range": {"theta": 2.0},
+    "config-max-outer-float": {"max_outer": 12.5},
+    "config-bool": {"inner_memory": True},
+    "config-unknown": {"safeguard_policy": "zero"},
+    "tables-list": [1, 2],
+    "tables-checks-number": {"ex-4.2": {"checks": 5}},
+    "tables-status-number": {"ex-4.2": {"checks": {"robinson": 5}}},
+    "tables-not-object": {"ex-4.2": "VIOLATED"},
+    "tables-broken-order": {"ex-3.2": {"checks": {
+        "seq-cpld": "VIOLATED", "seq-crcq": "CERTIFIED_HOLDS"}}},
+}
+VECTORS = ["0", "0.5", "-0.5", "nan", "inf", "1,2", "abc", ""]
+BAD_BUDGETS = ["n_q=16.0", "angle_grid=1e3", "bogus=1", "n_q", "t0=nan",
+               "t0=-1", "shrink_levels=3", "n_q=true", "seed=-1"]
+#: Option values per subcommand.  Sources, checks and budgets stay cheap,
+#: and every regress value is rejected before a suite runs.
+FUZZ_OPTIONS = {
+    "solve": {
+        "--point": VECTORS, "--x0": VECTORS,
+        "--config": [f for f in FUZZ_FILES if f.startswith("config")] + ["missing"],
+        "--solver": ["al", "penalty", "sqp", "bogus"],
+        "--seed": ["5"], "--budget": ["n_q=1"], "--msr-samples": ["-3"],
+        "--expected": ["tables-list"], "--checks": ["nondegeneracy"],
+    },
+    "diagnose": {
+        "--point": VECTORS, "--budget": BAD_BUDGETS + ["n_q=2", "t0=0.05"],
+        "--seed": ["0", "7", "-1", "abc"], "--msr-samples": ["abc", "5"],
+        "--expected": [f for f in FUZZ_FILES if f.startswith("tables")] + ["missing"],
+        "--x0": ["0"], "--config": ["config-ok"], "--solver": ["al"],
+    },
+    "regress": {
+        "--suite": ["bogus", ""], "--budget": BAD_BUDGETS,
+        "--seed": ["abc"], "--msr-samples": ["abc"],
+        "--expected": [f for f in FUZZ_FILES if f.startswith("tables")] + ["missing"],
+        "--fixture": ["ex-4.2"], "--problem": ["problem"], "--point": ["0"],
+        "--x0": ["0"], "--config": ["config-ok"], "--checks": ["nondegeneracy"],
+    },
+}
+SOURCES = [["--fixture", "ex-4.2"], ["--fixture", "ex-9.9"], ["--problem", "problem"],
+           ["--problem", "problem-list"], ["--problem", "problem-n-null"],
+           ["--problem", "problem-asymmetric"], ["--problem", "problem-empty-lists"],
+           ["--problem", "missing"], []]
+CHECK_LISTS = ["nondegeneracy", "nondegeneracy,bogus", ",", "nlp-crcq", "msr,,"]
+DOCUMENTED = {"solve": {0, 2, 3}, "diagnose": {0, 1, 3}, "regress": {0, 1, 3}}
+FILE_NAMES = set(FUZZ_FILES) | {"missing"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, doc in FUZZ_FILES.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return root
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_command_lines_exit_with_documented_codes(fuzz_dir, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    pool = FUZZ_OPTIONS[command]
+    if command == "regress":  # cheapest suite, should an option slip through
+        argv = ["regress", "--suite", "props", "--prop-cases", "1"]
+    else:
+        argv = [command] + data.draw(st.sampled_from(SOURCES))
+    if command == "diagnose":
+        argv += ["--checks", data.draw(st.sampled_from(CHECK_LISTS))]
+    options = data.draw(st.lists(st.sampled_from(sorted(pool)), unique=True,
+                                 min_size=1 if command == "regress" else 0,
+                                 max_size=3))
+    for option in options:
+        argv += [option, data.draw(st.sampled_from(pool[option]))]
+    argv = [fuzz_dir / f"{a}.json" if a in FILE_NAMES else a for a in argv]
+    rc = run(argv + ["--out-dir", fuzz_dir / "out"])
+    event(f"{command} exit {rc}")
+    assert rc in DOCUMENTED[command], argv

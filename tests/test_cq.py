@@ -74,6 +74,30 @@ def test_v_family_diagonal_sign_invariant(registry):
             assert np.array_equal(a, b)
 
 
+def random_poly_problem(n, m, gen):
+    """A random degree-two matrix polynomial, so DG(x) varies with x."""
+    def sym():
+        A = gen.normal(size=(m, m))
+        return A + A.T
+    return model.MatrixPolyProblem(
+        n=n, m=m, c0=0.0, c_lin=np.zeros(n), c_quad=np.zeros((n, n)),
+        a0=sym(), a_lin=tuple(sym() for _ in range(n)),
+        b_quad={(i, j): sym() for i in range(n) for j in range(i, n)}).problem()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_v_family_diagonal_is_diag_vectors(m):
+    # nondegeneracy's v_ii and the v_ii every other check uses are the
+    # same numbers, bit for bit
+    gen = np.random.default_rng(m)
+    for _ in range(40):
+        problem = random_poly_problem(3, m, gen)
+        x = gen.normal(size=3)
+        E = linalg.haar_orthogonal(m, gen)[:, :int(gen.integers(1, m + 1))]
+        assert np.array_equal(cq.v_family(problem, x, E).diag(),
+                              np.array(model.diag_vectors(problem, x, E)))
+
+
 def test_v_family_full_rank_basis_covariant(registry):
     # span of the full {v_ij} family is invariant under E -> EQ
     gen = np.random.default_rng(2)

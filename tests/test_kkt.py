@@ -187,21 +187,20 @@ def test_trace_round_trip(tmp_path, registry):
         assert a.rho == b.rho
 
 
-def write_tampered_trace(path, registry, key, entries):
-    """An ex-4.3 trace (m = 2) whose second record carries ``entries`` as ``key``."""
+def write_tampered_trace(path, registry, tamper):
+    """An ex-4.3 trace (n = m = 2) whose second record is ``tamper(record)``."""
     fix = registry.get("ex-4.3")
     kkt.write_trace(penalty_trace(fix.problem, fix.x0, outers=3).certificate(), path)
     lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    record[key] = entries
-    lines[1] = json.dumps(record)
+    lines[1] = json.dumps(tamper(json.loads(lines[1])))
     path.write_text("\n".join(lines) + "\n")
     return fix.problem
 
 
 @pytest.mark.parametrize("key", ["y", "delta"])
 def test_read_trace_rejects_short_matrix(tmp_path, registry, key):
-    problem = write_tampered_trace(tmp_path / "t.trace", registry, key, [1.0, 0.0])
+    problem = write_tampered_trace(tmp_path / "t.trace", registry,
+                                   lambda rec: {**rec, key: [1.0, 0.0]})
     with pytest.raises(ValueError, match=f"trace line 2: {key}: expected 3 "
                                          "upper-triangle entries, got 2"):
         kkt.read_trace(tmp_path / "t.trace", problem.n, problem.m)
@@ -210,10 +209,23 @@ def test_read_trace_rejects_short_matrix(tmp_path, registry, key):
 @pytest.mark.parametrize("key", ["y", "delta"])
 def test_read_trace_rejects_long_matrix(tmp_path, registry, key):
     # the first three entries alone would load as a valid 2 x 2 matrix
-    problem = write_tampered_trace(tmp_path / "t.trace", registry, key,
-                                   [1.0, 0.0, 0.0, 5.0])
+    problem = write_tampered_trace(tmp_path / "t.trace", registry,
+                                   lambda rec: {**rec, key: [1.0, 0.0, 0.0, 5.0]})
     with pytest.raises(ValueError, match=f"trace line 2: {key}: expected 3 "
                                          "upper-triangle entries, got 4"):
+        kkt.read_trace(tmp_path / "t.trace", problem.n, problem.m)
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda rec: [1, 2], "record must be a JSON object"),
+    (lambda rec: {k: v for k, v in rec.items() if k != "x"}, "record is missing x"),
+    (lambda rec: {**rec, "x": None}, "x must hold numbers"),
+    (lambda rec: {**rec, "delta_vec": rec["delta_vec"] + [0.0]},
+     "delta_vec must be a list of 2 numbers"),
+], ids=["not-an-object", "missing-x", "null-x", "long-delta-vec"])
+def test_read_trace_names_line_and_field(tmp_path, registry, tamper, message):
+    problem = write_tampered_trace(tmp_path / "t.trace", registry, tamper)
+    with pytest.raises(ValueError, match=f"^trace line 2: {message}$"):
         kkt.read_trace(tmp_path / "t.trace", problem.n, problem.m)
 
 

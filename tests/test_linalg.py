@@ -395,6 +395,27 @@ def test_haar_deterministic_and_orthogonal():
     assert linalg.frob(A.T @ A - np.eye(4)) <= 1e-10
 
 
+def reference_haar(k, gen):
+    """The QR-and-sign-fix formula ``haar_orthogonal`` had of its own."""
+    if k == 0:
+        return np.zeros((0, 0))
+    Q, R = np.linalg.qr(gen.standard_normal((k, k)))
+    d = np.sign(np.diag(R))
+    d[d == 0.0] = 1.0
+    return Q * d
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_haar_matches_reference_formula(k):
+    got, want = rng(13), rng(13)
+    for _ in range(3):
+        A, B = linalg.haar_orthogonal(k, got), reference_haar(k, want)
+        assert A.shape == B.shape == (k, k)
+        assert np.array_equal(A, B)
+    # the draws leave the generator in the same state, k = 0 included
+    assert got.bit_generator.state == want.bit_generator.state
+
+
 def test_orthonormal_columns_preserves_span():
     gen = rng(9)
     B = gen.normal(size=(4, 2))
