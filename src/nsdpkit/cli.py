@@ -24,12 +24,13 @@ failed entry or an expected table that breaks the implication order / 3
 error.  A usage error (an unknown option, an option of another
 subcommand, a bad choice or number) exits 3, never argparse's 2, and
 --help exits 0.  Malformed input (an unknown check, budget field or
-config key, a config or budget value of the wrong type, a config,
-problem or expected-table file of the wrong shape or JSON type, a
-missing file, a missing reference point, a non-finite number) ends in
-exit 3 before any check runs; an eigendecomposition that does not
-converge, or a Caratheodory reduction that fails, ends in exit 3 in
-every subcommand.
+config key, a config or budget value of the wrong type, a config cap
+below 1 or a negative target_tol, --point or --x0 with --fixture, a
+config, problem or expected-table file of the wrong shape or JSON type,
+a missing file, a missing reference point, a non-finite number) ends in
+exit 3 before any check runs; a solve that records no iteration, an
+eigendecomposition that does not converge, or a Caratheodory reduction
+that fails, ends in exit 3.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ DEFAULT_CHECKS = tuple(name for name, spec in cq.CHECKS.items()
 AL_KEYS = {f.name for f in dataclass_fields(solvers.AlConfig)}
 CONFIG_TYPES = {**get_type_hints(solvers.AlConfig), "target_tol": float,
                 "rho_growth": float, "max_outer": int, "max_iter": int}
+#: the least --config value of the solver caps and of the tolerance
+CONFIG_FLOORS = {"target_tol": 0.0, "max_outer": 1, "max_iter": 1}
 BUDGET_TYPES = get_type_hints(cq.CqBudget)
 
 
@@ -114,6 +117,9 @@ def _number(raw: str):
 
 def _load_source(args) -> fixtures.Fixture:
     if args.fixture:
+        if args.point or getattr(args, "x0", None):
+            raise ValueError("--point and --x0 apply only to --problem; "
+                             "a fixture brings its own point and start")
         expected = getattr(args, "expected", None)
         registry = fixtures.FixtureRegistry(expected) if expected \
             else fixtures.default_registry()
@@ -152,7 +158,7 @@ def _parse_budget(args) -> cq.CqBudget:
 
 
 def _load_config(args) -> dict:
-    """The --config object; ValueError for an unknown key or a wrong type."""
+    """The --config object; ValueError for a key, type or value it cannot use."""
     if not args.config:
         return {}
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -163,8 +169,12 @@ def _load_config(args) -> dict:
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
                          f"known: {', '.join(sorted(CONFIG_TYPES))}")
-    return {key: _typed(value, CONFIG_TYPES[key], f"config key {key!r}")
-            for key, value in config.items()}
+    config = {key: _typed(value, CONFIG_TYPES[key], f"config key {key!r}")
+              for key, value in config.items()}
+    for key, floor in CONFIG_FLOORS.items():
+        if config.get(key, floor) < floor:
+            raise ValueError(f"config key {key!r} must be at least {floor}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +246,10 @@ def cmd_solve(args) -> int:
         trace = _run_solver(source.problem, source.x0, args.solver, config)
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    if not trace.records:
+        print(f"error: the {args.solver} solver recorded no iteration "
+              f"(termination: {trace.termination})", file=sys.stderr)
         return EXIT_ERROR
     trace_path = out / f"{source.fixture_id}-{args.solver}.trace"
     kkt.write_trace(trace.certificate(), trace_path)

@@ -38,6 +38,10 @@ VIOLATED = "VIOLATED"
 
 #: subset enumeration over the small eigenspace is exponential in m - r
 COMBINATORIAL_CAP = 12
+#: the msr projection solves' stop rule: 20 non-improving inner iterations,
+#: not the default 200, whose plateaus were most of check_msr's time and
+#: moved no measured distance by more than ~1e-12 relative
+PROJECTION_CONFIG = solvers.AlConfig(stagnation_window=20)
 
 
 class InfeasiblePointError(ValueError):
@@ -697,11 +701,6 @@ def _dependent_premises(limit_vectors, subsets, dependent):
             yield J, prem
 
 
-def _tail_independent(levels, consecutive: int, family, scale: float) -> bool:
-    """Whether ``family(level)`` is independent at each trailing level."""
-    return not any(_lin_dep(family(lv), scale) for lv in levels[-consecutive:])
-
-
 def _falsifying_levels(levels, consecutive: int, family, scale: float,
                        key: str = "vectors") -> list | None:
     """Records of every level, or None when a trailing level is dependent.
@@ -710,7 +709,7 @@ def _falsifying_levels(levels, consecutive: int, family, scale: float,
     ``key`` and its linear-dependence flag.  The trailing levels are
     tested before any record is built.
     """
-    if not _tail_independent(levels, consecutive, family, scale):
+    if any(_lin_dep(family(lv), scale) for lv in levels[-consecutive:]):
         return None
     records = []
     for lv in levels:
@@ -1056,13 +1055,19 @@ def estimate_msr_modulus(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
 
     Distances to the feasible set are computed by solving the projection
     problem min ||z - x||^2 s.t. G(z) PSD with the augmented Lagrangian
-    (default configuration, tolerance 1e-8) from both x and x_bar; the
-    trivial bound ||x - x_bar|| caps the result since x_bar is feasible.
-    Samples whose projection runs all end infeasible fall back on that
-    bound and are counted as failures; more than ten percent of failures
-    marks the estimate unreliable.
+    (``PROJECTION_CONFIG``: the inner loop stops after 20 non-improving
+    iterations; tolerance 1e-8) from both x and x_bar; the trivial bound
+    ||x - x_bar|| caps the result since x_bar is feasible.  Samples whose
+    projection runs all end infeasible fall back on that bound and are
+    counted as failures; more than ten percent of failures marks the
+    estimate unreliable.
     """
-    x_ref = _feasibility_gate(problem, x_bar)[0]
+    return _msr_modulus(problem, _feasibility_gate(problem, x_bar)[0],
+                        radius, samples, seed)
+
+
+def _msr_modulus(problem, x_ref, radius, samples, seed) -> MsrEstimate:
+    """``estimate_msr_modulus`` at an already gated point x_ref."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if samples < 1:
@@ -1070,10 +1075,9 @@ def estimate_msr_modulus(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
     rng = _rng(seed, 6)
     n = problem.n
     ratios = []
-    n_feasible = 0
     n_failed = 0
     worst = None
-    for i in range(samples):
+    for _ in range(samples):
         g = rng.standard_normal(n)
         nrm = float(np.linalg.norm(g))
         u = g / nrm if nrm > 1e-12 else np.zeros(n)
@@ -1082,7 +1086,6 @@ def estimate_msr_modulus(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
         G_i = problem.g(x_i)
         residual = linalg.frob(linalg.proj_psd(-G_i))
         if residual <= linalg.EPS_RANK * (1.0 + linalg.frob(G_i)):
-            n_feasible += 1
             continue
         dist, ok = _projection_distance(problem, x_i, x_ref)
         if not ok:
@@ -1096,13 +1099,13 @@ def estimate_msr_modulus(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
     if not ratios:
         notes.append("no infeasible samples in the ball")
     n_infeasible = len(ratios)
-    gamma = max(ratios) if ratios else 0.0
     unreliable = n_failed > 0.1 * max(1, n_infeasible)
     if unreliable:
         notes.append("more than 10% of projection subproblems failed")
     return MsrEstimate(
-        gamma_hat=float(gamma), radius=float(radius), samples=samples,
-        n_infeasible=n_infeasible, n_feasible=n_feasible, n_failed=n_failed,
+        gamma_hat=float(max(ratios, default=0.0)), radius=float(radius),
+        samples=samples, n_infeasible=n_infeasible,
+        n_feasible=samples - n_infeasible, n_failed=n_failed,
         unreliable=bool(unreliable), seed=seed,
         worst=_jsonify(worst) if worst else None, notes=tuple(notes),
         ratios=tuple(float(rt) for rt in ratios))
@@ -1110,26 +1113,19 @@ def estimate_msr_modulus(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
 
 def _projection_distance(problem, x_i, x_ref):
     """Distance from x_i to the feasible set, with a feasibility fallback."""
-    n = problem.n
-
-    def f_eval(z, x_i=x_i):
-        return float((z - x_i) @ (z - x_i))
-
-    def grad_f(z, x_i=x_i):
-        return 2.0 * (z - x_i)
-
-    proj = model.NsdpProblem(n=n, m=problem.m, f_eval=f_eval, grad_f=grad_f,
+    proj = model.NsdpProblem(n=problem.n, m=problem.m,
+                             f_eval=lambda z: float((z - x_i) @ (z - x_i)),
+                             grad_f=lambda z: 2.0 * (z - x_i),
                              g_eval=problem.g_eval, dg_eval=problem.dg_eval,
                              name=f"{problem.name}:projection")
     best = float(np.linalg.norm(x_i - x_ref))
     ok = False
     for start in (x_i, x_ref):
-        trace = solvers.solve_augmented_lagrangian(proj, start, target_tol=1e-8,
-                                                   max_outer=25)
+        trace = solvers.solve_augmented_lagrangian(
+            proj, start, config=PROJECTION_CONFIG, target_tol=1e-8, max_outer=25)
         z = trace.final.x
         Gz = problem.g(z)
-        feas = linalg.frob(linalg.proj_psd(-Gz))
-        if feas <= 1e-6 * (1.0 + linalg.frob(Gz)):
+        if linalg.frob(linalg.proj_psd(-Gz)) <= 1e-6 * (1.0 + linalg.frob(Gz)):
             ok = True
             best = min(best, float(np.linalg.norm(z - x_i)))
     return best, ok
@@ -1145,16 +1141,20 @@ def estimate_msr_trend(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
     or as strong growth when the ball shrinks; bounded moduli on the
     reference problems sit well below the cap at both radii.
     """
-    est_big = estimate_msr_modulus(problem, x_bar, radius=radius,
-                                   samples=samples, seed=seed)
-    est_small = estimate_msr_modulus(problem, x_bar, radius=radius / 4.0,
-                                     samples=samples, seed=seed + 1)
+    x = _feasibility_gate(problem, x_bar)[0]
+    est_big, est_small = _msr_pair(problem, x, radius, samples, seed)
     return {
         "estimates": (est_big, est_small),
         "unbounded": _msr_unbounded(est_big.gamma_hat, est_small.gamma_hat,
                                     growth_factor, bound_cap),
         "unreliable": bool(est_big.unreliable or est_small.unreliable),
     }
+
+
+def _msr_pair(problem, x, radius, samples, seed) -> tuple:
+    """The estimates at radius and radius / 4 around an already gated x."""
+    return (_msr_modulus(problem, x, radius, samples, seed),
+            _msr_modulus(problem, x, radius / 4.0, samples, seed + 1))
 
 
 def _msr_unbounded(gamma_big: float, gamma_small: float,
@@ -1173,9 +1173,8 @@ def check_msr(problem: model.NsdpProblem, x_bar, budget: CqBudget | None = None,
 
 
 def _msr(ctx: PointContext, spec: CheckSpec, radius: float = 0.1) -> CqVerdict:
-    trend = estimate_msr_trend(ctx.problem, ctx.x, radius=radius,
-                               samples=ctx.msr_samples, seed=ctx.budget.seed)
-    est_big, est_small = trend["estimates"]
+    est_big, est_small = _msr_pair(ctx.problem, ctx.x, radius, ctx.msr_samples,
+                                   ctx.budget.seed)
     witness = {
         "kind": "ratio-table",
         "radius": [est_big.radius, est_small.radius],
@@ -1185,10 +1184,11 @@ def _msr(ctx: PointContext, spec: CheckSpec, radius: float = 0.1) -> CqVerdict:
         "worst": [est_big.worst, est_small.worst],
     }
     notes = []
-    if trend["unreliable"]:
+    if est_big.unreliable or est_small.unreliable:
         notes.append("projection failures above 10%; estimate unreliable")
-    status = VIOLATED if trend["unbounded"] else NO_VIOLATION_FOUND
-    if status == VIOLATED:
+    status = NO_VIOLATION_FOUND
+    if _msr_unbounded(est_big.gamma_hat, est_small.gamma_hat):
+        status = VIOLATED
         notes.append("sampled subregularity ratios grow without bound")
     return ctx.verdict(spec.name, status, witness=witness, notes=notes)
 

@@ -207,6 +207,50 @@ def test_config_rejects_what_it_cannot_use(tmp_path, capsys, config, fragment):
     assert not list(tmp_path.glob("*.trace"))
 
 
+@pytest.mark.parametrize("solver,config,fragment", [
+    ("al", {"max_outer": 0}, "config key 'max_outer' must be at least 1"),
+    ("penalty", {"max_outer": 0}, "config key 'max_outer' must be at least 1"),
+    ("sqp", {"max_iter": 0}, "config key 'max_iter' must be at least 1"),
+    ("al", {"target_tol": -1.0}, "config key 'target_tol' must be at least 0.0"),
+    ("penalty", {"target_tol": -1.0}, "config key 'target_tol' must be at least 0.0"),
+    ("sqp", {"target_tol": -1.0}, "config key 'target_tol' must be at least 0.0"),
+], ids=["al-max_outer", "penalty-max_outer", "sqp-max_iter", "al-target_tol",
+        "penalty-target_tol", "sqp-target_tol"])
+def test_config_rejects_values_below_floor(tmp_path, capsys, solver,
+                                          config, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = run(["solve", "--fixture", "ex-4.2", "--solver", solver,
+              "--config", path, "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, fragment)
+    assert not list(tmp_path.glob("*.trace"))
+
+
+def test_solve_empty_trace_exits_3(tmp_path, capsys):
+    # G(x) = 2x^2 - 1 linearizes at x0 = 0 to the infeasible -1 >= 0, so
+    # SQP stops before its first record.
+    poly = model.MatrixPolyProblem(
+        n=1, m=1, c0=0.0, c_lin=np.array([1.0]), c_quad=np.zeros((1, 1)),
+        a0=-np.eye(1), a_lin=(np.zeros((1, 1)),), b_quad={(0, 0): 2.0 * np.eye(1)},
+        name="circle", x_bar=np.array([1.0]))
+    path = tmp_path / "circle.json"
+    model.save_problem(poly, path)
+    rc = run(["solve", "--problem", path, "--x0", "0", "--solver", "sqp",
+              "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "the sqp solver recorded no iteration "
+                       "(termination: subproblem_infeasible)")
+    assert not list(tmp_path.glob("*.trace"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--point", "5"], ["solve", "--point", "5"], ["solve", "--x0", "5"],
+])
+def test_fixture_rejects_point_and_x0(tmp_path, capsys, argv):
+    rc = run(argv + ["--fixture", "ex-4.2", "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "--point and --x0 apply only to --problem")
+    assert not list(tmp_path.glob("*.verdict")) + list(tmp_path.glob("*.trace"))
+
+
 @pytest.mark.parametrize("budget,fragment", [
     ("n_q=16.0", "budget field 'n_q' must be an integer"),
     ("angle_grid=1e3", "budget field 'angle_grid' must be an integer"),

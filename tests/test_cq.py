@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsdpkit import cq, fixtures, linalg, model
+from nsdpkit import cq, fixtures, linalg, model, solvers
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -404,6 +404,57 @@ def test_msr_verdict_statuses(registry):
     assert v_good.status == cq.NO_VIOLATION_FOUND
     # the table is consistent, but its gammas do not meet the unbounded rule
     assert not cq.replay_witness(good, v_good)
+
+
+@pytest.mark.parametrize("estimate", [cq.estimate_msr_modulus,
+                                      cq.estimate_msr_trend])
+def test_msr_estimators_gate_the_point(registry, estimate):
+    problem = registry.get("ex-4.2").problem
+    with pytest.raises(cq.InfeasiblePointError):
+        estimate(problem, np.array([-0.5]), samples=1)
+
+
+def test_check_msr_gates_once(registry, monkeypatch):
+    fix = registry.get("ex-4.3")
+    gates = []
+    gate = cq._feasibility_gate
+    monkeypatch.setattr(cq, "_feasibility_gate",
+                        lambda *args: gates.append(args) or gate(*args))
+    cq.check_msr(fix.problem, fix.x_bar, samples=1)
+    assert len(gates) == 1
+
+
+@pytest.mark.parametrize("fid,seed", [("nlp-curve", 4), ("nlp-curve", 5),
+                                      ("ex-3.2", 4)])
+def test_projection_short_window_keeps_distance(registry, monkeypatch, fid, seed):
+    """The window-20 stop gives the window-200 distance where it cuts a plateau.
+
+    Each case is the one sample of a radius-0.025 estimate whose projection
+    stops on stagnation; on the two nlp-curve samples the distances differ
+    in the last digits.
+    """
+    fix = registry.get(fid)
+    project = cq._projection_distance
+    samples = []
+    monkeypatch.setattr(cq, "_projection_distance",
+                        lambda *args: samples.append(args) or project(*args))
+    cq.estimate_msr_modulus(fix.problem, fix.x_bar, radius=0.025, samples=1,
+                            seed=seed)
+    (sample,) = samples
+    inner = solvers.inner_minimize
+    stops = []
+
+    def counted(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        stops.append(out[1].reason)
+        return out
+    monkeypatch.setattr(solvers, "inner_minimize", counted)
+    dist, ok = project(*sample)
+    assert "stagnation" in stops
+    monkeypatch.setattr(cq, "PROJECTION_CONFIG", solvers.AlConfig())
+    ref, ref_ok = project(*sample)
+    assert ok and ref_ok
+    assert abs(dist - ref) <= 1e-10 * ref
 
 
 def _scale_worst(payload, i, factor):
