@@ -116,6 +116,8 @@ def _number(raw: str):
 
 
 def _load_source(args) -> fixtures.Fixture:
+    if args.fixture and args.problem:
+        raise ValueError("give --fixture or --problem, not both")
     if args.fixture:
         if args.point or getattr(args, "x0", None):
             raise ValueError("--point and --x0 apply only to --problem; "
@@ -174,6 +176,8 @@ def _load_config(args) -> dict:
     for key, floor in CONFIG_FLOORS.items():
         if config.get(key, floor) < floor:
             raise ValueError(f"config key {key!r} must be at least {floor}")
+    if config.get("rho_growth", 10.0) <= 1.0:  # as AlConfig's gamma > 1
+        raise ValueError("config key 'rho_growth' must exceed 1")
     return config
 
 

@@ -879,12 +879,16 @@ def _seq_tail_violation(problem, x_bar, E_bar, J, budget, scale_v, rng,
     for i, W in enumerate(Ws):
         for expo in (1.0, 0.25):
             variants.append((f"stiefel-{i}@t^{expo}", W, expo))
+    bases = {}  # (variant, t) -> basis; the direction d does not enter
     for d in dirs:
         for v_label, W, expo in variants:
             def basis_at(t):
                 if W is None:
                     return E_bar
-                return linalg.orthonormal_columns(E_bar + (t ** expo) * W)
+                if (v_label, t) not in bases:
+                    bases[v_label, t] = linalg.orthonormal_columns(
+                        E_bar + (t ** expo) * W)
+                return bases[v_label, t]
             records = _falsifying_levels(
                 levels, budget.consecutive,
                 lambda lv: model.diag_vectors(problem, x_bar + lv["t"] * d,

@@ -10,15 +10,16 @@ reported in non-increasing order; ties are broken by a lexicographic
 comparison of the sign-canonicalized eigenvectors so that equal inputs
 produce identical output arrays.
 
-The kernel has two paths.  A 2x2 matrix needs exactly one rotation,
-which ``_jacobi_2x2`` replays on Python floats; larger matrices run
-``_jacobi`` on nested lists of Python floats.  Both do the IEEE
-operations of the numpy-scalar loop they replaced, in the same order,
-and return its bits; ``tests/test_linalg.py`` keeps that loop as the
-reference and compares with ``np.array_equal``.  The bits depend on
-numpy (the Frobenius norm goes through BLAS, the off-diagonal norm is a
-numpy pairwise sum), so they are reproducible on one platform with one
-numpy, not across platforms.  Non-finite input, and input whose
+The kernel has two paths.  A 2x2 matrix stays on Python floats, input
+check, sign rule and ordering included, around the one rotation that
+``_jacobi_2x2`` replays; larger matrices run ``_jacobi`` on nested lists
+of Python floats.  Both do the IEEE operations of the numpy-scalar loop
+they replaced, in the same order, and return its bits;
+``tests/test_linalg.py`` keeps that loop as the reference and compares
+with ``np.array_equal``.  The bits depend on numpy (the Frobenius norm,
+which the 2x2 path reads too, goes through BLAS; the off-diagonal norm
+is a numpy pairwise sum), so they are reproducible on one platform with
+one numpy, not across platforms.  Non-finite input, and input whose
 Frobenius norm overflows, is rejected with ValueError.
 """
 
@@ -211,6 +212,26 @@ def _canonical_sign(col: list) -> list:
     return col
 
 
+def _decompose_2x2(M: np.ndarray) -> SpectralDecomp:
+    """``spectral_decompose``'s steps on the floats of a 2x2: same bits."""
+    (a00, a01), (a10, a11) = M.tolist()
+    # entry by entry: Python's max, unlike numpy's, skips over a NaN
+    if not (math.isfinite(a00) and math.isfinite(a01) and math.isfinite(a10)
+            and math.isfinite(a11)):
+        raise ValueError("matrix has non-finite entries")
+    if abs(a01 - a10) > 1e-12 * (1.0 + max(abs(a00), abs(a01), abs(a10), abs(a11))):
+        raise ValueError("matrix is not symmetric")
+    (v0, v1), ((x0, y0), (x1, y1)) = _jacobi_2x2(M)
+    if (y0 if abs(y0) > abs(x0) else x0) < -_SIGN_TINY:
+        x0, y0 = -x0, -y0
+    if (y1 if abs(y1) > abs(x1) else x1) < -_SIGN_TINY:
+        x1, y1 = -x1, -y1
+    if (-v1, [x1, y1]) < (-v0, [x0, y0]):
+        v0, x0, y0, v1, x1, y1 = v1, x1, y1, v0, x0, y0
+    return SpectralDecomp(eigenvalues=np.array([v0, v1]),
+                          eigenvectors=np.array([[x0, x1], [y0, y1]]))
+
+
 def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
     """Spectral decomposition with eigenvalues sorted non-increasingly.
 
@@ -218,8 +239,11 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
     the sign-canonicalized eigenvectors make repeated calls on equal
     inputs return identical arrays.
     """
+    M = np.asarray(M, dtype=float)
+    if M.shape == (2, 2):
+        return _decompose_2x2(M)
     M = check_symmetric(M)
-    vals, V = _jacobi_2x2(M) if M.shape[0] == 2 else _jacobi(M)
+    vals, V = _jacobi(M)
     cols = [_canonical_sign(col) for col in V]
     order = sorted(range(len(vals)), key=lambda i: (-vals[i], cols[i]))
     lam = np.array([vals[i] for i in order])

@@ -68,6 +68,12 @@ class AlConfig:
             raise ValueError("eps_decay must lie in (0, 1)")
         if self.eps0 <= 0.0:
             raise ValueError("eps0 must be positive")
+        for name, floor in (("inner_max_iter", 1), ("stagnation_window", 1),
+                            ("inner_memory", 0)):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be at least {floor}")
+        if self.trust_radius <= 0.0:
+            raise ValueError("trust_radius must be positive")
 
 
 @dataclass(frozen=True)

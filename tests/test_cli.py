@@ -214,8 +214,19 @@ def test_config_rejects_what_it_cannot_use(tmp_path, capsys, config, fragment):
     ("al", {"target_tol": -1.0}, "config key 'target_tol' must be at least 0.0"),
     ("penalty", {"target_tol": -1.0}, "config key 'target_tol' must be at least 0.0"),
     ("sqp", {"target_tol": -1.0}, "config key 'target_tol' must be at least 0.0"),
+    ("al", {"inner_max_iter": 0}, "inner_max_iter must be at least 1"),
+    ("al", {"stagnation_window": 0}, "stagnation_window must be at least 1"),
+    ("penalty", {"stagnation_window": 0}, "stagnation_window must be at least 1"),
+    ("al", {"inner_memory": -1}, "inner_memory must be at least 0"),
+    ("al", {"trust_radius": 0.0}, "trust_radius must be positive"),
+    ("penalty", {"trust_radius": -1.0}, "trust_radius must be positive"),
+    ("penalty", {"rho_growth": 1.0}, "config key 'rho_growth' must exceed 1"),
+    ("penalty", {"rho_growth": 0.0}, "config key 'rho_growth' must exceed 1"),
 ], ids=["al-max_outer", "penalty-max_outer", "sqp-max_iter", "al-target_tol",
-        "penalty-target_tol", "sqp-target_tol"])
+        "penalty-target_tol", "sqp-target_tol", "al-inner_max_iter",
+        "al-stagnation_window", "penalty-stagnation_window", "al-inner_memory",
+        "al-trust_radius", "penalty-trust_radius", "penalty-rho_growth-1",
+        "penalty-rho_growth-0"])
 def test_config_rejects_values_below_floor(tmp_path, capsys, solver,
                                           config, fragment):
     path = tmp_path / "config.json"
@@ -244,10 +255,17 @@ def test_solve_empty_trace_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["diagnose", "--point", "5"], ["solve", "--point", "5"], ["solve", "--x0", "5"],
+    ["diagnose", "--problem"], ["solve", "--problem"],
 ])
 def test_fixture_rejects_point_and_x0(tmp_path, capsys, argv):
+    if argv[-1] == "--problem":  # a valid file, which would run on its own
+        argv = argv + [tmp_path / "one.json"]
+        model.save_problem(scaled_identity_poly(x_bar=np.zeros(1)), argv[-1])
+        fragment = "give --fixture or --problem, not both"
+    else:
+        fragment = "--point and --x0 apply only to --problem"
     rc = run(argv + ["--fixture", "ex-4.2", "--out-dir", tmp_path])
-    assert_clean_error(rc, capsys, "--point and --x0 apply only to --problem")
+    assert_clean_error(rc, capsys, fragment)
     assert not list(tmp_path.glob("*.verdict")) + list(tmp_path.glob("*.trace"))
 
 

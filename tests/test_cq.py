@@ -271,6 +271,46 @@ def test_seq_crcq_aligned_shift_witness(registry):
     assert cq.replay_witness(fix.problem, verdict)
 
 
+def test_seq_tail_orthonormalizes_each_stiefel_basis_once(registry, monkeypatch):
+    # ex-4.2's seq-crcq search finds no tail, so every probe direction
+    # runs every Stiefel variant; a (variant, level) basis depends on the
+    # variant and the level only, so its input must not repeat in a call
+    fix = registry.get("ex-4.2")
+    ortho, tail, completion = (linalg.orthonormal_columns,
+                               cq._seq_tail_violation, cq._completion_basis)
+    active, per_call = [], []
+
+    def counting_ortho(B):
+        if active and active[-1] is not None:
+            active[-1].append(B.tobytes())
+        return ortho(B)
+
+    def counting_tail(*args):
+        per_call.append([])
+        active.append(per_call[-1])
+        try:
+            return tail(*args)
+        finally:
+            active.pop()
+
+    def uncounted_completion(*args):  # the witness's completion, not a basis
+        active.append(None)
+        try:
+            return completion(*args)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(linalg, "orthonormal_columns", counting_ortho)
+    monkeypatch.setattr(cq, "_seq_tail_violation", counting_tail)
+    monkeypatch.setattr(cq, "_completion_basis", uncounted_completion)
+    verdict = cq.check_seq_cq(fix.problem, fix.x_bar, "seq-crcq",
+                              curves=fix.curves)
+    assert verdict.status == cq.NO_VIOLATION_FOUND
+    assert per_call and all(per_call)
+    for inputs in per_call:
+        assert len(inputs) == len(set(inputs))
+
+
 def test_combinatorial_cap():
     m = 13
     problem = model.MatrixPolyProblem(

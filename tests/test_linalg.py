@@ -212,6 +212,65 @@ def test_kernel_3x3_matches_reference_property(upper):
     assert_same_bits(np.array([[a, b, c], [b, d, e], [c, e, f]]))
 
 
+def assert_same_check(M):
+    """check_symmetric's ValueError message, or the reference bits."""
+    try:
+        linalg.check_symmetric(M)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            linalg.spectral_decompose(M)
+        assert str(info.value) == str(exc)
+        return str(exc)
+    assert_same_bits(np.asarray(M, dtype=float))
+    return None
+
+
+@st.composite
+def general_2x2(draw):
+    """Four floats, NaN and inf included: asymmetric, symmetric, or near."""
+    a, b, c = draw(st.lists(st.floats(), min_size=3, max_size=3))
+    kind = draw(st.sampled_from(["any", "symmetric", "near"]))
+    if kind == "any":
+        low = draw(st.floats())
+    elif kind == "symmetric":
+        low = b
+    else:  # around check_symmetric's tolerance 1e-12 * (1 + max|a_ij|)
+        low = b + draw(st.floats(-2.0, 2.0)) * 1e-12 * (
+            1.0 + max(abs(a), abs(b), abs(c)))
+    return np.array([[a, b], [low, c]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@given(general_2x2())
+@settings(max_examples=400, deadline=None)
+def test_kernel_2x2_input_check_property(M):
+    assert_same_check(M)
+
+
+TOL_2 = 1e-12 * 2.0  # the asymmetry tolerance when max|a_ij| = 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("M,error", [
+    ([[1.0, 0.5], [np.nan, 1.0]], "matrix has non-finite entries"),
+    ([[1.0, 0.5], [np.inf, 1.0]], "matrix has non-finite entries"),
+    ([[1.0, 0.5], [-np.inf, 1.0]], "matrix has non-finite entries"),
+    ([[1.0, 0.0], [TOL_2, 1.0]], None),
+    ([[1.0, 0.0], [np.nextafter(TOL_2, 0.0), 1.0]], None),
+    ([[1.0, 0.0], [np.nextafter(TOL_2, 1.0), 1.0]], "matrix is not symmetric"),
+    ([[1.0, 0.0], [-np.nextafter(TOL_2, 1.0), 1.0]], "matrix is not symmetric"),
+    ([[0.0, 1e308], [-1e308, 0.0]], "matrix is not symmetric"),
+    ([[2, 1], [1, -3]], None),
+    (np.array([[2, 1], [1, -3]]), None),
+    ([[0.5, 1e-3], [1e-3, 0.25]], None),
+], ids=["nan-low", "inf-low", "-inf-low", "at-tol", "ulp-below-tol",
+        "ulp-above-tol", "ulp-above-tol-neg", "difference-overflows",
+        "int-list", "int-array", "float-list"])
+def test_kernel_2x2_input_check_edges(M, error):
+    assert assert_same_check(M) == error
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_kernel_rejects_non_finite(bad, m):
