@@ -53,7 +53,7 @@ def _null_direction(vectors) -> np.ndarray:
     return dec.eigenvectors[:, -1].copy()
 
 
-def reduce(vectors, coeffs, eps_rank: float = linalg.EPS_RANK) -> ConicCombination:
+def reduce(vectors, coeffs) -> ConicCombination:
     """Reduce a combination to a linearly independent support.
 
     Zero coefficients are dropped up front and never re-enter.  Each
@@ -70,7 +70,7 @@ def reduce(vectors, coeffs, eps_rank: float = linalg.EPS_RANK) -> ConicCombinati
     active = [i for i in range(len(vecs)) if alpha[i] != 0.0]
     rounds = 0
     max_rounds = _MAX_ROUNDS_PER_VECTOR * max(1, len(vecs))
-    while len(active) > 0 and linalg.lin_dependent([vecs[i] for i in active], eps_rank):
+    while len(active) > 0 and linalg.lin_dependent([vecs[i] for i in active]):
         rounds += 1
         if rounds > max_rounds:
             raise ReductionError("reduction failed to terminate")

@@ -27,8 +27,9 @@ subcommand, a bad choice or number) exits 3, never argparse's 2, and
 config key, a config or budget value of the wrong type, a config cap
 below 1 or a negative target_tol, --point or --x0 with --fixture, a
 config, problem or expected-table file of the wrong shape or JSON type,
-a missing file, a missing reference point, a non-finite number) ends in
-exit 3 before any check runs; a solve that records no iteration, an
+an expected table naming an unknown fixture, check or status, a missing
+file, a missing reference point, a non-finite number) ends in exit 3
+before any check runs; a solve that records no iteration, an
 eigendecomposition that does not converge, or a Caratheodory reduction
 that fails, ends in exit 3.
 """
@@ -214,9 +215,9 @@ def _summary_text(source: fixtures.Fixture, solver: str,
                   trace: solvers.SolverTrace) -> str:
     problem = source.problem
     final = trace.final
-    res = kkt.kkt_residual(problem, final.x, final.y)
-    first_y = float(np.linalg.norm(trace.records[0].y))
-    final_y = float(np.linalg.norm(final.y))
+    res = final.residual
+    first_y = linalg.frob(trace.records[0].y)
+    final_y = linalg.frob(final.y)
     lines = [
         f"problem: {source.fixture_id}",
         f"solver: {solver}",
@@ -367,15 +368,11 @@ def _regress_cq(registry, budget, msr_samples, run_msr):
     return entries, recorded
 
 
-def _residual_rows(fixture_id, solver, trace, problem):
-    rows = []
-    for rec in trace.records:
-        res = kkt.kkt_residual(problem, rec.x, rec.y)
-        rows.append((fixture_id, solver, rec.k, rec.rho,
-                     res.stationarity, res.feasibility,
-                     res.complementarity, res.dual_feasibility,
-                     float(np.linalg.norm(rec.y))))
-    return rows
+def _residual_rows(fixture_id, solver, trace):
+    return [(fixture_id, solver, rec.k, rec.rho, rec.residual.stationarity,
+             rec.residual.feasibility, rec.residual.complementarity,
+             rec.residual.dual_feasibility, linalg.frob(rec.y))
+            for rec in trace.records]
 
 
 def _regress_solvers(registry, csv_rows):
@@ -391,7 +388,7 @@ def _regress_solvers(registry, csv_rows):
                 entries.append(_entry("solvers", fix.fixture_id, solver,
                                       "error", None, False, error=str(exc)))
                 continue
-            csv_rows.extend(_residual_rows(fix.fixture_id, solver, trace, problem))
+            csv_rows.extend(_residual_rows(fix.fixture_id, solver, trace))
             detail = {"termination": trace.termination,
                       "outer_iterations": len(trace)}
             ok = True
@@ -439,7 +436,7 @@ def _regress_safeguard_parity(registry):
         rho_schedule=lambda k: rhos[k - 1],
         inner_tol_schedule=lambda k: max(0.1 * 0.5 ** (k - 1), 1e-8),
         max_outer=len(rhos))
-    gap = max(float(np.linalg.norm(a.x - b.x)) + float(np.linalg.norm(a.y - b.y))
+    gap = max(linalg.frob(a.x - b.x) + linalg.frob(a.y - b.y)
               for a, b in zip(al.records, pen.records))
     return [_entry("solvers", fix.fixture_id, "zero-safeguard-parity",
                    "match" if gap <= 1e-12 else "diverged", ("match",),

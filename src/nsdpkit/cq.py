@@ -20,6 +20,7 @@ feasibility gate, the kernel basis and the free-basis dictionary.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -35,6 +36,7 @@ from . import linalg, model, solvers
 CERTIFIED_HOLDS = "CERTIFIED_HOLDS"
 NO_VIOLATION_FOUND = "NO_VIOLATION_FOUND"
 VIOLATED = "VIOLATED"
+STATUSES = (CERTIFIED_HOLDS, NO_VIOLATION_FOUND, VIOLATED)
 
 #: subset enumeration over the small eigenspace is exponential in m - r
 COMBINATORIAL_CAP = 12
@@ -242,18 +244,6 @@ def _feasibility_gate(problem: model.NsdpProblem, x_bar):
     return x, G, dec, dec.psd_rank()
 
 
-def _lin_dep(vectors, scale: float) -> bool:
-    """Linear dependence with singular values measured against ``scale``.
-
-    The family-relative test of ``linalg.lin_dependent`` would declare a
-    lone vector of norm 1e-16 independent; premise detection at limit
-    bases needs near-zero vectors of the problem's own scale to count as
-    dependent, so the threshold is eps_rank times the derivative scale.
-    """
-    sig = linalg.family_singular_values(vectors)
-    return linalg.numerical_rank(sig, scale) < sig.size
-
-
 def _unit_directions(n: int, extra: int, rng: np.random.Generator) -> list:
     dirs = []
     for i in range(n):
@@ -263,7 +253,7 @@ def _unit_directions(n: int, extra: int, rng: np.random.Generator) -> list:
         dirs.append(-e)
     for _ in range(extra):
         g = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(g))
+        nrm = linalg.frob(g)
         if nrm > 1e-12:
             dirs.append(g / nrm)
     seen = set()
@@ -335,13 +325,13 @@ def _extrapolated_limit(chain: list) -> np.ndarray | None:
     return E_bar
 
 
-def _golden_min(fun, a: float, b: float, iters: int = 70):
-    """Golden-section minimization on [a, b]; returns (argmin, value)."""
+def _golden_min(fun, a: float, b: float):
+    """Golden-section minimization on [a, b], 70 steps; returns (argmin, value)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(70):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -375,12 +365,12 @@ def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
 
     def measures(theta: float) -> tuple:
         v1, v2 = model.diag_vectors(problem, x_bar, basis(theta), (0, 1))
-        m1 = float(np.linalg.norm(v1))
-        m2 = float(np.linalg.norm(v2))
+        m1 = linalg.frob(v1)
+        m2 = linalg.frob(v2)
         d = v1 - v2
         dd = float(d @ d)
         alpha = 0.5 if dd <= 0.0 else min(1.0, max(0.0, -float(v2 @ d) / dd))
-        mc = float(np.linalg.norm(v2 + alpha * d))
+        mc = linalg.frob(v2 + alpha * d)
         sig = linalg.family_singular_values([v1, v2])
         return m1, m2, mc, float(sig[-1])
 
@@ -532,7 +522,7 @@ class CheckSpec:
         """The premise dependence test as a predicate on a vector list."""
         if self.positive:
             return linalg.pos_lin_dependent
-        return lambda vectors: _lin_dep(vectors, scale_v)
+        return lambda vectors: linalg.lin_dependent(vectors, scale_v)
 
 
 def check_spec(name: str) -> CheckSpec:
@@ -605,7 +595,7 @@ def _robinson_certificate(problem: model.NsdpProblem, x, G, budget: CqBudget,
     starts = [np.zeros(n)]
     for _ in range(budget.robinson_restarts - 1):
         g = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(g))
+        nrm = linalg.frob(g)
         starts.append(g / nrm if nrm > 1e-12 else np.zeros(n))
     for d0 in starts:
         d = d0.copy()
@@ -614,11 +604,11 @@ def _robinson_certificate(problem: model.NsdpProblem, x, G, budget: CqBudget,
             if val > best_val:
                 best_val, best_d = val, d.copy()
             grad = np.array([float(u @ (D @ u)) for D in Ds])
-            gn = float(np.linalg.norm(grad))
+            gn = linalg.frob(grad)
             if gn <= 1e-14:
                 break
             d = d + (0.5 / math.sqrt(it + 1.0)) * grad / gn
-            nrm = float(np.linalg.norm(d))
+            nrm = linalg.frob(d)
             if nrm > 1.0:
                 d = d / nrm
         val, _ = phi(d)
@@ -709,13 +699,26 @@ def _falsifying_levels(levels, consecutive: int, family, scale: float,
     ``key`` and its linear-dependence flag.  The trailing levels are
     tested before any record is built.
     """
-    if any(_lin_dep(family(lv), scale) for lv in levels[-consecutive:]):
+    if any(linalg.lin_dependent(family(lv), scale) for lv in levels[-consecutive:]):
         return None
     records = []
     for lv in levels:
         vecs = family(lv)
-        records.append({**lv, key: vecs, "dependent": bool(_lin_dep(vecs, scale))})
+        records.append({**lv, key: vecs, "dependent": bool(linalg.lin_dependent(vecs, scale))})
     return records
+
+
+def _subfamily(problem, J):
+    """Level -> the diagonal subfamily J at the level's (x, E)."""
+    return lambda lv: model.diag_vectors(problem, lv["x"], lv["E"], J)
+
+
+def _gradient_family(embedding, J):
+    """Level -> the constraint gradients indexed by J at the level's x."""
+    def family(lv):
+        gj = embedding.constraint_gradients(lv["x"])
+        return [gj[i] for i in J]
+    return family
 
 
 def _rank_failure(ctx: PointContext, spec: CheckSpec, E_bar, levels,
@@ -725,10 +728,8 @@ def _rank_failure(ctx: PointContext, spec: CheckSpec, E_bar, levels,
     diag_lim = model.diag_vectors(problem, ctx.x, E_bar)
     for J, prem in _dependent_premises(diag_lim, subsets,
                                        spec.dependent(ctx.scale_v)):
-        records = _falsifying_levels(
-            levels, ctx.budget.consecutive,
-            lambda lv: model.diag_vectors(problem, lv["x"], lv["E"], J),
-            ctx.scale_v)
+        records = _falsifying_levels(levels, ctx.budget.consecutive,
+                                     _subfamily(problem, J), ctx.scale_v)
         if records is not None:
             return {"E_bar": E_bar, "J": [i + 1 for i in J],
                     "premise_vectors": prem, "premise_dependent": True,
@@ -948,8 +949,7 @@ def _seq(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
             if curve_entry is not None:
                 records = _falsifying_levels(
                     curve_entry["levels"], budget.consecutive,
-                    lambda lv: model.diag_vectors(problem, lv["x"], lv["E"], J),
-                    scale)
+                    _subfamily(problem, J), scale)
                 viol = None if records is None else {
                     "direction": None, "variant": "registered-curve",
                     "levels": records}
@@ -1009,7 +1009,7 @@ def separating_perturbation(problem: model.NsdpProblem, x, x_bar, E, P) -> np.nd
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
-    s = float(np.linalg.norm(x - x_bar))
+    s = linalg.frob(x - x_bar)
     if s <= 0.0:
         raise ValueError("separating perturbation needs x distinct from x_bar")
     E = np.asarray(E, dtype=float)
@@ -1083,7 +1083,7 @@ def _msr_modulus(problem, x_ref, radius, samples, seed) -> MsrEstimate:
     worst = None
     for _ in range(samples):
         g = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(g))
+        nrm = linalg.frob(g)
         u = g / nrm if nrm > 1e-12 else np.zeros(n)
         rad = radius * rng.uniform() ** (1.0 / n)
         x_i = x_ref + rad * u
@@ -1122,7 +1122,7 @@ def _projection_distance(problem, x_i, x_ref):
                              grad_f=lambda z: 2.0 * (z - x_i),
                              g_eval=problem.g_eval, dg_eval=problem.dg_eval,
                              name=f"{problem.name}:projection")
-    best = float(np.linalg.norm(x_i - x_ref))
+    best = linalg.frob(x_i - x_ref)
     ok = False
     for start in (x_i, x_ref):
         trace = solvers.solve_augmented_lagrangian(
@@ -1131,7 +1131,7 @@ def _projection_distance(problem, x_i, x_ref):
         Gz = problem.g(z)
         if linalg.frob(linalg.proj_psd(-Gz)) <= 1e-6 * (1.0 + linalg.frob(Gz)):
             ok = True
-            best = min(best, float(np.linalg.norm(z - x_i)))
+            best = min(best, linalg.frob(z - x_i))
     return best, ok
 
 
@@ -1170,14 +1170,14 @@ def _msr_unbounded(gamma_big: float, gamma_small: float,
 
 
 def check_msr(problem: model.NsdpProblem, x_bar, budget: CqBudget | None = None,
-              radius: float = 0.1, samples: int = 200) -> CqVerdict:
-    """Verdict wrapper: VIOLATED means the sampled modulus looks unbounded."""
-    ctx = PointContext.at(problem, x_bar, budget, msr_samples=samples)
-    return _msr(ctx, CHECKS["msr"], radius)
+              samples: int = 200) -> CqVerdict:
+    """VIOLATED when ``estimate_msr_trend`` at radius 0.1 finds the modulus unbounded."""
+    return _msr(PointContext.at(problem, x_bar, budget, msr_samples=samples),
+                CHECKS["msr"])
 
 
-def _msr(ctx: PointContext, spec: CheckSpec, radius: float = 0.1) -> CqVerdict:
-    est_big, est_small = _msr_pair(ctx.problem, ctx.x, radius, ctx.msr_samples,
+def _msr(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
+    est_big, est_small = _msr_pair(ctx.problem, ctx.x, 0.1, ctx.msr_samples,
                                    ctx.budget.seed)
     witness = {
         "kind": "ratio-table",
@@ -1201,6 +1201,24 @@ def _msr(ctx: PointContext, spec: CheckSpec, radius: float = 0.1) -> CqVerdict:
 # scalar-constraint samplers
 
 
+_NlpPoint = collections.namedtuple("_NlpPoint",
+                                   "embedding x active grads scale_v budget")
+
+
+def _nlp_point(embedding: model.DiagonalEmbedding, x_bar,
+               budget: CqBudget) -> _NlpPoint:
+    """Gate x_bar on the scalar constraints; the active set, gradients, scale."""
+    x = np.asarray(x_bar, dtype=float)
+    vals = embedding.constraint_values(x)
+    scale_vals = 1.0 + float(np.abs(vals).max(initial=0.0))
+    if float(vals.min(initial=0.0)) < -linalg.EPS_PSD_FACTOR * scale_vals:
+        raise InfeasiblePointError(linalg.frob(np.minimum(vals, 0.0)),
+                                   embedding.problem.name)
+    grads = embedding.constraint_gradients(x)
+    scale = max(1.0, max((linalg.frob(g) for g in grads), default=0.0))
+    return _NlpPoint(embedding, x, embedding.active_set(x), grads, scale, budget)
+
+
 def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
                             kind: str = "crcq",
                             budget: CqBudget | None = None,
@@ -1216,18 +1234,10 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
     spec = CHECKS.get(f"nlp-{kind}")
     if spec is None:
         raise ValueError("kind must be 'crcq' or 'cpld'")
-    budget = budget or CqBudget()
+    _, x, active, grads, scale, budget = _nlp_point(embedding, x_bar,
+                                                    budget or CqBudget())
     problem = embedding.problem
-    x = np.asarray(x_bar, dtype=float)
-    vals = embedding.constraint_values(x)
-    scale_vals = 1.0 + float(np.abs(vals).max(initial=0.0))
-    if float(vals.min(initial=0.0)) < -linalg.EPS_PSD_FACTOR * scale_vals:
-        raise InfeasiblePointError(float(np.linalg.norm(np.minimum(vals, 0.0))),
-                                   problem.name)
-    active = embedding.active_set(x)
     r = embedding.m - len(active)
-    grads = embedding.constraint_gradients(x)
-    scale = max(1.0, max((float(np.linalg.norm(g)) for g in grads), default=0.0))
     if not active:
         return _make_verdict(spec.name, CERTIFIED_HOLDS, problem, x, r,
                              budget, scale,
@@ -1236,9 +1246,7 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
     ts = _levels(budget)
     sequences = _sequences(x, curves, ts, budget)
     for J, prem in _dependent_premises(grads, subsets, spec.dependent(scale)):
-        def family(lv):
-            gj = embedding.constraint_gradients(lv["x"])
-            return [gj[i] for i in J]
+        family = _gradient_family(embedding, J)
         for label, d, xs in sequences:
             levels = _falsifying_levels(
                 [{"t": t, "x": x_j} for t, x_j in zip(ts, xs)],
@@ -1274,15 +1282,18 @@ def _nlp(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
 
 
 def replay_witness(problem, verdict) -> bool:
-    """Re-evaluate a verdict's witness from its recorded data.
+    """Re-evaluate a verdict's witness with the predicates of its check.
 
-    Recomputes every recorded dependence flag from the stored points and
-    bases; serialized floats round-trip exactly, so the replay matches
-    the original run bit for bit.  Returns True when all recomputed
-    flags agree with the stored ones; a ``ratio-table`` (msr) replays
-    True only when its recorded moduli support a VIOLATED verdict.
-    ``gradient-sequence`` witnesses replay against the
-    ``DiagonalEmbedding``, all others against the matrix problem.
+    Gates the recorded ``x_bar`` under the recorded budget as the check
+    did (InfeasiblePointError if infeasible); a ``scale_v`` other than
+    the gate's, which every rank threshold reads, replays False.  Each
+    kind then re-runs its check's functions on the recorded bases and
+    levels, the constant-rank falsifier included, and compares the flags;
+    serialized floats round-trip exactly, so genuine witnesses replay bit
+    for bit.  A ``ratio-table`` (msr) replays True only when its moduli
+    support a VIOLATED verdict.  ``gradient-sequence`` witnesses replay
+    against the ``DiagonalEmbedding``, all others against the matrix
+    problem; TypeError otherwise.
     """
     payload = verdict.to_payload() if isinstance(verdict, CqVerdict) else dict(verdict)
     witness = payload.get("witness")
@@ -1293,99 +1304,87 @@ def replay_witness(problem, verdict) -> bool:
     if replay is None:
         raise ValueError(f"unknown witness kind {witness['kind']!r} "
                          f"for {spec.name}")
-    x_bar = np.asarray(payload["x_bar"], dtype=float)
-    return bool(replay(problem, witness, x_bar,
-                       float(payload["epsilons"]["scale_v"]), spec))
+    scalar = spec.scope == "embedding"
+    if scalar != isinstance(problem, model.DiagonalEmbedding):
+        raise TypeError(f"{witness['kind']} witnesses replay against a "
+                        + ("DiagonalEmbedding" if scalar else "matrix problem"))
+    budget = CqBudget(**payload["budget"])
+    point = _nlp_point(problem, payload["x_bar"], budget) if scalar \
+        else PointContext.at(problem, payload["x_bar"], budget)
+    return point.scale_v == float(payload["epsilons"]["scale_v"]) \
+        and bool(replay(point, witness, spec))
 
 
-def _replay_pair_family(problem, witness, x_bar, scale, spec) -> bool:
-    fam = v_family(problem, x_bar, np.asarray(witness["E"], dtype=float))
-    return bool(spec.dependent(scale)(fam.full_list())) == bool(witness["dependent"])
+def _same_flags(recorded, records) -> bool:
+    """True when a re-run falsifier kept every level, with its recorded flag."""
+    return records is not None and [rec["dependent"] for rec in records] \
+        == [bool(lv["dependent"]) for lv in recorded]
 
 
-def _replay_diagonal_family(problem, witness, x_bar, scale, spec) -> bool:
-    return _limits_replay(problem, [witness], "E", x_bar, spec.dependent(scale))
+def _limit_replays(ctx, entry, spec, key="E") -> bool:
+    """``_limit_failure`` at the entry's basis, as its ``dependent`` flag says."""
+    failed = _limit_failure(ctx, spec, np.asarray(entry[key], dtype=float))
+    return (failed is not None) == bool(entry["dependent"])
 
 
-def _replay_interior_direction(problem, witness, x_bar, scale, spec) -> bool:
-    M = model.linearize(problem.g(x_bar), problem.dg(x_bar),
+def _falsifier_replays(ctx, entry, spec) -> bool:
+    """``_rank_failure`` on the entry's limit basis, subset J and levels."""
+    levels = [{"t": lv["t"], "x": np.asarray(lv["x"], dtype=float),
+               "E": np.asarray(lv["E"], dtype=float)} for lv in entry["levels"]]
+    fail = _rank_failure(ctx, spec, np.asarray(entry["E_bar"], dtype=float),
+                         levels, [tuple(i - 1 for i in entry["J"])])
+    return fail is not None and _same_flags(entry["levels"], fail["levels"])
+
+
+def _replay_pair_family(ctx, witness, spec) -> bool:
+    fam = v_family(ctx.problem, ctx.x, np.asarray(witness["E"], dtype=float))
+    return bool(spec.dependent(ctx.scale_v)(fam.full_list())) == bool(witness["dependent"])
+
+
+def _replay_interior_direction(ctx, witness, spec) -> bool:
+    M = model.linearize(ctx.G, ctx.problem.dg(ctx.x),
                         np.asarray(witness["direction"], dtype=float))
     lam_min = float(linalg.spectral_decompose(linalg.sym_part(M)).eigenvalues[-1])
     return abs(lam_min - float(witness["lambda_min"])) <= 1e-9 * (1.0 + abs(lam_min))
 
 
-def _limits_replay(problem, entries, key, x_bar, dependent) -> bool:
-    """Each entry's diagonal family at (x_bar, entry[key]) matches its flag."""
-    for entry in entries:
-        vecs = model.diag_vectors(problem, x_bar,
-                                  np.asarray(entry[key], dtype=float))
-        if bool(dependent(vecs)) != bool(entry["dependent"]):
-            return False
-    return True
-
-
-def _levels_replay(problem, levels, J, scale) -> bool:
-    """Each level's subfamily J matches its linear-dependence flag."""
-    for lv in levels:
-        vecs = model.diag_vectors(problem, np.asarray(lv["x"], dtype=float),
-                                  np.asarray(lv["E"], dtype=float), J)
-        if bool(_lin_dep(vecs, scale)) != bool(lv["dependent"]):
-            return False
-    return True
-
-
-def _replay_sequence(problem, witness, x_bar, scale, spec) -> bool:
+def _replay_sequence(ctx, witness, spec) -> bool:
     """Replays ``sequence`` and ``constant-sequence`` witnesses."""
-    dependent = spec.dependent(scale)
     if spec.limit_only:
-        return _limits_replay(problem, witness["candidates"], "E_bar", x_bar,
-                              dependent)
-    for entry in witness["candidates"]:
-        J = [i - 1 for i in entry["J"]]
-        prem = model.diag_vectors(problem, x_bar,
-                                  np.asarray(entry["E_bar"], dtype=float), J)
-        if bool(dependent(prem)) != bool(entry["premise_dependent"]):
-            return False
-        if not _levels_replay(problem, entry["levels"], J, scale):
-            return False
-    return True
+        return all(_limit_replays(ctx, entry, spec, "E_bar")
+                   for entry in witness["candidates"])
+    return all(entry["premise_dependent"] and _falsifier_replays(ctx, entry, spec)
+               for entry in witness["candidates"])
 
 
-def _replay_pair_sequence(problem, witness, x_bar, scale, spec) -> bool:
-    J = [i - 1 for i in witness["J"]]
-    prem = model.diag_vectors(problem, x_bar,
-                              np.asarray(witness["E_bar"], dtype=float), J)
-    if not spec.dependent(scale)(prem):
-        return False
-    if not _levels_replay(problem, witness["levels"], J, scale):
+def _replay_pair_sequence(ctx, witness, spec) -> bool:
+    if not _falsifier_replays(ctx, witness, spec):
         return False
     for lv in witness["levels"]:
         # the recorded shift must make the level's basis an exact
         # small-eigenvalue eigenbasis of the shifted constraint
         E_j = np.asarray(lv["E"], dtype=float)
         delta = np.asarray(lv["delta"], dtype=float)
-        shifted = linalg.sym_part(problem.g(np.asarray(lv["x"], dtype=float)) + delta)
-        E_check = linalg.eig_basis_smallest(shifted, problem.m - E_j.shape[1])
+        shifted = linalg.sym_part(ctx.problem.g(np.asarray(lv["x"], dtype=float)) + delta)
+        E_check = linalg.eig_basis_smallest(shifted, ctx.problem.m - E_j.shape[1])
         if linalg.frob(E_j @ E_j.T - E_check @ E_check.T) > 1e-6:
             return False
     return True
 
 
-def _replay_gradient_sequence(embedding, witness, x_bar, scale, spec) -> bool:
-    if not isinstance(embedding, model.DiagonalEmbedding):
-        raise TypeError("gradient witnesses replay against a DiagonalEmbedding")
+def _replay_gradient_sequence(pt, witness, spec) -> bool:
     J = [i - 1 for i in witness["J"]]
-    prem = [np.asarray(v, dtype=float) for v in witness["premise_gradients"]]
-    if not spec.dependent(scale)(prem):
+    if not set(J) <= set(pt.active) \
+            or not spec.dependent(pt.scale_v)([pt.grads[i] for i in J]):
         return False
-    for lv in witness["levels"]:
-        gj = embedding.constraint_gradients(np.asarray(lv["x"], dtype=float))
-        if bool(_lin_dep([gj[i] for i in J], scale)) != bool(lv["dependent"]):
-            return False
-    return True
+    levels = [{"t": lv["t"], "x": np.asarray(lv["x"], dtype=float)}
+              for lv in witness["levels"]]
+    return _same_flags(witness["levels"], _falsifying_levels(
+        levels, pt.budget.consecutive, _gradient_family(pt.embedding, J),
+        pt.scale_v, key="gradients"))
 
 
-def _replay_ratio_table(problem, witness, x_bar, scale, spec) -> bool:
+def _replay_ratio_table(ctx, witness, spec) -> bool:
     """Recompute each radius's worst sample and re-apply the trend rule.
 
     The distance came from projection solves and is only checked against
@@ -1399,13 +1398,13 @@ def _replay_ratio_table(problem, witness, x_bar, scale, spec) -> bool:
                 return False
             continue
         x = np.asarray(worst["x"], dtype=float)
-        residual = linalg.frob(linalg.proj_psd(-problem.g(x)))
-        span = float(np.linalg.norm(x - x_bar))
+        residual = linalg.frob(linalg.proj_psd(-ctx.problem.g(x)))
+        span = linalg.frob(x - ctx.x)
         if not (abs(residual - worst["residual"]) <= 1e-9 * abs(worst["residual"])
                 and worst["ratio"] == worst["distance"] / worst["residual"]
                 and gamma == worst["ratio"]
                 # x = x_bar + rad u with rad <= radius, up to rounding
-                and span <= radius + 1e-12 * (radius + float(np.linalg.norm(x_bar)))
+                and span <= radius + 1e-12 * (radius + linalg.frob(ctx.x))
                 and worst["distance"] <= span):
             return False
     return _msr_unbounded(*witness["gamma_hat"])
@@ -1425,7 +1424,7 @@ CHECKS = {spec.name: spec for spec in (
               positive=False, implies=("seq-crcq",)),
     CheckSpec("robinson", _robinson,
               {"interior-direction": _replay_interior_direction,
-               "diagonal-positive-dependence": _replay_diagonal_family},
+               "diagonal-positive-dependence": _limit_replays},
               positive=True, implies=("seq-cpld",)),
     CheckSpec("weak-nondegeneracy", _weak, _WEAK_LIMIT_REPLAY,
               positive=False, limit_only=True),

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model
-from .cq import CHECKS, WitnessCurve, broken_implications
+from .cq import CHECKS, STATUSES, WitnessCurve, broken_implications
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,16 @@ class Fixture:
     curves: tuple = ()
     embedding: model.DiagonalEmbedding | None = None
     expected: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        """ValueError for an expected check or status no verdict can have."""
+        label = f"expected table {self.fixture_id!r}.checks"
+        for name in self.expected.get("checks", {}):
+            if name not in CHECKS:
+                raise ValueError(f"{label} names unknown check {name!r}")
+            unknown = sorted(set(self.allowed(name)) - set(STATUSES))
+            if unknown:
+                raise ValueError(f"{label}[{name!r}] has unknown status {unknown[0]!r}")
 
     def allowed(self, check: str):
         """Expected statuses for a check as a tuple, or None if untracked."""
@@ -322,6 +332,9 @@ class FixtureRegistry:
 
     def __init__(self, tables_path=None):
         tables = _expected_tables(tables_path)
+        unknown = sorted(set(tables) - set(_MATRIX_BUILDERS) - set(_NLP_BUILDERS))
+        if unknown:
+            raise ValueError(f"expected-verdict tables name unknown fixture {unknown[0]!r}")
         self._fixtures = {}
         for fid, builder in _MATRIX_BUILDERS.items():
             problem, x_bar, x0, curves = builder()

@@ -58,7 +58,7 @@ def kkt_residual(problem: model.NsdpProblem, x, Y) -> KktResidual:
     G = problem.g(x)
     lam_y = linalg.spectral_decompose(Y).eigenvalues
     return KktResidual(
-        stationarity=float(np.linalg.norm(model.lagrangian_grad(problem, x, Y))),
+        stationarity=linalg.frob(model.lagrangian_grad(problem, x, Y)),
         feasibility=linalg.frob(linalg.proj_psd(-G)),
         complementarity=abs(linalg.inner(G, Y)),
         dual_feasibility=max(0.0, -float(lam_y[-1])) if lam_y.size else 0.0,
@@ -134,7 +134,7 @@ def akkt_check(problem: model.NsdpProblem, cert: AkktCertificate, tol: float):
     measures = []
     for idx, rec in enumerate(cert.records):
         grad_l = model.lagrangian_grad(problem, rec.x, rec.y)
-        if float(np.linalg.norm(grad_l - rec.delta_vec)) > 1e-10:
+        if linalg.frob(grad_l - rec.delta_vec) > 1e-10:
             return False, idx
         lam_y = linalg.spectral_decompose(rec.y).eigenvalues
         if lam_y.size and float(lam_y[-1]) < -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(rec.y)):
@@ -146,7 +146,7 @@ def akkt_check(problem: model.NsdpProblem, cert: AkktCertificate, tol: float):
         comp = abs(linalg.inner(shifted, rec.y))
         if comp > EPS_COMP_FACTOR * (1.0 + linalg.frob(rec.y)):
             return False, idx
-        measures.append(max(float(np.linalg.norm(rec.delta_vec)), linalg.frob(rec.delta)))
+        measures.append(max(linalg.frob(rec.delta_vec), linalg.frob(rec.delta)))
     last = measures[-1]
     if last > tol:
         return False, len(cert) - 1
@@ -183,8 +183,7 @@ class RecoveryResult:
 
 
 def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
-                       x_bar, tol: float = 1e-4,
-                       eps_rank: float = linalg.EPS_RANK) -> RecoveryResult:
+                       x_bar, tol: float = 1e-4) -> RecoveryResult:
     """Estimate a limit multiplier from a sequential certificate.
 
     Each trace record contributes the near-null eigenbasis E^k of
@@ -200,7 +199,7 @@ def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
         raise TraceTooShortError(f"need at least 5 records, got {len(cert)}")
     x_bar = np.asarray(x_bar, dtype=float)
     G_bar = problem.g(x_bar)
-    r = linalg.rank_of_psd(G_bar, eps_rank)
+    r = linalg.spectral_decompose(G_bar).psd_rank()
     if r == problem.m:
         res = kkt_residual(problem, x_bar, np.zeros((problem.m, problem.m)))
         status = "recovered" if res.max_entry <= tol else "inconclusive"
@@ -217,7 +216,7 @@ def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
         weights = np.array([float(E[:, i] @ rec.y @ E[:, i]) for i in range(E.shape[1])])
         weights = np.maximum(weights, 0.0)
         fam = model.diag_vectors(problem, rec.x, E)
-        red = caratheodory.reduce(fam, weights, eps_rank)
+        red = caratheodory.reduce(fam, weights)
         per_record.append((red.indices, red.coeffs, E))
     counts = {}
     for idx, _, _ in per_record:

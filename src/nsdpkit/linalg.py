@@ -30,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerances.  Scale-dependent ones are documented at the use
-# site; each function takes an override so callers can tighten or relax.
+# Tolerances: constants, not parameters, since verdicts, their replays and
+# the behaviour lock read them.  Scale-dependent ones are documented at use.
 EPS_ORTH_FACTOR = 1e-10     # orthogonality: eps * m
 EPS_PSD_FACTOR = 1e-9       # cone membership: eps * (1 + ||M||_F)
 EPS_RANK = 1e-7             # relative rank threshold
 EPS_PLD = 1e-8              # positive-linear-dependence residual
+EPS_SYM = 1e-12             # symmetry: eps * (1 + max |M_ij|)
 
 _JACOBI_MAX_SWEEPS = 100
 _SIGN_TINY = 1e-300
@@ -63,7 +64,7 @@ def sym_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def check_symmetric(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def check_symmetric(M: np.ndarray) -> np.ndarray:
     """Return M as a float array; ValueError if not finite and symmetric."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -71,12 +72,13 @@ def check_symmetric(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     scale = 1.0 + float(np.abs(M).max(initial=0.0))
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    if float(np.abs(M - M.T).max(initial=0.0)) > tol * scale:
+    if float(np.abs(M - M.T).max(initial=0.0)) > EPS_SYM * scale:
         raise ValueError("matrix is not symmetric")
     return M
 
 
 def frob(M: np.ndarray) -> float:
+    """Frobenius norm of a matrix, Euclidean norm of a vector."""
     return float(np.linalg.norm(np.asarray(M, dtype=float)))
 
 
@@ -99,11 +101,11 @@ class SpectralDecomp:
     def m(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def psd_rank(self, eps_rank: float = EPS_RANK) -> int:
+    def psd_rank(self) -> int:
         """Numerical rank of the (nearly) PSD matrix decomposed."""
         lam = self.eigenvalues
         scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-        return numerical_rank(np.maximum(lam, 0.0), scale, eps_rank)
+        return numerical_rank(np.maximum(lam, 0.0), scale)
 
     def kernel_basis(self, r: int) -> np.ndarray:
         """Eigenvectors of the m - r smallest eigenvalues, smallest first.
@@ -117,7 +119,7 @@ class SpectralDecomp:
         return self.eigenvectors[:, r:][:, ::-1].copy()
 
 
-def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
+def _jacobi(M: np.ndarray):
     """Cyclic Jacobi iteration on lists of Python floats.
 
     Returns (diagonal values, rotation columns) as lists.  Rotations run
@@ -138,7 +140,7 @@ def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     off_tol = 1e-14 * scale
     skip_tol = 1e-18 * scale
     off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         if off <= off_tol:
             break
         for p in range(m - 1):
@@ -176,7 +178,7 @@ def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS):
             # With a NaN entry the test fails whatever the off-diagonal
             # holds; report the residual as NaN, not as that norm.
             residual = off if np.isfinite(A).all() else float("nan")
-            raise JacobiConvergenceError(residual, max_sweeps)
+            raise JacobiConvergenceError(residual, _JACOBI_MAX_SWEEPS)
     return [col[j] for j, col in enumerate(C)], V
 
 
@@ -219,7 +221,7 @@ def _decompose_2x2(M: np.ndarray) -> SpectralDecomp:
     if not (math.isfinite(a00) and math.isfinite(a01) and math.isfinite(a10)
             and math.isfinite(a11)):
         raise ValueError("matrix has non-finite entries")
-    if abs(a01 - a10) > 1e-12 * (1.0 + max(abs(a00), abs(a01), abs(a10), abs(a11))):
+    if abs(a01 - a10) > EPS_SYM * (1.0 + max(abs(a00), abs(a01), abs(a10), abs(a11))):
         raise ValueError("matrix is not symmetric")
     (v0, v1), ((x0, y0), (x1, y1)) = _jacobi_2x2(M)
     if (y0 if abs(y0) > abs(x0) else x0) < -_SIGN_TINY:
@@ -296,8 +298,8 @@ def aligned_kernel_bases(decs, r: int) -> list:
     return chain
 
 
-def numerical_rank(values: np.ndarray, scale: float, eps_rank: float = EPS_RANK) -> int:
-    """Count entries strictly above eps_rank * scale.
+def numerical_rank(values: np.ndarray, scale: float) -> int:
+    """Count entries strictly above EPS_RANK * scale.
 
     ``values`` must be sorted non-increasingly; ``scale`` must be
     positive (pass the spectral norm or 1.0 for an absolute floor).
@@ -307,12 +309,7 @@ def numerical_rank(values: np.ndarray, scale: float, eps_rank: float = EPS_RANK)
         raise ValueError("scale must be positive")
     if values.size > 1 and np.any(np.diff(values) > 1e-12 * (1.0 + scale)):
         raise ValueError("values must be sorted non-increasingly")
-    return int(np.sum(values > eps_rank * scale))
-
-
-def rank_of_psd(M: np.ndarray, eps_rank: float = EPS_RANK) -> int:
-    """Numerical rank of a (nearly) PSD matrix via its eigenvalues."""
-    return spectral_decompose(M).psd_rank(eps_rank)
+    return int(np.sum(values > EPS_RANK * scale))
 
 
 def family_singular_values(vectors) -> np.ndarray:
@@ -330,16 +327,23 @@ def family_singular_values(vectors) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def lin_dependent(vectors, eps_rank: float = EPS_RANK) -> bool:
+def lin_dependent(vectors, scale: float | None = None) -> bool:
     """True iff the family has numerical rank below its cardinality.
 
-    Singular values at or below eps_rank times the largest are treated
-    as zero; an all-zero family (including a single zero vector) counts
-    as dependent.
+    Singular values at or below the constant EPS_RANK times ``scale``
+    count as zero.  ``scale`` None measures against the family's largest
+    singular value, so an all-zero family (a single zero vector included)
+    is dependent.  That family-relative test declares a lone vector of
+    norm 1e-16 independent, so the CQ checks pass the problem's
+    derivative scale instead: premise detection at limit bases needs
+    near-zero vectors of the problem's own scale to count as dependent.
     """
     sig = family_singular_values(vectors)
-    smax = float(sig.max(initial=0.0))
-    return sig.size > 0 and (smax <= 0.0 or int(np.sum(sig > eps_rank * smax)) < sig.size)
+    if scale is None:
+        scale = float(sig.max(initial=0.0))
+        if scale <= 0.0:
+            return sig.size > 0
+    return numerical_rank(sig, scale) < sig.size
 
 
 def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> float:
@@ -406,12 +410,12 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> float:
     return float(value)
 
 
-def pos_lin_dependent(vectors, eps_pld: float = EPS_PLD) -> bool:
+def pos_lin_dependent(vectors) -> bool:
     """True iff some nonzero nonnegative combination of the family vanishes.
 
     Feasibility of {sum_i a_i z_i = 0, a >= 0, sum_i a_i = 1} is decided
     with an exact phase-1 simplex; the family is positively dependent
-    when the minimal infeasibility is at most eps_pld.
+    when the minimal infeasibility is at most EPS_PLD.
     """
     vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
     p = len(vecs)
@@ -426,7 +430,7 @@ def pos_lin_dependent(vectors, eps_pld: float = EPS_PLD) -> bool:
     A[n, :] = 1.0
     b = np.zeros(n + 1)
     b[n] = 1.0
-    return _phase1_simplex(A, b) <= eps_pld
+    return _phase1_simplex(A, b) <= EPS_PLD
 
 
 def haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:

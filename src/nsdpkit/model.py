@@ -232,10 +232,10 @@ class DiagonalEmbedding:
         return [np.asarray(gr(np.asarray(x, dtype=float)), dtype=float).ravel()
                 for gr in self.constraint_grads]
 
-    def active_set(self, x, tol: float = 1e-9) -> list:
+    def active_set(self, x) -> list:
         vals = self.constraint_values(x)
         scale = 1.0 + float(np.abs(vals).max(initial=0.0))
-        return [i for i, v in enumerate(vals) if abs(v) <= tol * scale]
+        return [i for i, v in enumerate(vals) if abs(v) <= 1e-9 * scale]
 
 
 def embed_diagonal_nlp(n: int, f_eval, grad_f, constraints, name: str = "") -> DiagonalEmbedding:

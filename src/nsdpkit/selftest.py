@@ -192,9 +192,9 @@ def caratheodory_postconditions(cases: int = 500, seed: int = 0) -> PropResult:
         weights = rng.integers(0, 4, size=count).astype(float)
         total = sum(w * v for w, v in zip(weights, fam))
         red = caratheodory.reduce(fam, weights)
-        scale = 1.0 + float(np.linalg.norm(total))
+        scale = 1.0 + linalg.frob(total)
         combined = red.combined() if red.vectors else np.zeros(d)
-        if float(np.linalg.norm(combined - total)) > 1e-9 * scale:
+        if linalg.frob(combined - total) > 1e-9 * scale:
             failures.append(f"case {k}: combination changed")
         if red.vectors and _fraction_rank([np.asarray(v) for v in red.vectors]) < len(red.vectors):
             failures.append(f"case {k}: support still dependent")
@@ -225,8 +225,8 @@ def al_gradient_fd(problems, cases: int = 500, seed: int = 0) -> PropResult:
             xm[i] -= h
             fd[i] = (solvers.al_value(problem, xp, rho, Yt)
                      - solvers.al_value(problem, xm, rho, Yt)) / (2.0 * h)
-        err = float(np.linalg.norm(grad - fd))
-        if err > 1e-5 * (1.0 + float(np.linalg.norm(grad))):
+        err = linalg.frob(grad - fd)
+        if err > 1e-5 * (1.0 + linalg.frob(grad)):
             failures.append(f"case {k} ({problem.name}): gradient error {err:.2e}")
     return PropResult("al-gradient-fd", cases, tuple(failures[:10]))
 

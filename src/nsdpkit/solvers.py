@@ -99,7 +99,7 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
     x = np.asarray(x0, dtype=float).copy()
     f = float(fun(x))
     g = np.asarray(grad(x), dtype=float)
-    gn = float(np.linalg.norm(g))
+    gn = linalg.frob(g)
     best_gn = gn
     since_best = 0
     s_mem: list = []
@@ -107,7 +107,7 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
     for it in range(max_iter):
         if gn <= grad_tol:
             return x, InnerStats("converged", it, gn, f)
-        if trust_radius is not None and float(np.linalg.norm(x)) > trust_radius:
+        if trust_radius is not None and linalg.frob(x) > trust_radius:
             return x, InnerStats("radius_exceeded", it, gn, f)
         if since_best >= stagnation_window:
             return x, InnerStats("stagnation", it, gn, f)
@@ -129,7 +129,7 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
             q += (a - b) * s
         d = -q
         slope = float(g @ d)
-        if not np.isfinite(slope) or slope >= -1e-14 * gn * float(np.linalg.norm(d)):
+        if not np.isfinite(slope) or slope >= -1e-14 * gn * linalg.frob(d):
             d = -g
             slope = -gn * gn
         t = 1.0
@@ -147,14 +147,14 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
         s_vec = x_new - x
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)
-        if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
+        if sy > 1e-12 * linalg.frob(s_vec) * linalg.frob(y_vec):
             s_mem.append(s_vec)
             y_mem.append(y_vec)
             if len(s_mem) > memory:
                 s_mem.pop(0)
                 y_mem.pop(0)
         x, f, g = x_new, f_new, g_new
-        gn = float(np.linalg.norm(g))
+        gn = linalg.frob(g)
         if gn < best_gn * (1.0 - 1e-3):
             best_gn = gn
             since_best = 0
@@ -303,8 +303,8 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
         if target_tol is not None and residual.max_entry <= target_tol:
             termination = "converged"
             break
-        move = np.inf if x_prev is None else float(np.linalg.norm(x - x_prev))
-        if stats.reason == "stagnation" and move <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
+        move = np.inf if x_prev is None else linalg.frob(x - x_prev)
+        if stats.reason == "stagnation" and move <= 1e-14 * (1.0 + linalg.frob(x)):
             stalled += 1
         else:
             stalled = 0
@@ -453,7 +453,7 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
         delta = linalg.sym_part(lin_shift + sub_trace.final.delta)
         delta_vec = model.lagrangian_grad(problem, x, Y)
         residual = kkt.kkt_residual(problem, x, Y)
-        d_norm = float(np.linalg.norm(d))
+        d_norm = linalg.frob(d)
         rec = IterRecord(k=k, x=x.copy(), y=Y, rho=sub_trace.final.rho,
                          delta=delta, delta_vec=delta_vec, residual=residual,
                          d_norm=d_norm)

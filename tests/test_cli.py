@@ -171,7 +171,12 @@ def test_problem_file_with_nan_is_rejected(tmp_path, capsys):
     (("constraint", "linear"), 5, "constraint.linear must be a list of 1 matrices"),
     (("objective",), [1.0], "objective must be a JSON object"),
     ((), [1, 2], "problem document must be a JSON object"),
-], ids=["n-null", "constraint-linear-5", "objective-list", "top-level-list"])
+    (("expected",), {"checks": {"nondegeneracyy": "VIOLATED"}},
+     "expected table 'scaled-identity'.checks names unknown check 'nondegeneracyy'"),
+    (("expected",), {"checks": {"robinson": ["VIOLATED", "VIOLATD"]}},
+     "expected table 'scaled-identity'.checks['robinson'] has unknown status 'VIOLATD'"),
+], ids=["n-null", "constraint-linear-5", "objective-list", "top-level-list",
+        "expected-unknown-check", "expected-unknown-status"])
 def test_malformed_problem_file_exits_3(tmp_path, capsys, path, value, fragment):
     doc = model.problem_to_dict(scaled_identity_poly(x_bar=np.array([0.0])))
     if path:
@@ -325,7 +330,14 @@ def test_help_exits_0(capsys):
     ({"ex-4.2": {"checks": 5}},
      "expected table 'ex-4.2'.checks must be a JSON object"),
     (None, "[Errno 2] No such file or directory"),
-], ids=["list", "checks-number", "missing"])
+    ({"ex-4.2": {"checks": {"robinsn": "VIOLATED"}}},
+     "expected table 'ex-4.2'.checks names unknown check 'robinsn'"),
+    ({"ex-4.2": {"checks": {"nondegeneracy": "VIOLATD"}}},
+     "expected table 'ex-4.2'.checks['nondegeneracy'] has unknown status 'VIOLATD'"),
+    ({"ex-4.2": {}, "ex-9.9": {}},
+     "expected-verdict tables name unknown fixture 'ex-9.9'"),
+], ids=["list", "checks-number", "missing", "unknown-check", "unknown-status",
+        "unknown-fixture"])
 def test_malformed_expected_tables_exit_3(tmp_path, capsys, command, tables,
                                           fragment):
     path = tmp_path / "tables.json"
@@ -417,6 +429,21 @@ def test_regress_cq_deterministic(tmp_path, capsys, lock):
     assert hashes[0] == hashes[1]
     assert hashes[0] == lock["regress_cq_sha256"]
     assert reports[0]["summary"]["failed"] == 0
+
+
+def test_residual_rows_and_summary_read_the_stored_residuals(monkeypatch):
+    fix = fixtures.default_registry().get("ex-4.2")
+    trace = cli._run_solver(fix.problem, fix.x0, "al", {"max_outer": 4})
+    recomputed = [kkt.kkt_residual(fix.problem, rec.x, rec.y) for rec in trace.records]
+    calls = []
+    monkeypatch.setattr(kkt, "kkt_residual", lambda *args: calls.append(args))
+    rows = cli._residual_rows(fix.fixture_id, "al", trace)
+    summary = cli._summary_text(fix, "al", trace)
+    assert calls == []
+    assert [row[4:8] for row in rows] == [
+        (res.stationarity, res.feasibility, res.complementarity,
+         res.dual_feasibility) for res in recomputed]
+    assert f"stationarity: {recomputed[-1].stationarity:.6e}" in summary
 
 
 def test_regress_unknown_budget_field(tmp_path, capsys):

@@ -532,6 +532,50 @@ def test_msr_ratio_table_replay_rejects_tampering(registry, tmp_path, tamper):
     assert not cq.replay_witness(fix.problem, payload)
 
 
+def _levels_at_limit(payload):
+    for cand in payload["witness"]["candidates"]:
+        for level in cand["levels"]:
+            level.update(x=payload["x_bar"], E=cand["E_bar"], dependent=True)
+
+
+FORGERIES = {
+    # every level moved onto the limit pair, where J is dependent: the
+    # flags agree, but the falsifier's trailing levels are not independent
+    "levels-at-limit": ("ex-3.2", "weak-crcq", _levels_at_limit, False),
+    # no constraint of nlp-curve is active at (5, 5), so J is no premise
+    "gradient-point-moved": ("nlp-curve", "nlp-crcq",
+                             lambda p: p.update(x_bar=[5.0, 5.0]), False),
+    "infeasible-point": ("ex-3.2", "weak-crcq",
+                         lambda p: p.update(x_bar=[-1.0, 0.0]),
+                         cq.InfeasiblePointError),
+    # a scale of 1e-300 makes every nonzero family independent
+    "scale_v": ("ex-3.2", "nondegeneracy",
+                lambda p: p["epsilons"].update(scale_v=1e-300), False),
+    "matrix-witness-on-embedding": ("ex-3.2", "weak-crcq", None, TypeError),
+}
+
+
+@pytest.mark.parametrize("forgery", FORGERIES)
+def test_replay_rejects_forged_witness(registry, forgery):
+    fid, check, forge, outcome = FORGERIES[forgery]
+    fix = registry.get(fid)
+    spec = cq.CHECKS[check]
+    verdict = spec.run(cq.PointContext.at(fix.problem, fix.x_bar, curves=fix.curves,
+                                          embedding=fix.embedding))
+    target = fix.embedding if spec.scope == "embedding" else fix.problem
+    payload = verdict.to_payload()
+    assert cq.replay_witness(target, payload)
+    if forge is None:
+        target = registry.get("nlp-curve").embedding
+    else:
+        forge(payload)
+    if outcome is False:
+        assert cq.replay_witness(target, payload) is False
+    else:
+        with pytest.raises(outcome):
+            cq.replay_witness(target, payload)
+
+
 # ---------------------------------------------------------------------------
 # tangent-cone helper predicates
 

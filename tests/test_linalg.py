@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -414,6 +417,9 @@ def test_lin_dependent_examples():
     assert linalg.lin_dependent(
         [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])])
     assert linalg.lin_dependent([np.zeros(2), np.zeros(2)])
+    # a lone tiny vector is independent of itself, dependent at scale 1
+    assert not linalg.lin_dependent([np.array([1e-16, 0.0])])
+    assert linalg.lin_dependent([np.array([1e-16, 0.0])], 1.0)
 
 
 def test_pos_lin_dependent_examples():
@@ -494,3 +500,33 @@ def test_align_columns_fixes_signs():
 def test_check_symmetric_rejects():
     with pytest.raises(ValueError):
         linalg.check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# one home for numpy's linear algebra
+
+
+def test_numpy_linalg_is_named_only_in_linalg():
+    # every norm, rank and decomposition behind a verdict goes through
+    # nsdpkit.linalg; elsewhere only numpy's LinAlgError may be named
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr == "linalg" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy"):
+                parent = parents[node]
+                assert isinstance(parent, ast.Attribute) \
+                    and parent.attr == "LinAlgError", where
+            if isinstance(node, ast.Import):
+                assert all(not a.name.startswith("numpy.linalg")
+                           for a in node.names), where
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                assert not (node.module or "").startswith("numpy.linalg"), where
+                assert node.module != "numpy" or all(
+                    a.name != "linalg" for a in node.names), where
