@@ -41,7 +41,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -130,18 +130,19 @@ def _load_source(args) -> fixtures.Fixture:
     if args.problem:
         poly = model.load_problem(args.problem)
         problem = poly.problem()
-        x_bar = poly.x_bar
-        expected = poly.expected
+        # built on the file's own table, so that table is checked even
+        # where --point then drops it
+        source = fixtures.Fixture(fixture_id=problem.name or Path(args.problem).stem,
+                                  problem=problem, x_bar=poly.x_bar,
+                                  x0=np.zeros(problem.n), expected=poly.expected or {})
         if args.point:
             # the file's expected verdicts refer to the file's own point
-            x_bar = _parse_vector(args.point, problem.n, "--point")
-            expected = None
-        x0 = x_bar if x_bar is not None else np.zeros(problem.n)
+            source = replace(source, expected={},
+                             x_bar=_parse_vector(args.point, problem.n, "--point"))
+        x0 = source.x_bar if source.x_bar is not None else source.x0
         if getattr(args, "x0", None):
             x0 = _parse_vector(args.x0, problem.n, "--x0")
-        sid = problem.name or Path(args.problem).stem
-        return fixtures.Fixture(fixture_id=sid, problem=problem, x_bar=x_bar,
-                                x0=x0, expected=expected or {})
+        return replace(source, x0=x0)
     raise ValueError("need --fixture or --problem")
 
 

@@ -640,8 +640,7 @@ def _robinson(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
             notes=("constraint has full rank at the point",))
     rng = _rng(budget.seed, 5)
     cert_val, cert_d = _robinson_certificate(problem, x, G, budget, rng)
-    threshold = linalg.EPS_RANK * (1.0 + linalg.frob(G) + ctx.scale_v)
-    if cert_val > threshold:
+    if cert_val > _robinson_threshold(ctx):
         return ctx.verdict(
             spec.name, CERTIFIED_HOLDS,
             witness={"kind": "interior-direction", "direction": cert_d,
@@ -668,6 +667,11 @@ def _robinson(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
 
 # ---------------------------------------------------------------------------
 # weak constant-rank style conditions
+
+
+def _robinson_threshold(ctx: PointContext) -> float:
+    """Smallest linearized eigenvalue a robinson certificate must exceed."""
+    return linalg.EPS_RANK * (1.0 + linalg.frob(ctx.G) + ctx.scale_v)
 
 
 def _limit_failure(ctx: PointContext, spec: CheckSpec, E_bar) -> dict | None:
@@ -1342,10 +1346,21 @@ def _replay_pair_family(ctx, witness, spec) -> bool:
 
 
 def _replay_interior_direction(ctx, witness, spec) -> bool:
-    M = model.linearize(ctx.G, ctx.problem.dg(ctx.x),
-                        np.asarray(witness["direction"], dtype=float))
+    """The recorded eigenvalue along the direction, and the claim it makes.
+
+    At a full-rank point the witness is direction 0 with the point's own
+    positive smallest eigenvalue; elsewhere ||direction|| <= 1 and the
+    eigenvalue exceeds ``_robinson_threshold``, as the search required.
+    """
+    d = np.asarray(witness["direction"], dtype=float)
+    claimed = float(witness["lambda_min"])
+    M = model.linearize(ctx.G, ctx.problem.dg(ctx.x), d)
     lam_min = float(linalg.spectral_decompose(linalg.sym_part(M)).eigenvalues[-1])
-    return abs(lam_min - float(witness["lambda_min"])) <= 1e-9 * (1.0 + abs(lam_min))
+    if abs(lam_min - claimed) > 1e-9 * (1.0 + abs(lam_min)):
+        return False
+    if ctx.r == ctx.problem.m:
+        return not d.any() and claimed > 0.0
+    return linalg.frob(d) <= 1.0 + 1e-12 and claimed > _robinson_threshold(ctx)
 
 
 def _replay_sequence(ctx, witness, spec) -> bool:

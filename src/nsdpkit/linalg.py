@@ -17,9 +17,14 @@ of Python floats.  Both do the IEEE operations of the numpy-scalar loop
 they replaced, in the same order, and return its bits;
 ``tests/test_linalg.py`` keeps that loop as the reference and compares
 with ``np.array_equal``.  The bits depend on numpy (the Frobenius norm,
-which the 2x2 path reads too, goes through BLAS; the off-diagonal norm
-is a numpy pairwise sum), so they are reproducible on one platform with
-one numpy, not across platforms.  Non-finite input, and input whose
+which the 2x2 path reads too, goes through BLAS), so they are
+reproducible on one platform with one numpy, not across platforms.
+Each sweep's stop test compares the off-diagonal norm with its
+tolerance.  A correctly rounded ``math.fsum`` of the squares decides it;
+numpy's pairwise sum, which the reference loop uses, decides only where
+the float norm lies within a relative 1e-12 of the tolerance, a band far
+wider than the two sums ever differ, so every stop, and so every bit,
+is the one the numpy sum alone gives.  Non-finite input, and input whose
 Frobenius norm overflows, is rejected with ValueError.
 """
 
@@ -124,9 +129,8 @@ def _jacobi(M: np.ndarray):
 
     Returns (diagonal values, rotation columns) as lists.  Rotations run
     row by row in a fixed (p, q) order.  The matrix is held by columns,
-    ``C[j][i] = A[i][j]``, so a rotation maps whole columns; only the
-    per-sweep off-diagonal norm goes through numpy: the kernel's bits
-    depend on numpy's pairwise summation order.
+    ``C[j][i] = A[i][j]``, so a rotation maps whole columns.  The
+    per-sweep stop test is ``_off_converged``.
     """
     A = np.array(M, dtype=float)
     m = A.shape[0]
@@ -139,9 +143,8 @@ def _jacobi(M: np.ndarray):
         raise ValueError("matrix Frobenius norm overflows")
     off_tol = 1e-14 * scale
     skip_tol = 1e-18 * scale
-    off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
     for _ in range(_JACOBI_MAX_SWEEPS):
-        if off <= off_tol:
+        if _off_converged(C, off_tol):
             break
         for p in range(m - 1):
             for q in range(p + 1, m):
@@ -171,15 +174,43 @@ def _jacobi(M: np.ndarray):
                 Vp, Vq = V[p], V[q]
                 V[p] = [c * a - s * b for a, b in zip(Vp, Vq)]
                 V[q] = [s * a + c * b for a, b in zip(Vp, Vq)]
-        A = np.array(C).T
-        off = np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
     else:
-        if not off <= off_tol:
+        if not _off_converged(C, off_tol):
             # With a NaN entry the test fails whatever the off-diagonal
             # holds; report the residual as NaN, not as that norm.
-            residual = off if np.isfinite(A).all() else float("nan")
+            residual = _off_norm(C) if np.isfinite(C).all() else float("nan")
             raise JacobiConvergenceError(residual, _JACOBI_MAX_SWEEPS)
     return [col[j] for j, col in enumerate(C)], V
+
+
+def _off_norm(C: list) -> float:
+    """Off-diagonal norm sqrt(2 * sum of squared upper entries), by numpy.
+
+    ``C`` holds the matrix by columns.  The sum is numpy's pairwise
+    summation, as in the reference loop the kernel's bits follow.
+    """
+    A = np.array(C).T
+    return np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
+
+
+def _off_converged(C: list, off_tol: float) -> bool:
+    """``_off_norm(C) <= off_tol``, decided on floats outside a band.
+
+    A correctly rounded ``math.fsum`` of the same squares is within a few
+    dozen ulps of numpy's pairwise sum at any desk-scale m, so outside
+    off_tol * (1 +- 1e-12) both decide alike; inside that band, on NaN
+    or on an overflowing sum, numpy's norm decides.
+    """
+    try:
+        off = math.sqrt(2.0 * math.fsum([x * x for j, col in enumerate(C)
+                                         for x in col[:j]]))
+    except OverflowError:
+        off = math.nan
+    if off < off_tol * (1.0 - 1e-12):
+        return True
+    if off > off_tol * (1.0 + 1e-12):
+        return False
+    return bool(_off_norm(C) <= off_tol)
 
 
 def _jacobi_2x2(M: np.ndarray):

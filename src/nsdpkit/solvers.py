@@ -27,7 +27,9 @@ derivative), which is why no Newton variant is attempted.
 
 Every outer iterate is recorded with its multiplier estimate, shift,
 stationarity defect, and residuals, so traces can be replayed through
-the sequential-certificate checks without recomputation.
+the sequential-certificate checks without recomputation.  The value,
+the gradient and the outer record at one point share one decomposition
+of the shifted matrix G(x) - Ytilde / rho.
 """
 
 from __future__ import annotations
@@ -163,11 +165,32 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
     return x, InnerStats("max_iter", max_iter, gn, f)
 
 
+# The last shifted matrix Z = G(x) - Ytilde/rho decomposed, as
+# ((shape, bytes), read-only proj_psd(-Z)).  _al_engine clears it at its start.
+_last_split = None
+
+
+def _shifted_projection(Z: np.ndarray) -> np.ndarray:
+    """proj_psd(-Z), the ``minus`` part of ``moreau_split(Z)``, read-only.
+
+    A one-entry memo keyed by Z's shape and bytes: the augmented
+    Lagrangian value, its gradient and the outer record at one point
+    share a single decomposition, with the bits of a fresh split.
+    """
+    global _last_split
+    key = (Z.shape, Z.tobytes())
+    last = _last_split
+    if last is None or last[0] != key:
+        _, minus = linalg.moreau_split(Z)
+        minus.flags.writeable = False
+        last = _last_split = (key, minus)
+    return last[1]
+
+
 def al_multiplier(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> np.ndarray:
     """First-order multiplier estimate rho * proj_psd(-G(x) + Ytilde/rho)."""
     G = problem.g(np.asarray(x, dtype=float))
-    _, minus = linalg.moreau_split(G - Ytilde / rho)
-    return rho * minus
+    return rho * _shifted_projection(G - Ytilde / rho)
 
 
 def al_value(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> float:
@@ -175,13 +198,14 @@ def al_value(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> f
 
     inf where the shifted constraint value or its Frobenius norm
     overflows, so that a line search backs off from the trial point
-    instead of failing in the kernel's non-finite check.
+    instead of failing in the kernel's non-finite check.  The projection
+    is shared with ``al_gradient`` and the outer record at the same point.
     """
     x = np.asarray(x, dtype=float)
     Z = problem.g(x) - Ytilde / rho
     if not math.isfinite(linalg.frob(Z)):
         return float("inf")
-    _, S = linalg.moreau_split(Z)
+    S = _shifted_projection(Z)
     return problem.f(x) + 0.5 * rho * linalg.frob(S) ** 2 \
         - linalg.frob(Ytilde) ** 2 / (2.0 * rho)
 
@@ -191,7 +215,8 @@ def al_gradient(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -
 
     Equals the Lagrangian gradient at the first-order multiplier
     estimate; kept separate from ``al_value`` so the two can be
-    cross-checked by finite differences.
+    cross-checked by finite differences, though at one point both read
+    the same decomposition.
     """
     x = np.asarray(x, dtype=float)
     Yhat = al_multiplier(problem, x, rho, Ytilde)
@@ -252,8 +277,11 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
     ``rho_schedule`` and ``eps_schedule`` are callables indexed from 1;
     without them rho grows adaptively and the tolerance decays
     geometrically.  The next carried estimate is the multiplier projected
-    into the ball of radius ``config.safeguard_radius``.
+    into the ball of radius ``config.safeguard_radius``.  Each outer
+    record reads the projection the inner loop's last evaluation made.
     """
+    global _last_split
+    _last_split = None  # a solve's split count depends on that solve alone
     x = np.asarray(x0, dtype=float).copy()
     m = problem.m
     Ytilde = np.zeros((m, m)) if Ytilde0 is None else np.asarray(Ytilde0, dtype=float).copy()
@@ -286,7 +314,7 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
         )
         G = problem.g(x)
         # S = proj_psd(-G + Yt/rho), the displacement is V = S - Yt/rho.
-        _, S = linalg.moreau_split(G - Yt / rho_k)
+        S = _shifted_projection(G - Yt / rho_k)
         Y = rho_k * S
         V = S - Yt / rho_k
         v_now = linalg.frob(V)

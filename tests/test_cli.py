@@ -166,18 +166,25 @@ def test_problem_file_with_nan_is_rejected(tmp_path, capsys):
     assert not list(tmp_path.glob("*.verdict"))
 
 
-@pytest.mark.parametrize("path,value,fragment", [
-    (("n",), None, "n must be an integer"),
-    (("constraint", "linear"), 5, "constraint.linear must be a list of 1 matrices"),
-    (("objective",), [1.0], "objective must be a JSON object"),
-    ((), [1, 2], "problem document must be a JSON object"),
-    (("expected",), {"checks": {"nondegeneracyy": "VIOLATED"}},
-     "expected table 'scaled-identity'.checks names unknown check 'nondegeneracyy'"),
+UNKNOWN_CHECK = "expected table 'scaled-identity'.checks names unknown check 'nondegeneracyy'"
+
+
+@pytest.mark.parametrize("path,value,fragment,extra", [
+    (("n",), None, "n must be an integer", []),
+    (("constraint", "linear"), 5, "constraint.linear must be a list of 1 matrices", []),
+    (("objective",), [1.0], "objective must be a JSON object", []),
+    ((), [1, 2], "problem document must be a JSON object", []),
+    (("expected",), {"checks": {"nondegeneracyy": "VIOLATED"}}, UNKNOWN_CHECK, []),
     (("expected",), {"checks": {"robinson": ["VIOLATED", "VIOLATD"]}},
-     "expected table 'scaled-identity'.checks['robinson'] has unknown status 'VIOLATD'"),
+     "expected table 'scaled-identity'.checks['robinson'] has unknown status 'VIOLATD'",
+     []),
+    # --point drops the file's table, but only after checking it
+    (("expected",), {"checks": {"nondegeneracyy": "VIOLATD"}}, UNKNOWN_CHECK,
+     ["--point=1.0"]),
 ], ids=["n-null", "constraint-linear-5", "objective-list", "top-level-list",
-        "expected-unknown-check", "expected-unknown-status"])
-def test_malformed_problem_file_exits_3(tmp_path, capsys, path, value, fragment):
+        "expected-unknown-check", "expected-unknown-status",
+        "expected-unknown-check-with-point"])
+def test_malformed_problem_file_exits_3(tmp_path, capsys, path, value, fragment, extra):
     doc = model.problem_to_dict(scaled_identity_poly(x_bar=np.array([0.0])))
     if path:
         parent = doc
@@ -188,7 +195,7 @@ def test_malformed_problem_file_exits_3(tmp_path, capsys, path, value, fragment)
         doc = value
     problem = tmp_path / "bad.json"
     problem.write_text(json.dumps(doc))
-    rc = run(["diagnose", "--problem", problem, "--out-dir", tmp_path])
+    rc = run(["diagnose", "--problem", problem, *extra, "--out-dir", tmp_path])
     assert_clean_error(rc, capsys, fragment)
     assert not list(tmp_path.glob("*.verdict"))
 

@@ -552,6 +552,9 @@ FORGERIES = {
     "scale_v": ("ex-3.2", "nondegeneracy",
                 lambda p: p["epsilons"].update(scale_v=1e-300), False),
     "matrix-witness-on-embedding": ("ex-3.2", "weak-crcq", None, TypeError),
+    # G(x_bar) itself has smallest eigenvalue 0: it matches, but certifies nothing
+    "robinson-zero-direction": ("ex-3.2", "robinson", lambda p: p["witness"].update(
+        direction=[0.0] * len(p["witness"]["direction"]), lambda_min=0.0), False),
 }
 
 

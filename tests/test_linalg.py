@@ -160,6 +160,18 @@ EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
                1.0, -1.0, 0.5, 3.0)
 
 
+# off-diagonal norms within the float stop test's band around the tolerance
+BAND_K = (1 - 1e-13, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-13)
+
+
+def near_tolerance(m, gen, ks):
+    """Off-diagonal norms k times the convergence test 1e-14 * (1 + ||M||_F)."""
+    D = np.diag(gen.choice([1.0, 2.0], size=m))
+    W = np.triu(gen.normal(size=(m, m)), 1)
+    W = (W + W.T) / max(linalg.frob(W + W.T), 1e-300)
+    return [D + W * (k * 1e-14 * (1.0 + linalg.frob(D))) for k in ks]
+
+
 def parity_matrices(m, seed):
     """Random, edge-valued, diagonal, zero, tied and rank-deficient inputs."""
     gen = rng(seed)
@@ -174,12 +186,7 @@ def parity_matrices(m, seed):
         out.append(Q @ np.diag(gen.choice([0.0, 1.0, -2.0], size=m)) @ Q.T)
         A = gen.integers(-2, 3, size=(m, m)).astype(float)
         out.append(A + A.T)
-    # off-diagonal norms around the convergence test 1e-14 * (1 + ||M||_F)
-    D = np.diag(gen.choice([1.0, 2.0], size=m))
-    W = np.triu(gen.normal(size=(m, m)), 1)
-    W = (W + W.T) / max(linalg.frob(W + W.T), 1e-300)
-    for k in (0.3, 0.6, 0.8, 0.95, 1.05, 1.5):
-        out.append(D + W * (k * 1e-14 * (1.0 + linalg.frob(D))))
+    out += near_tolerance(m, gen, (0.3, 0.6, 0.8, 0.95) + BAND_K + (1.05, 1.5))
     # asymmetric within check_symmetric's tolerance: the lower triangle is
     # read until a rotation overwrites it
     S = random_sym(gen, m)
@@ -194,6 +201,17 @@ def test_kernel_matches_reference_bits(m):
     for seed in range(seeds):
         for M in parity_matrices(m, seed):
             assert_same_bits(M)
+
+
+@pytest.mark.parametrize("m", [3, 4, 8, 16])
+def test_stop_test_band_falls_back_to_numpy(monkeypatch, m):
+    """Inside the band numpy's sum decides the stop, with the reference bits."""
+    calls = []
+    off_norm = linalg._off_norm
+    monkeypatch.setattr(linalg, "_off_norm", lambda C: calls.append(C) or off_norm(C))
+    for M in near_tolerance(m, rng(m), BAND_K):
+        assert_same_bits(M)
+    assert calls
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -56,6 +56,39 @@ def test_al_gradient_matches_finite_differences(registry):
     assert res.ok, res.failures
 
 
+@pytest.mark.parametrize("fid", ["ex-3.3", "nlp-coords"])
+def test_al_decomposes_each_point_once(registry, monkeypatch, fid):
+    """The value, the gradient and the outer record at a point share one split."""
+    split, evaluated = [], set()
+    moreau_split = linalg.moreau_split
+
+    def counting_split(M):
+        split.append(M.tobytes())
+        return moreau_split(M)
+
+    def recording(al_fn):
+        def wrapped(problem, x, rho, Ytilde):
+            evaluated.add((problem.g(x) - Ytilde / rho).tobytes())
+            return al_fn(problem, x, rho, Ytilde)
+        return wrapped
+
+    monkeypatch.setattr(linalg, "moreau_split", counting_split)
+    monkeypatch.setattr(solvers, "al_value", recording(solvers.al_value))
+    monkeypatch.setattr(solvers, "al_gradient", recording(solvers.al_gradient))
+    fix = registry.get(fid)
+    trace = solvers.solve_augmented_lagrangian(fix.problem, fix.x0)
+    assert len(trace) > 1
+    assert len(split) == len(set(split)) == len(evaluated)
+
+
+def test_shared_split_is_read_only():
+    Z = np.array([[1.0, 2.0], [2.0, -3.0]])
+    minus = solvers._shifted_projection(Z)
+    with pytest.raises(ValueError):
+        minus[0, 0] = 5.0
+    assert np.array_equal(solvers._shifted_projection(Z.copy()), linalg.moreau_split(Z)[1])
+
+
 def test_al_value_reduces_to_penalty_at_zero_safeguard(registry):
     problem = registry.get("ex-3.3").problem
     gen = np.random.default_rng(1)
