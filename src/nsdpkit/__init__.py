@@ -7,7 +7,7 @@ for problems min f(x) subject to G(x) positive semidefinite.
 from .linalg import (
     EPS_ORTH_FACTOR, EPS_PSD_FACTOR, EPS_RANK, EPS_PLD,
     JacobiConvergenceError, SpectralDecomp,
-    spectral_decompose, proj_psd, moreau_split, eig_basis_smallest,
+    spectral_decompose, proj_psd, moreau_split,
     numerical_rank, lin_dependent, pos_lin_dependent,
 )
 from .model import (
@@ -17,9 +17,9 @@ from .model import (
 )
 from .caratheodory import ConicCombination, ReductionError, reduce
 from .kkt import (
-    KktResidual, MultiplierEstimate, AkktRecord, AkktCertificate,
+    KktResidual, AkktRecord, AkktCertificate,
     RecoveryResult, TraceTooShortError,
-    kkt_residual, penalty_multiplier, akkt_check, recover_multiplier,
+    kkt_residual, akkt_check, recover_multiplier,
     write_trace, read_trace,
 )
 from .solvers import (

@@ -17,7 +17,6 @@ import numpy as np
 from . import linalg
 
 _SNAP = 1e-14
-_MAX_ROUNDS_PER_VECTOR = 4
 
 
 class ReductionError(RuntimeError):
@@ -45,14 +44,6 @@ class ConicCombination:
         return out
 
 
-def _null_direction(vectors) -> np.ndarray:
-    """Unit vector b with sum_i b_i z_i ~ 0, from the Gram matrix."""
-    A = np.column_stack([np.asarray(v, dtype=float).ravel() for v in vectors])
-    gram = linalg.sym_part(A.T @ A)
-    dec = linalg.spectral_decompose(gram)
-    return dec.eigenvectors[:, -1].copy()
-
-
 def reduce(vectors, coeffs) -> ConicCombination:
     """Reduce a combination to a linearly independent support.
 
@@ -61,20 +52,20 @@ def reduce(vectors, coeffs) -> ConicCombination:
     positive direction) and drops the smallest index reaching zero, so
     the reduction is deterministic.  Coefficients below 1e-14 in
     magnitude after a step are snapped to zero.  Surviving coefficients
-    keep the sign they started with.
+    keep the sign they started with.  One Gram decomposition per round
+    gives both the dependence test and the null direction, and every
+    round drops an index, so at most len(vectors) rounds run.
     """
     vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
     alpha = np.asarray(coeffs, dtype=float).copy()
     if len(vecs) != alpha.shape[0]:
         raise ValueError("coefficient count does not match vector count")
     active = [i for i in range(len(vecs)) if alpha[i] != 0.0]
-    rounds = 0
-    max_rounds = _MAX_ROUNDS_PER_VECTOR * max(1, len(vecs))
-    while len(active) > 0 and linalg.lin_dependent([vecs[i] for i in active]):
-        rounds += 1
-        if rounds > max_rounds:
-            raise ReductionError("reduction failed to terminate")
-        beta = _null_direction([vecs[i] for i in active])
+    while active:
+        gram = linalg.gram_decompose([vecs[i] for i in active])
+        if not linalg.gram_dependent(gram):
+            break
+        beta = gram.eigenvectors[:, -1]
         a = alpha[active]
         # candidate steps a_i / b_i; positive-direction candidates have
         # matching signs, negative-direction candidates opposite signs

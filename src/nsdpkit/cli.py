@@ -22,16 +22,16 @@ Exit codes: solve 0 converged / 2 iteration cap / 3 error; diagnose 0
 match or no comparison / 1 mismatch / 3 error; regress 0 clean / 1 any
 failed entry or an expected table that breaks the implication order / 3
 error.  A usage error (an unknown option, an option of another
-subcommand, a bad choice or number) exits 3, never argparse's 2, and
---help exits 0.  Malformed input (an unknown check, budget field or
-config key, a config or budget value of the wrong type, a config cap
-below 1 or a negative target_tol, --point or --x0 with --fixture, a
-config, problem or expected-table file of the wrong shape or JSON type,
-an expected table naming an unknown fixture, check or status, a missing
-file, a missing reference point, a non-finite number) ends in exit 3
-before any check runs; a solve that records no iteration, an
-eigendecomposition that does not converge, or a Caratheodory reduction
-that fails, ends in exit 3.
+subcommand, a bad choice or number, an --msr-samples or --prop-cases
+below 1) exits 3, never argparse's 2, and --help exits 0.  Malformed
+input (an unknown check, budget field or config key, a config or budget
+value of the wrong type, a config cap below 1 or a negative target_tol,
+--point or --x0 with --fixture, a config, problem or expected-table
+file of the wrong shape or JSON type, an expected table naming an
+unknown fixture, check or status, a missing file, a missing reference
+point, a non-finite number) ends in exit 3 before any check runs; a
+solve that records no iteration, an eigendecomposition that does not
+converge, or a Caratheodory reduction that fails, ends in exit 3.
 """
 
 from __future__ import annotations
@@ -576,13 +576,21 @@ def _add_source_args(sub):
     sub.add_argument("--point", help="reference point as comma-separated floats")
 
 
+def _count(text: str) -> int:
+    """A number of samples or cases: an integer of at least 1."""
+    value = _number(text)
+    if not isinstance(value, int) or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_sampling_args(sub):
     """The check-sampling and expected-table options of diagnose and regress."""
     sub.add_argument("--seed", type=int, default=None, help="sampling seed")
     sub.add_argument("--budget", help="comma-separated budget overrides, "
                      "e.g. n_directions=8,shrink_levels=10")
     sub.add_argument("--expected", help="alternate expected-verdict table file")
-    sub.add_argument("--msr-samples", type=int, default=40,
+    sub.add_argument("--msr-samples", type=_count, default=40,
                      help="samples per radius for the msr check")
 
 
@@ -614,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampling_args(reg)
     reg.add_argument("--suite", choices=("full", "cq", "solvers", "msr",
                                          "props"), default="full")
-    reg.add_argument("--prop-cases", type=int, default=500,
+    reg.add_argument("--prop-cases", type=_count, default=500,
                      help="cases per property suite")
     reg.set_defaults(func=cmd_regress)
 

@@ -1381,7 +1381,7 @@ def _replay_pair_sequence(ctx, witness, spec) -> bool:
         E_j = np.asarray(lv["E"], dtype=float)
         delta = np.asarray(lv["delta"], dtype=float)
         shifted = linalg.sym_part(ctx.problem.g(np.asarray(lv["x"], dtype=float)) + delta)
-        E_check = linalg.eig_basis_smallest(shifted, ctx.problem.m - E_j.shape[1])
+        E_check = linalg.spectral_decompose(shifted).kernel_basis(ctx.problem.m - E_j.shape[1])
         if linalg.frob(E_j @ E_j.T - E_check @ E_check.T) > 1e-6:
             return False
     return True

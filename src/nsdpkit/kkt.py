@@ -4,7 +4,8 @@ A KKT pair for min f(x) s.t. G(x) PSD is (x, Y) with Y PSD,
 grad f(x) = DG(x)*[Y], and <G(x), Y> = 0.  Sequential certificates
 relax this along iterates: x^k with PSD Y^k, a stationarity defect
 delta^k -> 0, and a constraint shift Delta^k -> 0 such that
-G(x^k) + Delta^k is PSD and exactly complementary with Y^k.
+G(x^k) + Delta^k is PSD and exactly complementary with Y^k.  A solver
+trace is one, with Y^k from ``solvers.al_multiplier``.
 
 ``recover_multiplier`` condenses an iterate trace with possibly
 unbounded multipliers into a fixed candidate: each Y^k is rewritten as
@@ -66,36 +67,6 @@ def kkt_residual(problem: model.NsdpProblem, x, Y) -> KktResidual:
 
 
 @dataclass(frozen=True)
-class MultiplierEstimate:
-    """An approximate multiplier with its provenance.
-
-    ``matrix`` is PSD; ``perturbation`` is the constraint shift that
-    makes the pair exactly complementary and the shifted constraint PSD.
-    """
-
-    matrix: np.ndarray
-    perturbation: np.ndarray
-    rho: float
-    source: str = "penalty"
-
-
-def penalty_multiplier(problem: model.NsdpProblem, x, rho: float) -> MultiplierEstimate:
-    """Multiplier estimate rho * proj_psd(-G(x)) from a penalty iterate.
-
-    With the shift Delta = proj_psd(-G(x)), the pair satisfies
-    G(x) + Delta PSD and <G(x) + Delta, Y> = 0 up to roundoff, because
-    G + Delta is the PSD part of G and Y lives on the complementary
-    eigenspace.
-    """
-    if rho <= 0.0:
-        raise ValueError("penalty parameter must be positive")
-    G = problem.g(np.asarray(x, dtype=float))
-    _, minus = linalg.moreau_split(G)
-    return MultiplierEstimate(matrix=rho * minus, perturbation=minus,
-                              rho=float(rho), source="penalty")
-
-
-@dataclass(frozen=True)
 class AkktRecord:
     x: np.ndarray
     y: np.ndarray
@@ -106,6 +77,8 @@ class AkktRecord:
 
 @dataclass(frozen=True)
 class AkktCertificate:
+    """Records with AkktRecord's fields; a SolverTrace holds IterRecords."""
+
     records: tuple
 
     def __len__(self) -> int:

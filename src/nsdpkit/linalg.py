@@ -25,7 +25,9 @@ numpy's pairwise sum, which the reference loop uses, decides only where
 the float norm lies within a relative 1e-12 of the tolerance, a band far
 wider than the two sums ever differ, so every stop, and so every bit,
 is the one the numpy sum alone gives.  Non-finite input, and input whose
-Frobenius norm overflows, is rejected with ValueError.
+Frobenius norm overflows, is rejected with ValueError.  The other BLAS
+steps, the PSD reconstruction and the Gram product, have one site each:
+``_psd_part`` and ``gram_decompose``.
 """
 
 from __future__ import annotations
@@ -284,12 +286,15 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
     return SpectralDecomp(eigenvalues=lam, eigenvectors=U)
 
 
+def _psd_part(U: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The PSD matrix sym_part(U diag(max(lam, 0)) U'): the one reconstruction."""
+    return sym_part((U * np.maximum(lam, 0.0)) @ U.T)
+
+
 def proj_psd(M: np.ndarray) -> np.ndarray:
     """Frobenius projection onto the positive semidefinite cone."""
     dec = spectral_decompose(M)
-    lam = np.maximum(dec.eigenvalues, 0.0)
-    U = dec.eigenvectors
-    return sym_part((U * lam) @ U.T)
+    return _psd_part(dec.eigenvectors, dec.eigenvalues)
 
 
 def moreau_split(M: np.ndarray):
@@ -302,18 +307,7 @@ def moreau_split(M: np.ndarray):
     """
     dec = spectral_decompose(M)
     U = dec.eigenvectors
-    plus = sym_part((U * np.maximum(dec.eigenvalues, 0.0)) @ U.T)
-    minus = sym_part((U * np.maximum(-dec.eigenvalues, 0.0)) @ U.T)
-    return plus, minus
-
-
-def eig_basis_smallest(M: np.ndarray, r: int) -> np.ndarray:
-    """Orthonormal eigenvectors for the m - r smallest eigenvalues of M.
-
-    An m x (m - r) array, columns ordered by increasing eigenvalue; see
-    ``SpectralDecomp.kernel_basis``.
-    """
-    return spectral_decompose(M).kernel_basis(r)
+    return _psd_part(U, dec.eigenvalues), _psd_part(U, -dec.eigenvalues)
 
 
 def aligned_kernel_bases(decs, r: int) -> list:
@@ -343,19 +337,24 @@ def numerical_rank(values: np.ndarray, scale: float) -> int:
     return int(np.sum(values > EPS_RANK * scale))
 
 
+def gram_decompose(vectors) -> SpectralDecomp:
+    """Decomposition of the Gram matrix A'A of A = [z_1 ... z_p], p >= 1."""
+    A = np.column_stack([np.asarray(v, dtype=float).ravel() for v in vectors])
+    return spectral_decompose(sym_part(A.T @ A))
+
+
+def _singular_values(gram: SpectralDecomp) -> np.ndarray:
+    return np.sqrt(np.maximum(gram.eigenvalues, 0.0))
+
+
 def family_singular_values(vectors) -> np.ndarray:
     """Singular values of the matrix whose columns are the given vectors.
 
     Computed through the Gram matrix with the in-house eigensolver so the
     whole dependence pipeline shares one deterministic kernel.
     """
-    vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not vecs:
-        return np.zeros(0)
-    A = np.column_stack(vecs)
-    gram = sym_part(A.T @ A)
-    lam = spectral_decompose(gram).eigenvalues
-    return np.sqrt(np.maximum(lam, 0.0))
+    vecs = list(vectors)
+    return _singular_values(gram_decompose(vecs)) if vecs else np.zeros(0)
 
 
 def lin_dependent(vectors, scale: float | None = None) -> bool:
@@ -369,11 +368,17 @@ def lin_dependent(vectors, scale: float | None = None) -> bool:
     derivative scale instead: premise detection at limit bases needs
     near-zero vectors of the problem's own scale to count as dependent.
     """
-    sig = family_singular_values(vectors)
+    vecs = list(vectors)
+    return bool(vecs) and gram_dependent(gram_decompose(vecs), scale)
+
+
+def gram_dependent(gram: SpectralDecomp, scale: float | None = None) -> bool:
+    """``lin_dependent``'s rule on the family's ``gram_decompose``."""
+    sig = _singular_values(gram)
     if scale is None:
         scale = float(sig.max(initial=0.0))
         if scale <= 0.0:
-            return sig.size > 0
+            return True
     return numerical_rank(sig, scale) < sig.size
 
 

@@ -239,7 +239,7 @@ class IterRecord:
 
 
 @dataclass(frozen=True)
-class SolverTrace:
+class SolverTrace(kkt.AkktCertificate):
     """Outer-iteration history plus the reason the loop stopped.
 
     termination is one of "converged", "iteration_cap", "unbounded",
@@ -247,24 +247,12 @@ class SolverTrace:
     "subproblem_failure".
     """
 
-    records: tuple
     termination: str
     solver: str
     diagnostics: dict = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def final(self) -> IterRecord:
-        return self.records[-1]
-
     def certificate(self) -> kkt.AkktCertificate:
-        return kkt.AkktCertificate(records=tuple(
-            kkt.AkktRecord(x=r.x, y=r.y, delta=r.delta,
-                           delta_vec=r.delta_vec, rho=r.rho)
-            for r in self.records
-        ))
+        return self
 
 
 def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,

@@ -56,6 +56,31 @@ def test_support_bounded_by_dimension():
         assert reduce_ok(vectors, coeffs, red)
 
 
+def test_each_round_decomposes_one_gram_matrix(monkeypatch):
+    """Within one reduce call no matrix is decomposed twice."""
+    seen = []
+    decompose = linalg.spectral_decompose
+
+    def recording(M):
+        seen.append((M.shape, M.tobytes()))
+        return decompose(M)
+
+    monkeypatch.setattr(linalg, "spectral_decompose", recording)
+    gen = np.random.default_rng(11)
+    rounds = 0
+    for _ in range(100):
+        d = int(gen.integers(1, 4))
+        p = int(gen.integers(1, 7))
+        vectors = [gen.normal(size=d) for _ in range(p)]
+        seen.clear()
+        red = caratheodory.reduce(vectors, list(gen.normal(size=p)))
+        assert len(seen) == len(set(seen))
+        # one decomposition per exchange round, one for the final test
+        assert len(seen) <= p - len(red.indices) + 1
+        rounds += len(seen) - 1
+    assert rounds > 100
+
+
 def brute_force_reduction_exists(vectors, coeffs, eps=1e-9):
     """Search all index subsets for a valid sign-preserving reduction."""
     target = sum(a * v for a, v in zip(coeffs, vectors))

@@ -313,6 +313,15 @@ VALID = {"solve": ["solve", "--fixture", "ex-4.2"],
     VALID["diagnose"] + ["--bogus", "1"],
     VALID["diagnose"] + ["--msr-samples", "abc"],
     ["regress", "--suite", "bogus"],
+    # counts below 1, rejected before any suite or check runs
+    pytest.param(["regress", "--suite", "full", "--msr-samples", "0"],
+                 id="regress-msr-samples-0"),
+    pytest.param(["diagnose", "--fixture", "ex-4.2", "--checks", "nondegeneracy,msr",
+                  "--msr-samples", "0"], id="diagnose-msr-samples-0"),
+    pytest.param(["regress", "--suite", "props", "--prop-cases", "-1"],
+                 id="regress-prop-cases-negative"),
+    pytest.param(["regress", "--suite", "props", "--prop-cases", "0"],
+                 id="regress-prop-cases-0"),
 ] + [VALID[command] + [option, value] for command, option, value in REMOVED_OPTIONS],
     ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
 def test_usage_error_exits_3(tmp_path, capsys, argv):
@@ -390,11 +399,11 @@ def test_reduction_failure_exits_3(tmp_path, capsys, monkeypatch):
     from nsdpkit import caratheodory
 
     def fail(*args, **kwargs):
-        raise caratheodory.ReductionError("reduction failed to terminate")
+        raise caratheodory.ReductionError("null direction produced no usable step")
 
     monkeypatch.setattr(caratheodory, "reduce", fail)
     rc = run(["regress", "--suite", "solvers", "--out-dir", tmp_path])
-    assert_clean_error(rc, capsys, "reduction failed to terminate")
+    assert_clean_error(rc, capsys, "null direction produced no usable step")
 
 
 def test_diagnose_verdict_file_replayable(tmp_path, capsys):

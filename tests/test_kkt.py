@@ -74,42 +74,47 @@ def test_residual_matches_nlp_formulas(registry):
 
 
 # ---------------------------------------------------------------------------
-# penalty_multiplier
+# the penalty multiplier rho * proj_psd(-G(x)): the AL estimate at Ytilde = 0
+
+
+def penalty_multiplier(problem, x, rho):
+    return solvers.al_multiplier(problem, x, rho, np.zeros((problem.m, problem.m)))
 
 
 def test_penalty_multiplier_zero_when_feasible(registry):
     problem = registry.get("ex-3.2").problem
-    est = kkt.penalty_multiplier(problem, np.array([0.5, 0.0]), 10.0)
-    assert np.allclose(est.matrix, 0.0)
+    assert np.allclose(penalty_multiplier(problem, np.array([0.5, 0.0]), 10.0), 0.0)
 
 
 def test_penalty_multiplier_closed_form(registry):
     # G(-0.1) is negative definite, so the projection of -G is -G itself
     problem = registry.get("ex-3.1").problem
-    est = kkt.penalty_multiplier(problem, np.array([-0.1]), 10.0)
-    assert np.allclose(est.matrix, [[1.0, 0.9], [0.9, 1.0]], atol=1e-12)
+    Y = penalty_multiplier(problem, np.array([-0.1]), 10.0)
+    assert np.allclose(Y, [[1.0, 0.9], [0.9, 1.0]], atol=1e-12)
 
 
 def test_penalty_multiplier_linear_in_rho(registry):
     problem = registry.get("ex-3.3").problem
     x = np.array([-0.2])
-    a = kkt.penalty_multiplier(problem, x, 5.0)
-    b = kkt.penalty_multiplier(problem, x, 10.0)
-    assert np.allclose(2.0 * a.matrix, b.matrix)
+    a = penalty_multiplier(problem, x, 5.0)
+    b = penalty_multiplier(problem, x, 10.0)
+    assert np.allclose(2.0 * a, b)
 
 
 def test_penalty_multiplier_shift_identities(registry):
+    # with the shift Delta = proj_psd(-G), G + Delta is the PSD part of G
+    # and is complementary with Y, which lives on the other eigenspace
     gen = np.random.default_rng(2)
     for fix in registry:
         problem = fix.problem
         for _ in range(20):
             x = gen.normal(size=problem.n)
-            est = kkt.penalty_multiplier(problem, x, 10.0)
-            shifted = problem.g(x) + est.perturbation
-            y_norm = linalg.frob(est.matrix)
-            assert abs(float(np.tensordot(shifted, est.matrix))) <= 1e-8 * (1.0 + y_norm)
+            Y = penalty_multiplier(problem, x, 10.0)
+            shifted = problem.g(x) + linalg.proj_psd(-problem.g(x))
+            y_norm = linalg.frob(Y)
+            assert abs(float(np.tensordot(shifted, Y))) <= 1e-8 * (1.0 + y_norm)
             assert np.min(np.linalg.eigvalsh(shifted)) >= -1e-9 * (1.0 + linalg.frob(shifted))
-            assert np.min(np.linalg.eigvalsh(est.matrix)) >= -1e-12 * (1.0 + y_norm)
+            assert np.min(np.linalg.eigvalsh(Y)) >= -1e-12 * (1.0 + y_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -384,11 +384,15 @@ def test_proj_in_distance_against_random_psd():
 
 
 # ---------------------------------------------------------------------------
-# eig_basis_smallest
+# SpectralDecomp.kernel_basis
+
+
+def kernel_basis(M, r):
+    return linalg.spectral_decompose(M).kernel_basis(r)
 
 
 def test_basis_diagonal_spans_small_eigenvectors():
-    E = linalg.eig_basis_smallest(np.diag([2.0, 0.0, 0.0]), 1)
+    E = kernel_basis(np.diag([2.0, 0.0, 0.0]), 1)
     assert E.shape == (3, 2)
     assert linalg.frob(E.T @ E - np.eye(2)) <= 3e-10
     # span of e2, e3: the first coordinate row must vanish
@@ -396,18 +400,18 @@ def test_basis_diagonal_spans_small_eigenvectors():
 
 
 def test_basis_zero_matrix_full_orthogonal():
-    E = linalg.eig_basis_smallest(np.zeros((2, 2)), 0)
+    E = kernel_basis(np.zeros((2, 2)), 0)
     assert E.shape == (2, 2)
     assert linalg.frob(E.T @ E - np.eye(2)) <= 2e-10
 
 
 def test_basis_full_rank_is_empty():
-    assert linalg.eig_basis_smallest(np.eye(2), 2).shape == (2, 0)
+    assert kernel_basis(np.eye(2), 2).shape == (2, 0)
 
 
 def test_basis_columns_are_eigenvectors_ascending():
     M = np.diag([5.0, 1.0, 3.0])
-    E = linalg.eig_basis_smallest(M, 1)
+    E = kernel_basis(M, 1)
     # smallest eigenvalue leads: first column pairs with 1, second with 3
     assert np.allclose(M @ E[:, 0], 1.0 * E[:, 0], atol=1e-9)
     assert np.allclose(M @ E[:, 1], 3.0 * E[:, 1], atol=1e-9)
@@ -548,3 +552,24 @@ def test_numpy_linalg_is_named_only_in_linalg():
                 assert not (node.module or "").startswith("numpy.linalg"), where
                 assert node.module != "numpy" or all(
                     a.name != "linalg" for a in node.names), where
+
+
+def test_transposed_products_only_in_named_helpers():
+    # the PSD reconstruction, the Gram product and the basis alignment are
+    # the only matrix products with a transposed operand, so a portable
+    # rewrite of each changes one function body
+    allowed = {"_psd_part", "gram_decompose", "align_columns"}
+    root = Path(linalg.__file__).parent
+    for name in ("linalg.py", "caratheodory.py", "kkt.py"):
+        tree = ast.parse((root / name).read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                    and any(isinstance(side, ast.Attribute) and side.attr == "T"
+                            for side in (node.left, node.right))):
+                continue
+            scope = node
+            while scope in parents and not isinstance(scope, ast.FunctionDef):
+                scope = parents[scope]
+            assert getattr(scope, "name", None) in allowed, f"{name}:{node.lineno}"

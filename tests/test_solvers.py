@@ -89,6 +89,27 @@ def test_shared_split_is_read_only():
     assert np.array_equal(solvers._shifted_projection(Z.copy()), linalg.moreau_split(Z)[1])
 
 
+def test_al_multiplier_at_zero_estimate_is_the_penalty_multiplier(registry):
+    # rho * proj_psd(-G(x)) as the minus part of G's Moreau split, bit for bit
+    gen = np.random.default_rng(5)
+    for fix in registry:
+        problem = fix.problem
+        for _ in range(10):
+            x = gen.normal(size=problem.n)
+            rho = float(10.0 ** gen.uniform(-1.0, 4.0))
+            Y = solvers.al_multiplier(problem, x, rho, np.zeros((problem.m, problem.m)))
+            assert np.array_equal(Y, rho * linalg.moreau_split(problem.g(x))[1])
+
+
+def test_trace_records_are_the_certificate_records(registry):
+    fix = registry.get("ex-4.2")
+    for trace in (solvers.solve_augmented_lagrangian(fix.problem, fix.x0),
+                  solvers.solve_sqp(fix.problem, fix.x0)):
+        cert = trace.certificate()
+        assert len(cert) == len(trace) > 0 and cert.final is trace.final
+        assert all(cert.records[k] is trace.records[k] for k in range(len(trace)))
+
+
 def test_al_value_reduces_to_penalty_at_zero_safeguard(registry):
     problem = registry.get("ex-3.3").problem
     gen = np.random.default_rng(1)
