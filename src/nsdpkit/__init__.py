@@ -29,12 +29,12 @@ from .solvers import (
 )
 from .cq import (
     CERTIFIED_HOLDS, NO_VIOLATION_FOUND, VIOLATED,
-    CqBudget, CqVerdict, VFamily, WitnessCurve, MsrEstimate,
+    CqBudget, CqVerdict, WitnessCurve, MsrEstimate,
     InfeasiblePointError, CombinatorialCapError,
-    v_family, check_nondegeneracy, check_robinson, check_weak_cq,
+    check_nondegeneracy, check_robinson, check_weak_cq,
     check_seq_cq, check_msr, separating_perturbation,
     estimate_msr_modulus, estimate_msr_trend, nlp_constant_rank_check,
-    replay_witness, in_tangent_cone, in_lineality_space,
+    replay_witness,
     verdict_to_text, write_verdict, read_verdict, content_digest,
 )
 

@@ -74,12 +74,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
     try:
         vec = np.array([float(v) for v in text.split(",")], dtype=float)
@@ -260,7 +254,7 @@ def cmd_solve(args) -> int:
     trace_path = out / f"{source.fixture_id}-{args.solver}.trace"
     kkt.write_trace(trace.certificate(), trace_path)
     summary = _summary_text(source, args.solver, trace)
-    _atomic_write(out / f"{source.fixture_id}-{args.solver}-summary.txt", summary)
+    model._atomic_write(out / f"{source.fixture_id}-{args.solver}-summary.txt", summary)
     print(summary, end="")
     print(f"trace written to {trace_path}")
     if trace.termination == "converged":
@@ -489,7 +483,7 @@ def _write_csv(path: Path, header, rows) -> None:
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    model._atomic_write(path, "\n".join(lines) + "\n")
 
 
 def cmd_regress(args) -> int:
@@ -546,8 +540,8 @@ def cmd_regress(args) -> int:
     report = dict(body)
     report["content_sha256"] = digest
     report["generated-at"] = datetime.now(timezone.utc).isoformat()
-    _atomic_write(out / "report.json",
-                  json.dumps(report, indent=2, sort_keys=True) + "\n")
+    model._atomic_write(out / "report.json",
+                        json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"suite {suite}: {len(entries)} entries, {len(failed)} failed")
     for e in failed:
         print(f"  FAIL {e['section']}/{e['fixture']}/{e['item']}: "

@@ -44,6 +44,10 @@ COMBINATORIAL_CAP = 12
 #: not the default 200, whose plateaus were most of check_msr's time and
 #: moved no measured distance by more than ~1e-12 relative
 PROJECTION_CONFIG = solvers.AlConfig(stagnation_window=20)
+#: the msr trend rule: a sampled ratio above MSR_CAP, or growth by more
+#: than MSR_GROWTH as the ball shrinks, calls the modulus unbounded
+MSR_GROWTH = 3.0
+MSR_CAP = 100.0
 
 
 class InfeasiblePointError(ValueError):
@@ -120,45 +124,6 @@ class WitnessCurve:
 
 
 @dataclass(frozen=True)
-class VFamily:
-    """Vectors v_ij(x, E), one per unordered column pair of E.
-
-    Entry l of v_ij is e_i' D_l G(x) e_j.  Only pairs i <= j are stored;
-    lookups with swapped indices return the identical vector, matching
-    the symmetry of the derivative matrices.
-    """
-
-    x: np.ndarray
-    basis: np.ndarray
-    pairs: tuple
-    vectors: np.ndarray
-
-    def vector(self, i: int, j: int) -> np.ndarray:
-        key = (min(i, j), max(i, j))
-        return self.vectors[self.pairs.index(key)]
-
-    def diag(self) -> np.ndarray:
-        rows = [k for k, (i, j) in enumerate(self.pairs) if i == j]
-        return self.vectors[rows]
-
-    def full_list(self) -> list:
-        return [self.vectors[k] for k in range(len(self.pairs))]
-
-
-def v_family(problem: model.NsdpProblem, x, E) -> VFamily:
-    """Column-pair curvature family of the constraint at (x, E)."""
-    x = np.asarray(x, dtype=float)
-    cols = np.asarray(E, dtype=float)
-    if cols.ndim != 2 or cols.shape[0] != problem.m:
-        raise ValueError(f"basis must have {problem.m} rows")
-    q = cols.shape[1]
-    pairs = tuple((i, j) for i in range(q) for j in range(i, q))
-    vecs = np.array(model.curvature_vectors(problem, x, cols, pairs),
-                    dtype=float).reshape(len(pairs), problem.n)
-    return VFamily(x=x.copy(), basis=cols.copy(), pairs=pairs, vectors=vecs)
-
-
-@dataclass(frozen=True)
 class CqVerdict:
     """Outcome of one constraint qualification check at one point."""
 
@@ -207,8 +172,7 @@ def verdict_to_text(verdict: CqVerdict, generated_at: str | None = None) -> str:
 
 def write_verdict(verdict: CqVerdict, path) -> str:
     text = verdict_to_text(verdict)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    model._atomic_write(path, text)
     return text
 
 
@@ -371,7 +335,7 @@ def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
         dd = float(d @ d)
         alpha = 0.5 if dd <= 0.0 else min(1.0, max(0.0, -float(v2 @ d) / dd))
         mc = linalg.frob(v2 + alpha * d)
-        sig = linalg.family_singular_values([v1, v2])
+        sig = linalg.singular_values(linalg.gram_decompose([v1, v2]))
         return m1, m2, mc, float(sig[-1])
 
     grid = budget.angle_grid
@@ -553,25 +517,33 @@ def _nondegeneracy(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
     if ctx.r == ctx.problem.m:
         return ctx.verdict(spec.name, CERTIFIED_HOLDS,
                            notes=("constraint has full rank at the point",))
-    fam = v_family(ctx.problem, ctx.x, ctx.E0)
-    vecs = fam.full_list()
-    sig = linalg.family_singular_values(vecs)
-    dependent = spec.dependent(ctx.scale_v)(vecs)
-    witness = {
-        "kind": "pair-family",
-        "E": ctx.E0,
-        "pairs": [[i + 1, j + 1] for (i, j) in fam.pairs],
-        "vectors": fam.vectors,
-        "singular_values": sig,
-        "dependent": bool(dependent),
-    }
-    if dependent:
+    witness = _pair_family(ctx, ctx.E0)
+    if witness["dependent"]:
         return ctx.verdict(
             spec.name, VIOLATED, witness=witness,
             notes=("pair family is linearly dependent at a kernel basis",))
     return ctx.verdict(
         spec.name, CERTIFIED_HOLDS, witness=witness,
         notes=("pair family is linearly independent; rank is basis-invariant",))
+
+
+def _pair_family(ctx: PointContext, E) -> dict:
+    """The full family {v_ij : i <= j} at basis E, as a witness.
+
+    One Gram decomposition gives both the singular values and the
+    linear dependence test against the problem's derivative scale.
+    """
+    E = np.asarray(E, dtype=float)
+    if E.ndim != 2 or E.shape[0] != ctx.problem.m or E.shape[1] < 1:
+        raise ValueError(f"basis must have {ctx.problem.m} rows and a column")
+    q = E.shape[1]
+    pairs = [(i, j) for i in range(q) for j in range(i, q)]
+    vectors = model.curvature_vectors(ctx.problem, ctx.x, E, pairs)
+    gram = linalg.gram_decompose(vectors)
+    return {"kind": "pair-family", "E": E,
+            "pairs": [[i + 1, j + 1] for i, j in pairs], "vectors": vectors,
+            "singular_values": linalg.singular_values(gram),
+            "dependent": linalg.gram_dependent(gram, ctx.scale_v)}
 
 
 def _robinson_certificate(problem: model.NsdpProblem, x, G, budget: CqBudget,
@@ -1132,8 +1104,8 @@ def _projection_distance(problem, x_i, x_ref):
         trace = solvers.solve_augmented_lagrangian(
             proj, start, config=PROJECTION_CONFIG, target_tol=1e-8, max_outer=25)
         z = trace.final.x
-        Gz = problem.g(z)
-        if linalg.frob(linalg.proj_psd(-Gz)) <= 1e-6 * (1.0 + linalg.frob(Gz)):
+        if trace.final.residual.feasibility \
+                <= 1e-6 * (1.0 + linalg.frob(problem.g(z))):
             ok = True
             best = min(best, linalg.frob(z - x_i))
     return best, ok
@@ -1141,8 +1113,8 @@ def _projection_distance(problem, x_i, x_ref):
 
 def estimate_msr_trend(problem: model.NsdpProblem, x_bar, radius: float = 0.1,
                        samples: int = 200, seed: int = 0,
-                       growth_factor: float = 3.0,
-                       bound_cap: float = 100.0) -> dict:
+                       growth_factor: float = MSR_GROWTH,
+                       bound_cap: float = MSR_CAP) -> dict:
     """Compare modulus estimates at two radii to flag an unbounded modulus.
 
     An unbounded modulus shows up either as a very large sampled ratio
@@ -1166,7 +1138,8 @@ def _msr_pair(problem, x, radius, samples, seed) -> tuple:
 
 
 def _msr_unbounded(gamma_big: float, gamma_small: float,
-                   growth_factor: float = 3.0, bound_cap: float = 100.0) -> bool:
+                   growth_factor: float = MSR_GROWTH,
+                   bound_cap: float = MSR_CAP) -> bool:
     """The trend rule: a ratio above the cap, or strong growth as the ball shrinks."""
     growing = gamma_small > growth_factor * max(gamma_big, 1e-12) \
         and gamma_small > 10.0
@@ -1341,8 +1314,7 @@ def _falsifier_replays(ctx, entry, spec) -> bool:
 
 
 def _replay_pair_family(ctx, witness, spec) -> bool:
-    fam = v_family(ctx.problem, ctx.x, np.asarray(witness["E"], dtype=float))
-    return bool(spec.dependent(ctx.scale_v)(fam.full_list())) == bool(witness["dependent"])
+    return _pair_family(ctx, witness["E"])["dependent"] == bool(witness["dependent"])
 
 
 def _replay_interior_direction(ctx, witness, spec) -> bool:
@@ -1482,37 +1454,3 @@ def broken_implications(table: dict) -> list:
             if table.get(strong) is not None and table.get(weak) is not None
             and all(s in holds for s in table[strong])
             and all(s == VIOLATED for s in table[weak])]
-
-
-# ---------------------------------------------------------------------------
-# tangent cone predicates
-
-
-def _kernel_and_direction(M: np.ndarray, N: np.ndarray):
-    """Kernel basis of PSD M (None at full rank) and the symmetric part of N."""
-    dec = linalg.spectral_decompose(M)
-    r = dec.psd_rank()
-    N = linalg.sym_part(np.asarray(N, dtype=float))
-    return (None if r == dec.m else dec.kernel_basis(r)), N
-
-
-def in_tangent_cone(M: np.ndarray, N: np.ndarray) -> bool:
-    """Membership of N in the tangent cone to the PSD cone at M.
-
-    The cone is {N : E' N E PSD} for any kernel basis E of M; full-rank
-    M makes the condition vacuous.
-    """
-    E, N = _kernel_and_direction(M, N)
-    if E is None:
-        return True
-    W = linalg.sym_part(E.T @ N @ E)
-    lam_min = float(linalg.spectral_decompose(W).eigenvalues[-1])
-    return lam_min >= -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(N))
-
-
-def in_lineality_space(M: np.ndarray, N: np.ndarray) -> bool:
-    """Membership of N in the lineality space {N : E' N E = 0} at M."""
-    E, N = _kernel_and_direction(M, N)
-    if E is None:
-        return True
-    return linalg.frob(E.T @ N @ E) <= linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(N))

@@ -233,18 +233,15 @@ def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
 # trace files (see docs/trace-format.md)
 
 def write_trace(cert: AkktCertificate, path) -> None:
-    """Write a certificate as newline-delimited JSON records."""
-    with open(path, "w") as fh:
-        for k, rec in enumerate(cert.records):
-            fh.write(json.dumps({
-                "k": k,
-                "x": [float(v) for v in rec.x],
-                "y": model._upper_entries(rec.y),
-                "delta": model._upper_entries(rec.delta),
-                "delta_vec": [float(v) for v in rec.delta_vec],
-                "rho": float(rec.rho),
-            }, sort_keys=True))
-            fh.write("\n")
+    """Write a certificate as JSON Lines; a failed record leaves the file as it was."""
+    model._atomic_write(path, "".join(json.dumps({
+        "k": k,
+        "x": [float(v) for v in rec.x],
+        "y": model._upper_entries(rec.y),
+        "delta": model._upper_entries(rec.delta),
+        "delta_vec": [float(v) for v in rec.delta_vec],
+        "rho": float(rec.rho),
+    }, sort_keys=True) + "\n" for k, rec in enumerate(cert.records)))
 
 
 def read_trace(path, n: int, m: int) -> AkktCertificate:

@@ -343,18 +343,13 @@ def gram_decompose(vectors) -> SpectralDecomp:
     return spectral_decompose(sym_part(A.T @ A))
 
 
-def _singular_values(gram: SpectralDecomp) -> np.ndarray:
-    return np.sqrt(np.maximum(gram.eigenvalues, 0.0))
+def singular_values(gram: SpectralDecomp) -> np.ndarray:
+    """Singular values of A, non-increasing, from A's ``gram_decompose``.
 
-
-def family_singular_values(vectors) -> np.ndarray:
-    """Singular values of the matrix whose columns are the given vectors.
-
-    Computed through the Gram matrix with the in-house eigensolver so the
-    whole dependence pipeline shares one deterministic kernel.
+    The in-house eigensolver gives them, so the whole dependence
+    pipeline shares one deterministic kernel.
     """
-    vecs = list(vectors)
-    return _singular_values(gram_decompose(vecs)) if vecs else np.zeros(0)
+    return np.sqrt(np.maximum(gram.eigenvalues, 0.0))
 
 
 def lin_dependent(vectors, scale: float | None = None) -> bool:
@@ -374,7 +369,7 @@ def lin_dependent(vectors, scale: float | None = None) -> bool:
 
 def gram_dependent(gram: SpectralDecomp, scale: float | None = None) -> bool:
     """``lin_dependent``'s rule on the family's ``gram_decompose``."""
-    sig = _singular_values(gram)
+    sig = singular_values(gram)
     if scale is None:
         scale = float(sig.max(initial=0.0))
         if scale <= 0.0:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -463,6 +465,15 @@ def load_problem(path) -> MatrixPolyProblem:
 
 
 def save_problem(p: MatrixPolyProblem, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _atomic_write(path, json.dumps(problem_to_dict(p), indent=2, sort_keys=True) + "\n")
+
+
+def _atomic_write(path, text: str) -> None:
+    """Write text to path through a sibling .tmp file and one rename.
+
+    A reader sees the old file or the whole new one, never a part.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)

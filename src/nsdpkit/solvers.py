@@ -21,9 +21,10 @@ Three outer algorithms share one smooth inner loop:
 
 The inner minimizer is gradient descent with a limited-memory
 quasi-Newton direction (two-loop recursion, memory 5) and an Armijo
-backtracking line search.  Objectives here are once differentiable but
-not twice (the squared projection introduces kinks in the second
-derivative), which is why no Newton variant is attempted.
+backtracking line search, ``_armijo``, the one SQP's step uses too.
+Objectives here are once differentiable but not twice (the squared
+projection introduces kinks in the second derivative), which is why no
+Newton variant is attempted.
 
 Every outer iterate is recorded with its multiplier estimate, shift,
 stationarity defect, and residuals, so traces can be replayed through
@@ -134,17 +135,10 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
         if not np.isfinite(slope) or slope >= -1e-14 * gn * linalg.frob(d):
             d = -g
             slope = -gn * gn
-        t = 1.0
-        accepted = False
-        for _ in range(60):
-            x_new = x + t * d
-            f_new = float(fun(x_new))
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        step = _armijo(fun, x, f, d, slope, 60)
+        if step is None:
             return x, InnerStats("line_search", it, gn, f)
+        x_new, f_new = step
         g_new = np.asarray(grad(x_new), dtype=float)
         s_vec = x_new - x
         y_vec = g_new - g
@@ -163,6 +157,23 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
         else:
             since_best += 1
     return x, InnerStats("max_iter", max_iter, gn, f)
+
+
+def _armijo(fun, x, f, d, slope, trials):
+    """Backtracking search along d from x, where fun(x) = f.
+
+    Tries t = 1, 1/2, ... for ``trials`` steps and returns
+    (x + t d, fun(x + t d)) for the first finite value with sufficient
+    decrease, f + 1e-4 t slope, or None when none has it.
+    """
+    t = 1.0
+    for _ in range(trials):
+        x_new = x + t * d
+        f_new = float(fun(x_new))
+        if math.isfinite(f_new) and f_new <= f + 1e-4 * t * slope:
+            return x_new, f_new
+        t *= 0.5
+    return None
 
 
 # The last shifted matrix Z = G(x) - Ytilde/rho decomposed, as
@@ -477,19 +488,11 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
         if d_norm <= target_tol:
             termination = "converged"
             break
-        slope = float(gf @ d)
-        t = 1.0
-        accepted = False
-        f0 = problem.f(x)
-        for _ in range(50):
-            if problem.f(x + t * d) <= f0 + 1e-4 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        step = _armijo(problem.f, x, problem.f(x), d, float(gf @ d), 50)
+        if step is None:
             termination = "line_search_failure"
             break
-        x_new = x + t * d
+        x_new = step[0]
         y_vec = model.lagrangian_grad(problem, x_new, Y) - delta_vec
         B = _bfgs_update(B, x_new - x, y_vec)
         x = x_new

@@ -20,16 +20,20 @@ def quick_budget(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# v_family
+# the v_ij family: model.curvature_vectors and model.diag_vectors
+
+
+def pair_vectors(problem, x, E, *pairs):
+    return model.curvature_vectors(problem, x, E, pairs)
 
 
 def test_v_family_identity_basis(registry):
     problem = registry.get("ex-3.1").problem
     for x in (0.0, 0.3, -0.7):
-        fam = cq.v_family(problem, np.array([x]), np.eye(2))
-        assert np.allclose(fam.vector(0, 0), [1.0])
-        assert np.allclose(fam.vector(1, 1), [1.0])
-        assert np.allclose(fam.vector(0, 1), [1.0 + 2.0 * x])
+        v11, v22, v12 = pair_vectors(problem, [x], np.eye(2), (0, 0), (1, 1), (0, 1))
+        assert np.allclose(v11, [1.0])
+        assert np.allclose(v22, [1.0])
+        assert np.allclose(v12, [1.0 + 2.0 * x])
 
 
 def test_v_family_rotated_basis(registry):
@@ -38,10 +42,10 @@ def test_v_family_rotated_basis(registry):
     problem = registry.get("ex-3.1").problem
     E = np.array([[-RT2, RT2], [RT2, RT2]])
     for x in (0.0, 0.25, -0.4):
-        fam = cq.v_family(problem, np.array([x]), E)
-        assert np.allclose(fam.vector(0, 0), [-2.0 * x], atol=1e-14)
-        assert np.allclose(fam.vector(1, 1), [2.0 * (1.0 + x)], atol=1e-14)
-        assert np.allclose(fam.vector(0, 1), [0.0], atol=1e-14)
+        v11, v22, v12 = pair_vectors(problem, [x], E, (0, 0), (1, 1), (0, 1))
+        assert np.allclose(v11, [-2.0 * x], atol=1e-14)
+        assert np.allclose(v22, [2.0 * (1.0 + x)], atol=1e-14)
+        assert np.allclose(v12, [0.0], atol=1e-14)
 
 
 def test_v_family_identity_constraint_any_basis(registry):
@@ -49,15 +53,9 @@ def test_v_family_identity_constraint_any_basis(registry):
     gen = np.random.default_rng(0)
     for _ in range(20):
         E = linalg.haar_orthogonal(2, gen)
-        fam = cq.v_family(problem, np.array([0.1]), E)
-        assert np.allclose(fam.vector(0, 0), [1.0], atol=1e-14)
-        assert np.allclose(fam.vector(1, 1), [1.0], atol=1e-14)
-
-
-def test_v_family_symmetric_in_indices(registry):
-    problem = registry.get("ex-4.3").problem
-    fam = cq.v_family(problem, np.array([0.1, 0.2]), np.eye(2))
-    assert np.array_equal(fam.vector(0, 1), fam.vector(1, 0))
+        v11, v22 = model.diag_vectors(problem, np.array([0.1]), E)
+        assert np.allclose(v11, [1.0], atol=1e-14)
+        assert np.allclose(v22, [1.0], atol=1e-14)
 
 
 def test_v_family_diagonal_sign_invariant(registry):
@@ -69,33 +67,9 @@ def test_v_family_diagonal_sign_invariant(registry):
             x = gen.normal(size=problem.n)
             E = linalg.haar_orthogonal(problem.m, gen)
             signs = np.where(gen.integers(0, 2, size=problem.m) == 0, -1.0, 1.0)
-            a = cq.v_family(problem, x, E).diag()
-            b = cq.v_family(problem, x, E * signs).diag()
+            a = model.diag_vectors(problem, x, E)
+            b = model.diag_vectors(problem, x, E * signs)
             assert np.array_equal(a, b)
-
-
-def random_poly_problem(n, m, gen):
-    """A random degree-two matrix polynomial, so DG(x) varies with x."""
-    def sym():
-        A = gen.normal(size=(m, m))
-        return A + A.T
-    return model.MatrixPolyProblem(
-        n=n, m=m, c0=0.0, c_lin=np.zeros(n), c_quad=np.zeros((n, n)),
-        a0=sym(), a_lin=tuple(sym() for _ in range(n)),
-        b_quad={(i, j): sym() for i in range(n) for j in range(i, n)}).problem()
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_v_family_diagonal_is_diag_vectors(m):
-    # nondegeneracy's v_ii and the v_ii every other check uses are the
-    # same numbers, bit for bit
-    gen = np.random.default_rng(m)
-    for _ in range(40):
-        problem = random_poly_problem(3, m, gen)
-        x = gen.normal(size=3)
-        E = linalg.haar_orthogonal(m, gen)[:, :int(gen.integers(1, m + 1))]
-        assert np.array_equal(cq.v_family(problem, x, E).diag(),
-                              np.array(model.diag_vectors(problem, x, E)))
 
 
 def test_v_family_full_rank_basis_covariant(registry):
@@ -105,9 +79,7 @@ def test_v_family_full_rank_basis_covariant(registry):
         problem = registry.get(fid).problem
         x = gen.normal(size=problem.n)
         E = linalg.haar_orthogonal(problem.m, gen)
-        base = cq.v_family(problem, x, E).full_list()
-        base_rank = len(base) - int(linalg.lin_dependent(base)) \
-            if len(base) else 0
+        pairs = [(i, j) for i in range(problem.m) for j in range(i, problem.m)]
 
         def family_rank(vectors):
             stacked = np.array(vectors)
@@ -115,10 +87,10 @@ def test_v_family_full_rank_basis_covariant(registry):
             scale = max(float(svals[0]), 1.0)
             return int(np.sum(svals > 1e-7 * scale))
 
-        want = family_rank(base)
+        want = family_rank(model.curvature_vectors(problem, x, E, pairs))
         for _ in range(100):
             Q = linalg.haar_orthogonal(problem.m, gen)
-            got = family_rank(cq.v_family(problem, x, E @ Q).full_list())
+            got = family_rank(model.curvature_vectors(problem, x, E @ Q, pairs))
             assert got == want, fid
 
 
@@ -156,6 +128,29 @@ def test_nondegeneracy_is_two_valued(registry):
     for fix in registry:
         verdict = cq.check_nondegeneracy(fix.problem, fix.x_bar)
         assert verdict.status in (cq.CERTIFIED_HOLDS, cq.VIOLATED)
+
+
+def test_nondegeneracy_decomposes_one_gram(registry, monkeypatch):
+    # the witness's singular values and its dependence flag read the
+    # same decomposition of the pair family's Gram matrix
+    spec = cq.CHECKS["nondegeneracy"]
+    decompose = linalg.spectral_decompose
+    sizes = []
+    checked = 0
+    for fix in registry:
+        ctx = cq.PointContext.at(fix.problem, fix.x_bar)
+        if ctx.r == fix.problem.m:
+            continue
+        sizes.clear()
+        monkeypatch.setattr(linalg, "spectral_decompose",
+                            lambda M: sizes.append(len(M)) or decompose(M))
+        verdict = spec.run(ctx)
+        monkeypatch.undo()
+        q = fix.problem.m - ctx.r
+        assert sizes == [q * (q + 1) // 2], fix.fixture_id
+        assert len(verdict.witness["singular_values"]) == sizes[0]
+        checked += 1
+    assert checked >= 5
 
 
 def test_infeasible_point_rejected(registry):
@@ -552,6 +547,12 @@ FORGERIES = {
     "scale_v": ("ex-3.2", "nondegeneracy",
                 lambda p: p["epsilons"].update(scale_v=1e-300), False),
     "matrix-witness-on-embedding": ("ex-3.2", "weak-crcq", None, TypeError),
+    # the pair family is only defined on a basis with m rows and a column
+    "pair-family-rows": ("ex-3.1", "nondegeneracy",
+                         lambda p: p["witness"].update(E=p["witness"]["E"][:-1]),
+                         ValueError),
+    "pair-family-no-column": ("ex-3.1", "nondegeneracy", lambda p: p["witness"].update(
+        E=[[] for _ in p["witness"]["E"]]), ValueError),
     # G(x_bar) itself has smallest eigenvalue 0: it matches, but certifies nothing
     "robinson-zero-direction": ("ex-3.2", "robinson", lambda p: p["witness"].update(
         direction=[0.0] * len(p["witness"]["direction"]), lambda_min=0.0), False),
@@ -577,21 +578,3 @@ def test_replay_rejects_forged_witness(registry, forgery):
     else:
         with pytest.raises(outcome):
             cq.replay_witness(target, payload)
-
-
-# ---------------------------------------------------------------------------
-# tangent-cone helper predicates
-
-
-def test_tangent_and_lineality_predicates():
-    M = np.diag([1.0, 0.0])
-    inward = np.array([[0.0, 0.3], [0.3, 0.5]])
-    outward = np.array([[0.0, 0.3], [0.3, -0.5]])
-    flat = np.array([[0.7, 0.4], [0.4, 0.0]])
-    assert cq.in_tangent_cone(M, inward)
-    assert not cq.in_tangent_cone(M, outward)
-    assert cq.in_lineality_space(M, flat)
-    assert not cq.in_lineality_space(M, inward)
-    # interior point: every direction is tangent and in the lineality space
-    assert cq.in_tangent_cone(np.eye(2), outward)
-    assert cq.in_lineality_space(np.eye(2), outward)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,20 @@ def test_trace_round_trip(tmp_path, registry):
         assert np.array_equal(a.delta, b.delta)
         assert np.array_equal(a.delta_vec, b.delta_vec)
         assert a.rho == b.rho
+
+
+def test_write_trace_keeps_old_file_when_a_record_fails(tmp_path, registry):
+    fix = registry.get("ex-3.3")
+    cert = penalty_trace(fix.problem, fix.x0, outers=2).certificate()
+    path = tmp_path / "t.trace"
+    kkt.write_trace(cert, path)
+    before = path.read_bytes()
+    bad = kkt.AkktCertificate(records=(cert.records[0],
+                                       replace(cert.records[1], rho="n/a")))
+    with pytest.raises(ValueError):
+        kkt.write_trace(bad, path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["t.trace"]
 
 
 def write_tampered_trace(path, registry, tamper):

@@ -321,6 +321,19 @@ def test_sqp_immediate_stop_at_kkt_point():
     assert len(trace) == 1
 
 
+def test_sqp_line_search_skips_minus_infinity():
+    # f drops to -inf past x = 1: the step must stop short of it, as
+    # the inner minimizer's search does, not carry on from -inf
+    problem = model.NsdpProblem(
+        n=1, m=1, f_eval=lambda x: -np.inf if x[0] > 1.0 else -x[0],
+        grad_f=lambda x: np.array([-1.0]), g_eval=lambda x: np.array([[x[0] + 10.0]]),
+        dg_eval=lambda x: [np.eye(1)], name="cliff")
+    trace = solvers.solve_sqp(problem, np.array([0.9]), max_iter=3)
+    xs = [float(rec.x[0]) for rec in trace.records]
+    assert len(xs) == 3 and 0.9 == xs[0] < xs[1] < xs[2] <= 1.0
+    assert all(np.isfinite(problem.f(rec.x)) for rec in trace.records)
+
+
 def test_sqp_converges_on_regular_fixtures(registry):
     for fid in ("ex-3.2", "nlp-coords", "nlp-parallel"):
         fix = registry.get(fid)
