@@ -1314,7 +1314,12 @@ def _falsifier_replays(ctx, entry, spec) -> bool:
 
 
 def _replay_pair_family(ctx, witness, spec) -> bool:
-    return _pair_family(ctx, witness["E"])["dependent"] == bool(witness["dependent"])
+    """The recorded flag, at a basis that is orthonormal and spans ker G."""
+    family = _pair_family(ctx, witness["E"])
+    E, E0 = family["E"], ctx.E0
+    return E0 is not None and family["dependent"] == bool(witness["dependent"]) \
+        and linalg.frob(E.T @ E - np.eye(E.shape[1])) <= 1e-6 \
+        and linalg.frob(E @ E.T - E0 @ E0.T) <= 1e-6
 
 
 def _replay_interior_direction(ctx, witness, spec) -> bool:

@@ -21,7 +21,9 @@ Three outer algorithms share one smooth inner loop:
 
 The inner minimizer is gradient descent with a limited-memory
 quasi-Newton direction (two-loop recursion, memory 5) and an Armijo
-backtracking line search, ``_armijo``, the one SQP's step uses too.
+line search, ``_armijo``, the one SQP's step uses too, which backtracks
+by safeguarded quadratic interpolation and halves the step after a
+non-finite value or along a direction that does not descend.
 Objectives here are once differentiable but not twice (the squared
 projection introduces kinks in the second derivative), which is why no
 Newton variant is attempted.
@@ -160,11 +162,15 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
 
 
 def _armijo(fun, x, f, d, slope, trials):
-    """Backtracking search along d from x, where fun(x) = f.
+    """Interpolating backtracking search along d from x, where fun(x) = f.
 
-    Tries t = 1, 1/2, ... for ``trials`` steps and returns
+    Makes at most ``trials`` evaluations from t = 1 and returns
     (x + t d, fun(x + t d)) for the first finite value with sufficient
-    decrease, f + 1e-4 t slope, or None when none has it.
+    decrease, f + 1e-4 t slope, or None when none has it.  After a
+    failed finite trial along a descent direction the next t minimizes
+    the quadratic through f, the slope and the trial value (Nocedal and
+    Wright, Numerical Optimization, 2nd ed., sec. 3.5); otherwise t
+    halves.  Either way it is clamped to [0.1 t, 0.5 t].
     """
     t = 1.0
     for _ in range(trials):
@@ -172,7 +178,11 @@ def _armijo(fun, x, f, d, slope, trials):
         f_new = float(fun(x_new))
         if math.isfinite(f_new) and f_new <= f + 1e-4 * t * slope:
             return x_new, f_new
-        t *= 0.5
+        t_q = 0.5 * t
+        if math.isfinite(f_new) and slope < 0.0:
+            # f_new > f + 1e-4 t slope > f + t slope: the quadratic is convex
+            t_q = -slope * t * t / (2.0 * (f_new - f - slope * t))
+        t = min(max(t_q, 0.1 * t), 0.5 * t)
     return None
 
 
@@ -424,8 +434,8 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
     with the adopted multiplier and the trace passes the sequential
     certificate checks as the subproblem tolerance tightens.  H starts
     at the identity and takes a damped BFGS update on Lagrangian
-    gradient differences, its norm capped at 1e6; an Armijo search
-    (sigma 1e-4) accepts the step.
+    gradient differences, its norm capped at 1e6; the interpolating
+    Armijo search (sigma 1e-4) accepts the step.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = problem.n

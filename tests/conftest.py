@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import regen_lock
+
 
 @pytest.fixture(scope="session")
 def lock():
@@ -10,3 +12,9 @@ def lock():
     platform (x86_64, Python 3.11, numpy 2.4.6)."""
     path = Path(__file__).parent / "data" / "behaviour_lock.json"
     return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="session")
+def regress_cq(tmp_path_factory):
+    """One ``nsdpkit regress --suite cq`` run: (exit code, stdout, report)."""
+    return regen_lock.regress_cq(tmp_path_factory.mktemp("regress-cq"))

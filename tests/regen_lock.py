@@ -1,0 +1,129 @@
+"""Rewrite tests/data/behaviour_lock.json from the current source.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python tests/regen_lock.py
+
+``lock_entries`` computes every entry of the lock: each check's verdict
+status and content digest at each fixture, each fixture's recovery
+status, the ``regress --suite cq`` report hash and the platform they
+were computed on.  ``test_behaviour_lock`` compares the same function's
+output with the file.  The script prints every entry whose status or
+digest moved, then rewrites the file; it writes nothing when the
+``regress`` run fails.
+"""
+
+import contextlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from nsdpkit import cli, cq, fixtures, kkt, solvers
+
+LOCK_PATH = Path(__file__).parent / "data" / "behaviour_lock.json"
+
+
+def verdict_matrix(registry, msr_samples):
+    """Verdict of every registered check on every fixture.
+
+    The checks at one fixture share one point context, as in diagnose.
+    """
+    verdicts = {}
+    for fix in registry:
+        ctx = cq.PointContext.at(fix.problem, fix.x_bar, curves=fix.curves,
+                                 embedding=fix.embedding,
+                                 msr_samples=msr_samples)
+        for name, spec in cq.CHECKS.items():
+            if spec.scope != "embedding" or fix.embedding is not None:
+                verdicts[fix.fixture_id, name] = spec.run(ctx)
+    return verdicts
+
+
+def penalty_recoveries(registry):
+    """Feasibility and recovered multiplier of the penalty run `regress` uses."""
+    outcomes = {}
+    for fix in registry:
+        pen = solvers.solve_external_penalty(
+            fix.problem, fix.x0,
+            rho_schedule=lambda k: 10.0 ** k,
+            inner_tol_schedule=lambda k: 1e-10,
+            max_outer=8)
+        feasibility = kkt.kkt_residual(fix.problem, pen.final.x,
+                                       pen.final.y).feasibility
+        rec = kkt.recover_multiplier(fix.problem, pen.certificate(),
+                                     fix.x_bar, tol=1e-4)
+        outcomes[fix.fixture_id] = (feasibility, rec)
+    return outcomes
+
+
+def regress_cq(out_dir):
+    """Run ``nsdpkit regress --suite cq`` into out_dir: (exit code, stdout, report)."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["regress", "--suite", "cq", "--out-dir", str(out_dir)])
+    report = json.loads((Path(out_dir) / "report.json").read_text())
+    return rc, stdout.getvalue(), report
+
+
+def lock_entries(matrix, recoveries, regress_report, msr_samples):
+    """The lock as a dict, from ``verdict_matrix``, ``penalty_recoveries``
+    and a ``regress_cq`` report."""
+    verdicts = {}
+    for (fid, check), verdict in matrix.items():
+        text = cq.verdict_to_text(verdict, generated_at="-")
+        verdicts.setdefault(fid, {})[check] = {
+            "digest": cq.content_digest(text), "status": verdict.status}
+    return {
+        "generated_with": {"machine": platform.machine(),
+                           "numpy": np.__version__,
+                           "python": platform.python_version()},
+        "msr_samples": msr_samples,
+        "recovery": {fid: rec.status for fid, (_, rec) in recoveries.items()},
+        "regress_cq_sha256": regress_report["content_sha256"],
+        "verdicts": verdicts,
+    }
+
+
+def _flat(lock):
+    flat = {f"recovery {fid}": status for fid, status in lock["recovery"].items()}
+    for fid, checks in lock["verdicts"].items():
+        for check, entry in checks.items():
+            flat[f"verdict {fid} {check}"] = f"{entry['status']} {entry['digest']}"
+    for key in ("generated_with", "msr_samples", "regress_cq_sha256"):
+        flat[key] = json.dumps(lock[key], sort_keys=True)
+    return flat
+
+
+def moved(old, new):
+    """One line per entry of the lock whose value differs between two locks."""
+    a, b = _flat(old), _flat(new)
+    return [f"{key}: {a.get(key)} -> {b.get(key)}"
+            for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+
+
+def main():
+    old = json.loads(LOCK_PATH.read_text())
+    registry = fixtures.default_registry()
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, stdout, report = regress_cq(tmp)
+    if rc != cli.EXIT_OK:
+        print(stdout, end="")
+        print("regress --suite cq failed; the lock is left as it is")
+        return 1
+    new = lock_entries(verdict_matrix(registry, old["msr_samples"]),
+                       penalty_recoveries(registry), report, old["msr_samples"])
+    lines = moved(old, new)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} entries moved")
+    LOCK_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,8 @@ import pytest
 
 from nsdpkit import cq, fixtures, kkt, model, selftest, solvers
 
+import regen_lock
+
 HOLDS = (cq.CERTIFIED_HOLDS, cq.NO_VIOLATION_FOUND)
 # weak-crcq and weak-cpld: the weak checks that compare premise and tail
 WEAK_RANK = tuple(k for k in cq.WEAK_KINDS if not cq.CHECKS[k].limit_only)
@@ -42,37 +44,12 @@ def registry():
 
 @pytest.fixture(scope="module")
 def matrix(registry, lock):
-    """Verdict of every registered check on every fixture, computed once.
-
-    The checks at one fixture share one point context, as in diagnose.
-    """
-    verdicts = {}
-    for fix in registry:
-        ctx = cq.PointContext.at(fix.problem, fix.x_bar, curves=fix.curves,
-                                 embedding=fix.embedding,
-                                 msr_samples=lock["msr_samples"])
-        for name, spec in cq.CHECKS.items():
-            if spec.scope != "embedding" or fix.embedding is not None:
-                verdicts[fix.fixture_id, name] = spec.run(ctx)
-    return verdicts
+    return regen_lock.verdict_matrix(registry, lock["msr_samples"])
 
 
 @pytest.fixture(scope="module")
 def recoveries(registry):
-    """Feasibility and recovered multiplier of the penalty run `regress` uses."""
-    outcomes = {}
-    for fix in registry:
-        pen = solvers.solve_external_penalty(
-            fix.problem, fix.x0,
-            rho_schedule=lambda k: 10.0 ** k,
-            inner_tol_schedule=lambda k: 1e-10,
-            max_outer=8)
-        feasibility = kkt.kkt_residual(fix.problem, pen.final.x,
-                                       pen.final.y).feasibility
-        rec = kkt.recover_multiplier(fix.problem, pen.certificate(),
-                                     fix.x_bar, tol=1e-4)
-        outcomes[fix.fixture_id] = (feasibility, rec)
-    return outcomes
+    return regen_lock.penalty_recoveries(registry)
 
 
 @criterion("criterion 1")
@@ -288,20 +265,17 @@ def test_criterion_10_implication_diagram(registry, matrix):
     assert not broken, broken
 
 
-def test_behaviour_lock(registry, matrix, recoveries, lock):
-    """Every verdict, its digest and every recovery status match the lock.
+def test_behaviour_lock(registry, matrix, recoveries, regress_cq, lock):
+    """Every verdict, its digest, every recovery status and the regress
+    cq hash match the lock, as ``regen_lock`` computes them.
 
     A refactor that moves any of them changed behaviour.  Every VIOLATED
     witness must also replay from its verdict alone.
     """
-    got = {fid: {} for fid in registry.names()}
-    for (fid, check), verdict in matrix.items():
-        text = cq.verdict_to_text(verdict, generated_at="-")
-        got[fid][check] = {"status": verdict.status,
-                           "digest": cq.content_digest(text)}
-    assert got == lock["verdicts"]
-    assert {fid: rec.status for fid, (_, rec) in recoveries.items()} \
-        == lock["recovery"]
+    _, _, report = regress_cq
+    got = regen_lock.lock_entries(matrix, recoveries, report, lock["msr_samples"])
+    for key in ("verdicts", "recovery", "regress_cq_sha256"):
+        assert got[key] == lock[key], key
     for (fid, check), verdict in matrix.items():
         if verdict.status != cq.VIOLATED:
             continue

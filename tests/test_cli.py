@@ -6,6 +6,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from nsdpkit import cli, fixtures, kkt, model
 
+import regen_lock
+
 
 def scaled_identity_poly(**kwargs):
     return model.MatrixPolyProblem(
@@ -429,15 +431,13 @@ def load_tables():
     return json.loads(raw)
 
 
-def test_regress_cq_deterministic(tmp_path, capsys, lock):
+def test_regress_cq_deterministic(tmp_path, regress_cq, lock):
     reports = []
     hashes = []
-    for sub in ("a", "b"):
-        rc = run(["regress", "--suite", "cq", "--out-dir", tmp_path / sub])
-        out = capsys.readouterr().out
+    for rc, out, report in (regress_cq, regen_lock.regress_cq(tmp_path)):
         assert rc == cli.EXIT_OK
         assert "0 failed" in out
-        report = json.loads((tmp_path / sub / "report.json").read_text())
+        report = dict(report)
         hashes.append(report.pop("content_sha256"))
         report.pop("generated-at")
         reports.append(report)

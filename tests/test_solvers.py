@@ -45,6 +45,47 @@ def test_inner_descent_property():
         assert fun(x) <= fun(x0) + 1e-12
 
 
+def _recorded(fun):
+    """fun, and the list of points it is called at."""
+    points = []
+    return (lambda x: points.append(float(x[0])) or fun(x)), points
+
+
+def test_armijo_steps_to_the_quadratic_minimizer():
+    # f = x^2 from x = 1 along d = -4 (slope -8): t = 1 lands at 9, and the
+    # quadratic through f(1), the slope and f(-3) is f itself, minimized
+    # at t = 0.25, x = 0; halving would try t = 0.5 (f = 1, no decrease)
+    fun, points = _recorded(lambda x: float(x[0] ** 2))
+    x_new, f_new = solvers._armijo(fun, np.array([1.0]), 1.0, np.array([-4.0]),
+                                   -8.0, 60)
+    assert points == [-3.0, 0.0]
+    assert x_new[0] == 0.0 and f_new == 0.0
+
+
+def test_armijo_step_shrinks_at_most_tenfold():
+    # along d = -100 the quadratic's minimizer is t = 0.01 < 0.1 t
+    fun, points = _recorded(lambda x: float(x[0] ** 2))
+    solvers._armijo(fun, np.array([1.0]), 1.0, np.array([-100.0]), -200.0, 60)
+    assert points[:2] == [-99.0, 1.0 + 0.1 * -100.0]
+
+
+def test_armijo_halves_along_an_ascent_direction():
+    # f linear with slope +1: no quadratic minimizer, and no step has decrease
+    fun, points = _recorded(lambda x: float(x[0]))
+    assert solvers._armijo(fun, np.array([0.0]), 0.0, np.array([1.0]), 1.0, 4) is None
+    assert points == [1.0, 0.5, 0.25, 0.125]
+
+
+@pytest.mark.parametrize("value", [1.0, np.inf, np.nan])
+@pytest.mark.parametrize("trials", [1, 7, 60])
+def test_armijo_evaluates_at_most_trials_times(value, trials):
+    # from f = 0 along a descent direction, no trial has sufficient decrease
+    fun, points = _recorded(lambda x: value)
+    assert solvers._armijo(fun, np.array([0.0]), 0.0, np.array([-1.0]),
+                           -1.0, trials) is None
+    assert len(points) == trials
+
+
 # ---------------------------------------------------------------------------
 # augmented Lagrangian function
 
