@@ -16,18 +16,21 @@ check, sign rule and ordering included, around the one rotation that
 of Python floats.  Both do the IEEE operations of the numpy-scalar loop
 they replaced, in the same order, and return its bits;
 ``tests/test_linalg.py`` keeps that loop as the reference and compares
-with ``np.array_equal``.  The bits depend on numpy (the Frobenius norm,
-which the 2x2 path reads too, goes through BLAS), so they are
-reproducible on one platform with one numpy, not across platforms.
-Each sweep's stop test compares the off-diagonal norm with its
+with ``np.array_equal``.  There is no BLAS norm: ``frob`` is
+``math.hypot`` over the entries, so the 2x2 path's bits do not depend
+on numpy.  Each sweep's stop test compares the off-diagonal norm with its
 tolerance.  A correctly rounded ``math.fsum`` of the squares decides it;
 numpy's pairwise sum, which the reference loop uses, decides only where
 the float norm lies within a relative 1e-12 of the tolerance, a band far
 wider than the two sums ever differ, so every stop, and so every bit,
 is the one the numpy sum alone gives.  Non-finite input, and input whose
-Frobenius norm overflows, is rejected with ValueError.  The other BLAS
-steps, the PSD reconstruction and the Gram product, have one site each:
-``_psd_part`` and ``gram_decompose``.
+squared Frobenius norm overflows, is rejected with ValueError: the
+rotations and the stop test square entries, though ``frob`` itself is
+finite up to about 1.8e308.  The BLAS steps left, the PSD
+reconstruction above 2x2 and the Gram product, have one site each:
+``_psd_part`` and ``gram_decompose``.  With them and LAPACK QR in
+``orthonormal_columns``, bits are reproducible on one platform with one
+Python minor version and one numpy, not across platforms.
 """
 
 from __future__ import annotations
@@ -85,13 +88,29 @@ def check_symmetric(M: np.ndarray) -> np.ndarray:
 
 
 def frob(M: np.ndarray) -> float:
-    """Frobenius norm of a matrix, Euclidean norm of a vector."""
-    return float(np.linalg.norm(np.asarray(M, dtype=float)))
+    """Frobenius norm of a matrix, Euclidean norm of a vector.
+
+    ``math.hypot`` over the entries: no BLAS, and finite wherever the
+    norm is below about 1.8e308, though the squares overflow.
+    """
+    return math.hypot(*np.asarray(M, dtype=float).ravel().tolist())
 
 
 def inner(M: np.ndarray, N: np.ndarray) -> float:
-    """Trace inner product of two symmetric matrices."""
-    return float(np.sum(np.asarray(M, dtype=float) * np.asarray(N, dtype=float)))
+    """Trace inner product of two symmetric matrices.
+
+    Up to four entries the products are summed on floats one after
+    another in C order from 0.0, which is numpy's own order below eight
+    entries: the bits of ``np.sum(M * N)``.
+    """
+    M = np.asarray(M, dtype=float)
+    N = np.asarray(N, dtype=float)
+    if M.size <= 4 and M.shape == N.shape:
+        total = 0.0
+        for a, b in zip(M.ravel().tolist(), N.ravel().tolist()):
+            total += a * b
+        return total
+    return float(np.sum(M * N))
 
 
 @dataclass(frozen=True)
@@ -140,9 +159,10 @@ def _jacobi(M: np.ndarray):
     V = np.eye(m).tolist()  # V[j] is column j of the rotation matrix
     if m <= 1:
         return [col[j] for j, col in enumerate(C)], V
-    scale = 1.0 + frob(A)
-    if math.isinf(scale):  # the convergence test would pass at once
+    nrm = frob(A)
+    if math.isinf(nrm * nrm):  # the rotations and the stop test square entries
         raise ValueError("matrix Frobenius norm overflows")
+    scale = 1.0 + nrm
     off_tol = 1e-14 * scale
     skip_tol = 1e-18 * scale
     for _ in range(_JACOBI_MAX_SWEEPS):
@@ -224,9 +244,10 @@ def _jacobi_2x2(M: np.ndarray):
     skipped, and it zeroes a01, so the next sweep's test passes.
     """
     (a00, a01), (_, a11) = M.tolist()
-    scale = 1.0 + frob(M)
-    if math.isinf(scale):
+    nrm = frob(M)
+    if math.isinf(nrm * nrm):
         raise ValueError("matrix Frobenius norm overflows")
+    scale = 1.0 + nrm
     if math.sqrt(a01 * a01 * 2.0) <= 1e-14 * scale:
         return [a00, a11], [[1.0, 0.0], [0.0, 1.0]]
     theta = (a11 - a00) / (2.0 * a01)
@@ -287,7 +308,19 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
 
 
 def _psd_part(U: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The PSD matrix sym_part(U diag(max(lam, 0)) U'): the one reconstruction."""
+    """The PSD matrix sym_part(U diag(max(lam, 0)) U'): the one reconstruction.
+
+    A 2x2 is built on floats, with one off-diagonal entry for both
+    places, so it is exactly symmetric and its bits do not depend on numpy.
+    """
+    if U.shape == (2, 2):
+        (u00, u01), (u10, u11) = U.tolist()
+        l0, l1 = lam.tolist()
+        w0 = l0 if l0 > 0.0 else 0.0
+        w1 = l1 if l1 > 0.0 else 0.0
+        a, b, c, d = u00 * w0, u01 * w1, u10 * w0, u11 * w1  # U diag(w)
+        off = 0.5 * ((a * u10 + b * u11) + (c * u00 + d * u01))
+        return np.array([[a * u00 + b * u01, off], [off, c * u10 + d * u11]])
     return sym_part((U * np.maximum(lam, 0.0)) @ U.T)
 
 

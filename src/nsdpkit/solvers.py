@@ -217,18 +217,19 @@ def al_multiplier(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray)
 def al_value(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> float:
     """Augmented Lagrangian value at x for carried estimate Ytilde.
 
-    inf where the shifted constraint value or its Frobenius norm
-    overflows, so that a line search backs off from the trial point
-    instead of failing in the kernel's non-finite check.  The projection
+    inf where the shifted constraint value or its squared Frobenius norm
+    overflows, the kernel's reject rule, so that a line search backs off
+    from the trial point instead of failing in the kernel.  The projection
     is shared with ``al_gradient`` and the outer record at the same point.
     """
     x = np.asarray(x, dtype=float)
     Z = problem.g(x) - Ytilde / rho
-    if not math.isfinite(linalg.frob(Z)):
+    nrm = linalg.frob(Z)
+    if not math.isfinite(nrm * nrm):
         return float("inf")
-    S = _shifted_projection(Z)
-    return problem.f(x) + 0.5 * rho * linalg.frob(S) ** 2 \
-        - linalg.frob(Ytilde) ** 2 / (2.0 * rho)
+    s = linalg.frob(_shifted_projection(Z))
+    y = linalg.frob(Ytilde)
+    return problem.f(x) + 0.5 * rho * (s * s) - y * y / (2.0 * rho)
 
 
 def al_gradient(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> np.ndarray:

@@ -184,6 +184,16 @@ def test_line_search_backs_off_where_g_overflows():
     assert np.isfinite(linalg.frob(problem.g(x)))
 
 
+def test_al_value_where_the_estimate_norm_squared_overflows():
+    # ||Ytilde|| = 1.4e200 is finite, its square is not; Z = G - Ytilde/rho
+    # is about -1e100 I, so only the estimate's term overflows
+    problem = model.MatrixPolyProblem(
+        n=1, m=2, c0=0.0, c_lin=np.array([1.0]), c_quad=np.zeros((1, 1)),
+        a0=np.eye(2), a_lin=(np.zeros((2, 2)),), b_quad={},
+        name="big-estimate").problem()
+    assert solvers.al_value(problem, np.array([0.0]), 1e100, 1e200 * np.eye(2)) == -np.inf
+
+
 # ---------------------------------------------------------------------------
 # external penalty
 
