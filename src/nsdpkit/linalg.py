@@ -19,11 +19,9 @@ they replaced, in the same order, and return its bits;
 with ``np.array_equal``.  There is no BLAS norm: ``frob`` is
 ``math.hypot`` over the entries, so the 2x2 path's bits do not depend
 on numpy.  Each sweep's stop test compares the off-diagonal norm with its
-tolerance.  A correctly rounded ``math.fsum`` of the squares decides it;
-numpy's pairwise sum, which the reference loop uses, decides only where
-the float norm lies within a relative 1e-12 of the tolerance, a band far
-wider than the two sums ever differ, so every stop, and so every bit,
-is the one the numpy sum alone gives.  Non-finite input, and input whose
+tolerance; the norm sums its squares by a correctly rounded
+``math.fsum``, in the kernel and the reference loop alike, so no numpy
+reduction decides a stop.  Non-finite input, and input whose
 squared Frobenius norm overflows, is rejected with ValueError: the
 rotations and the stop test square entries, though ``frob`` itself is
 finite up to about 1.8e308.  The BLAS steps left, the PSD
@@ -150,8 +148,12 @@ def _jacobi(M: np.ndarray):
 
     Returns (diagonal values, rotation columns) as lists.  Rotations run
     row by row in a fixed (p, q) order.  The matrix is held by columns,
-    ``C[j][i] = A[i][j]``, so a rotation maps whole columns.  The
-    per-sweep stop test is ``_off_converged``.
+    ``C[j][i] = A[i][j]``, so a rotation maps whole columns.  Each sweep
+    starts with the stop test: the off-diagonal norm sqrt(2 * sum of the
+    squared upper entries), summed by ``math.fsum``, is at most
+    1e-14 * (1 + ||A||_F).  ``JacobiConvergenceError`` reports that norm.
+    The input is finite (``spectral_decompose`` checks it) and its squared
+    norm is finite (checked here), so the sum never overflows.
     """
     A = np.array(M, dtype=float)
     m = A.shape[0]
@@ -165,14 +167,18 @@ def _jacobi(M: np.ndarray):
     scale = 1.0 + nrm
     off_tol = 1e-14 * scale
     skip_tol = 1e-18 * scale
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_converged(C, off_tol):
-            break
+    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
+        off = math.sqrt(2.0 * math.fsum([x * x for j, col in enumerate(C)
+                                         for x in col[:j]]))
+        if off <= off_tol:
+            return [col[j] for j, col in enumerate(C)], V
+        if sweep == _JACOBI_MAX_SWEEPS:
+            raise JacobiConvergenceError(off, _JACOBI_MAX_SWEEPS)
         for p in range(m - 1):
             for q in range(p + 1, m):
                 Cp, Cq = C[p], C[q]
                 apq = Cq[p]
-                if not abs(apq) > skip_tol:  # a NaN scale skips them all
+                if abs(apq) <= skip_tol:
                     continue
                 # 2x2 rotation zeroing A[p][q]; the smaller-angle root is
                 # chosen for stability.
@@ -196,50 +202,13 @@ def _jacobi(M: np.ndarray):
                 Vp, Vq = V[p], V[q]
                 V[p] = [c * a - s * b for a, b in zip(Vp, Vq)]
                 V[q] = [s * a + c * b for a, b in zip(Vp, Vq)]
-    else:
-        if not _off_converged(C, off_tol):
-            # With a NaN entry the test fails whatever the off-diagonal
-            # holds; report the residual as NaN, not as that norm.
-            residual = _off_norm(C) if np.isfinite(C).all() else float("nan")
-            raise JacobiConvergenceError(residual, _JACOBI_MAX_SWEEPS)
-    return [col[j] for j, col in enumerate(C)], V
-
-
-def _off_norm(C: list) -> float:
-    """Off-diagonal norm sqrt(2 * sum of squared upper entries), by numpy.
-
-    ``C`` holds the matrix by columns.  The sum is numpy's pairwise
-    summation, as in the reference loop the kernel's bits follow.
-    """
-    A = np.array(C).T
-    return np.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
-
-
-def _off_converged(C: list, off_tol: float) -> bool:
-    """``_off_norm(C) <= off_tol``, decided on floats outside a band.
-
-    A correctly rounded ``math.fsum`` of the same squares is within a few
-    dozen ulps of numpy's pairwise sum at any desk-scale m, so outside
-    off_tol * (1 +- 1e-12) both decide alike; inside that band, on NaN
-    or on an overflowing sum, numpy's norm decides.
-    """
-    try:
-        off = math.sqrt(2.0 * math.fsum([x * x for j, col in enumerate(C)
-                                         for x in col[:j]]))
-    except OverflowError:
-        off = math.nan
-    if off < off_tol * (1.0 - 1e-12):
-        return True
-    if off > off_tol * (1.0 + 1e-12):
-        return False
-    return bool(_off_norm(C) <= off_tol)
 
 
 def _jacobi_2x2(M: np.ndarray):
     """``_jacobi`` of a 2x2 matrix: its single rotation, on floats.
 
     Same tests and expressions as the cyclic loop.  The off-diagonal norm
-    of a 2x2 sums one square, so it needs no numpy reduction; passing the
+    of a 2x2 sums one square, so it needs no ``math.fsum``; passing the
     off test implies |a01| > 1e-18 * scale, so the rotation is never
     skipped, and it zeroes a01, so the next sweep's test passes.
     """

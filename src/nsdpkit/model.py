@@ -180,9 +180,7 @@ class MatrixPolyProblem:
 
     def g(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        G = self.a0.copy()
-        for i in range(self.n):
-            G = G + x[i] * self.a_lin[i]
+        G = linearize(self.a0, self.a_lin, x)
         for (i, j), B in self.b_quad.items():
             G = G + x[i] * x[j] * B
         return G

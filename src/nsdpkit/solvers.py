@@ -6,7 +6,7 @@ Three outer algorithms share one smooth inner loop:
   estimate Ytilde enters through the shifted projection
   S(x) = proj_psd(-G(x) + Ytilde / rho); the penalty parameter is
   frozen whenever the measure V = S - Ytilde / rho shrinks by a fixed
-  factor, and the next safeguard is the current multiplier projected
+  factor, and the next safeguard is the current multiplier scaled
   into a norm ball.
 * ``solve_external_penalty``: the same loop with a zero-radius ball, so
   the carried estimate stays zero, driven by prescribed penalty and
@@ -286,7 +286,7 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
 
     ``rho_schedule`` and ``eps_schedule`` are callables indexed from 1;
     without them rho grows adaptively and the tolerance decays
-    geometrically.  The next carried estimate is the multiplier projected
+    geometrically.  The next carried estimate is the multiplier scaled
     into the ball of radius ``config.safeguard_radius``.  Each outer
     record reads the projection the inner loop's last evaluation made.
     """
@@ -360,14 +360,14 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
 
 
 def _project_ball(Y: np.ndarray, radius: float) -> np.ndarray:
-    """Project a PSD matrix onto the PSD Frobenius-norm ball."""
-    if radius <= 0.0:
-        return np.zeros_like(Y)
-    Yp = linalg.proj_psd(Y)
-    nrm = linalg.frob(Yp)
-    if nrm > radius:
-        Yp = Yp * (radius / nrm)
-    return Yp
+    """Scale a PSD matrix into the Frobenius-norm ball of ``radius``.
+
+    Y must be PSD, as every caller's is: rho times a ``_shifted_projection``
+    output, or zero.  For such Y the scaling is the exact projection onto
+    the PSD part of the ball, so Y is not decomposed again.
+    """
+    nrm = linalg.frob(Y)
+    return Y * (radius / nrm) if nrm > radius else Y.copy()
 
 
 def solve_external_penalty(problem: model.NsdpProblem, x0, rho_schedule,
@@ -446,27 +446,13 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
     Y = np.zeros((problem.m, problem.m))
     records = []
     termination = "iteration_cap"
+    diag = {}
     for k in range(1, max_iter + 1):
         gf = problem.grad(x)
-        G0 = problem.g(x)
         Ds = problem.dg(x)
-        Bk = B.copy()
-
-        def sub_f(d, gf=gf, Bk=Bk):
-            return float(d @ Bk @ d + gf @ d)
-
-        def sub_grad(d, gf=gf, Bk=Bk):
-            return 2.0 * (Bk @ d) + gf
-
-        def sub_g(d, G0=G0, Ds=Ds):
-            return model.linearize(G0, Ds, d)
-
-        def sub_dg(d, Ds=Ds):
-            return Ds
-
-        sub = model.NsdpProblem(n=n, m=problem.m, f_eval=sub_f, grad_f=sub_grad,
-                                g_eval=sub_g, dg_eval=sub_dg,
-                                name=f"{problem.name}:linearized@{k}")
+        sub = model.MatrixPolyProblem(
+            n=n, m=problem.m, c0=0.0, c_lin=gf, c_quad=2.0 * B, a0=problem.g(x),
+            a_lin=Ds, b_quad={}, name=f"{problem.name}:linearized@{k}").problem()
         sub_trace = _al_engine(sub, np.zeros(n), cfg, stol, 40,
                                Ytilde0=_project_ball(Y, cfg.safeguard_radius),
                                solver_name="augmented_lagrangian")
@@ -478,16 +464,14 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
                 diag = {"subproblem_point": [float(v) for v in d],
                         "subproblem_infeasibility": feas,
                         "subproblem_termination": sub_trace.termination}
-                return SolverTrace(records=tuple(records), termination=termination,
-                                   solver="sqp", diagnostics=diag)
+                break
             if sub_trace.final.residual.max_entry > min(1e-6, 1e2 * stol):
                 termination = "subproblem_failure"
                 diag = {"subproblem_termination": sub_trace.termination,
                         "subproblem_residual": sub_trace.final.residual.max_entry}
-                return SolverTrace(records=tuple(records), termination=termination,
-                                   solver="sqp", diagnostics=diag)
+                break
         Y = sub_trace.final.y
-        lin_shift = model.linearize(np.zeros_like(G0), Ds, d)
+        lin_shift = model.linearize(np.zeros((problem.m, problem.m)), Ds, d)
         delta = linalg.sym_part(lin_shift + sub_trace.final.delta)
         delta_vec = model.lagrangian_grad(problem, x, Y)
         residual = kkt.kkt_residual(problem, x, Y)
@@ -507,4 +491,5 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
         y_vec = model.lagrangian_grad(problem, x_new, Y) - delta_vec
         B = _bfgs_update(B, x_new - x, y_vec)
         x = x_new
-    return SolverTrace(records=tuple(records), termination=termination, solver="sqp")
+    return SolverTrace(records=tuple(records), termination=termination,
+                       solver="sqp", diagnostics=diag)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsdpkit import fixtures, kkt, linalg, model, selftest, solvers
 
@@ -120,6 +121,54 @@ def test_al_decomposes_each_point_once(registry, monkeypatch, fid):
     trace = solvers.solve_augmented_lagrangian(fix.problem, fix.x0)
     assert len(trace) > 1
     assert len(split) == len(set(split)) == len(evaluated)
+
+
+def test_al_decomposes_each_multiplier_once(monkeypatch):
+    """kkt_residual's decomposition of an outer multiplier is its only one."""
+    # min x_0 + 0.2 x_1 + |x|^2 / 2 s.t. Q diag(x_0 + x_1, x_0 - x_1, 1) Q' PSD,
+    # both kernel constraints active at the solution 0; the random frame
+    # Q keeps the matrices decomposed during the solve distinct
+    Q = linalg.haar_orthogonal(3, np.random.default_rng(3))
+
+    def frame(v):
+        return linalg.sym_part((Q * v) @ Q.T)
+
+    problem = model.MatrixPolyProblem(
+        n=2, m=3, c0=0.0, c_lin=np.array([1.0, 0.2]), c_quad=np.eye(2),
+        a0=frame([0.0, 0.0, 1.0]), a_lin=(frame([1.0, 1.0, 0.0]), frame([1.0, -1.0, 0.0])),
+        b_quad={}).problem()
+    seen = []
+    decompose = linalg.spectral_decompose
+
+    def counting(M):
+        seen.append(np.asarray(M, dtype=float).tobytes())
+        return decompose(M)
+
+    monkeypatch.setattr(linalg, "spectral_decompose", counting)
+    trace = solvers.solve_augmented_lagrangian(problem, np.array([1.0, 1.0]))
+    assert trace.termination == "converged" and len(trace) > 2
+    assert [seen.count(rec.y.tobytes()) for rec in trace.records] == [1] * len(trace)
+
+
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3),
+       st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+@settings(max_examples=200, deadline=None)
+def test_project_ball_scales_a_psd_multiplier(m, seed, rho, radius):
+    # Y = rho * proj_psd(M), as in the outer loop: scaling it into the ball
+    # is projecting it onto the PSD cone and then scaling.  Radii keep
+    # radius / ||Y|| a normal float, so the scaling rounds relatively
+    gen = np.random.default_rng(seed)
+    M = gen.normal(size=(m, m)) * 10.0 ** gen.uniform(-3.0, 3.0)
+    Y = rho * linalg.proj_psd((M + M.T) / 2.0)
+    got = solvers._project_ball(Y, radius)
+    assert linalg.frob(got) <= radius * (1.0 + 1e-15)  # the scaling rounds
+    want = linalg.proj_psd(Y)
+    nrm = linalg.frob(want)
+    if nrm > radius:
+        want = want * (radius / nrm)
+    # proj_psd(Y) differs from Y by the reconstruction's rounding, up to
+    # about 45 eps (1 + ||Y||) at m = 4
+    assert linalg.frob(got - want) <= 1e-13 * (1.0 + linalg.frob(Y))
 
 
 def test_shared_split_is_read_only():
