@@ -547,12 +547,16 @@ def _pair_family(ctx: PointContext, E) -> dict:
 
 
 def _robinson_certificate(problem: model.NsdpProblem, x, G, budget: CqBudget,
-                          rng: np.random.Generator):
+                          rng: np.random.Generator, threshold: float):
     """Search for d with G(x) + DG(x)[d] positive definite on ||d|| <= 1.
 
     The smallest eigenvalue of the affine matrix map is concave in d, so
     projected supergradient ascent with a diminishing step converges;
-    restarts guard against flat starts.
+    restarts guard against flat starts.  All restart starts are drawn
+    before the first ascent, so the rng stream does not depend on where
+    the search stops: after each restart, its closing evaluation
+    included, it stops once the best eigenvalue exceeds ``threshold``.
+    A search that never gets there runs every restart.
     """
     n = problem.n
     Ds = problem.dg(x)
@@ -586,6 +590,8 @@ def _robinson_certificate(problem: model.NsdpProblem, x, G, budget: CqBudget,
         val, _ = phi(d)
         if val > best_val:
             best_val, best_d = val, d.copy()
+        if best_val > threshold:
+            break
     return best_val, best_d
 
 
@@ -611,8 +617,9 @@ def _robinson(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
                      "lambda_min": float(ctx.dec.eigenvalues[-1])},
             notes=("constraint has full rank at the point",))
     rng = _rng(budget.seed, 5)
-    cert_val, cert_d = _robinson_certificate(problem, x, G, budget, rng)
-    if cert_val > _robinson_threshold(ctx):
+    threshold = _robinson_threshold(ctx)
+    cert_val, cert_d = _robinson_certificate(problem, x, G, budget, rng, threshold)
+    if cert_val > threshold:
         return ctx.verdict(
             spec.name, CERTIFIED_HOLDS,
             witness={"kind": "interior-direction", "direction": cert_d,
@@ -1332,7 +1339,7 @@ def _replay_interior_direction(ctx, witness, spec) -> bool:
     d = np.asarray(witness["direction"], dtype=float)
     claimed = float(witness["lambda_min"])
     M = model.linearize(ctx.G, ctx.problem.dg(ctx.x), d)
-    lam_min = float(linalg.spectral_decompose(linalg.sym_part(M)).eigenvalues[-1])
+    lam_min = float(linalg.eigenvalues(linalg.sym_part(M))[-1])
     if abs(lam_min - claimed) > 1e-9 * (1.0 + abs(lam_min)):
         return False
     if ctx.r == ctx.problem.m:

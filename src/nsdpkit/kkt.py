@@ -57,7 +57,7 @@ def kkt_residual(problem: model.NsdpProblem, x, Y) -> KktResidual:
     x = np.asarray(x, dtype=float)
     Y = linalg.check_symmetric(Y)
     G = problem.g(x)
-    lam_y = linalg.spectral_decompose(Y).eigenvalues
+    lam_y = linalg.eigenvalues(Y)
     return KktResidual(
         stationarity=linalg.frob(model.lagrangian_grad(problem, x, Y)),
         feasibility=linalg.frob(linalg.proj_psd(-G)),
@@ -109,11 +109,11 @@ def akkt_check(problem: model.NsdpProblem, cert: AkktCertificate, tol: float):
         grad_l = model.lagrangian_grad(problem, rec.x, rec.y)
         if linalg.frob(grad_l - rec.delta_vec) > 1e-10:
             return False, idx
-        lam_y = linalg.spectral_decompose(rec.y).eigenvalues
+        lam_y = linalg.eigenvalues(rec.y)
         if lam_y.size and float(lam_y[-1]) < -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(rec.y)):
             return False, idx
         shifted = problem.g(rec.x) + rec.delta
-        lam_s = linalg.spectral_decompose(shifted).eigenvalues
+        lam_s = linalg.eigenvalues(shifted)
         if float(lam_s[-1]) < -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(shifted)):
             return False, idx
         comp = abs(linalg.inner(shifted, rec.y))

@@ -13,10 +13,14 @@ produce identical output arrays.
 The kernel has two paths.  A 2x2 matrix stays on Python floats, input
 check, sign rule and ordering included, around the one rotation that
 ``_jacobi_2x2`` replays; larger matrices run ``_jacobi`` on nested lists
-of Python floats.  Both do the IEEE operations of the numpy-scalar loop
-they replaced, in the same order, and return its bits;
-``tests/test_linalg.py`` keeps that loop as the reference and compares
-with ``np.array_equal``.  There is no BLAS norm: ``frob`` is
+of Python floats.  ``_jacobi`` rotates the matrix alone and logs each
+rotation; ``spectral_decompose`` replays the log on the identity for the
+eigenvectors, and ``eigenvalues``, the entry for callers that read no
+eigenvectors, skips the replay unless two values tie exactly, where the
+eigenvectors decide the order.  Both paths do the IEEE operations of
+the numpy-scalar loop they replaced, in the same order, and return its
+bits; ``tests/test_linalg.py`` keeps that loop as the reference and
+compares with ``np.array_equal``.  There is no BLAS norm: ``frob`` is
 ``math.hypot`` over the entries, so the 2x2 path's bits do not depend
 on numpy.  Each sweep's stop test compares the off-diagonal norm with its
 tolerance; the norm sums its squares by a correctly rounded
@@ -146,8 +150,11 @@ class SpectralDecomp:
 def _jacobi(M: np.ndarray):
     """Cyclic Jacobi iteration on lists of Python floats.
 
-    Returns (diagonal values, rotation columns) as lists.  Rotations run
-    row by row in a fixed (p, q) order.  The matrix is held by columns,
+    Returns the diagonal values and the log of the rotations ``(p, q, c,
+    s)`` in the order they were applied; the eigenvectors never feed
+    back into the matrix, so ``_rotate_identity`` replays them from the
+    log for the callers that read them.  Rotations run row by row in a
+    fixed (p, q) order.  The matrix is held by columns,
     ``C[j][i] = A[i][j]``, so a rotation maps whole columns.  Each sweep
     starts with the stop test: the off-diagonal norm sqrt(2 * sum of the
     squared upper entries), summed by ``math.fsum``, is at most
@@ -158,9 +165,9 @@ def _jacobi(M: np.ndarray):
     A = np.array(M, dtype=float)
     m = A.shape[0]
     C = A.T.tolist()
-    V = np.eye(m).tolist()  # V[j] is column j of the rotation matrix
+    log = []
     if m <= 1:
-        return [col[j] for j, col in enumerate(C)], V
+        return [col[j] for j, col in enumerate(C)], log
     nrm = frob(A)
     if math.isinf(nrm * nrm):  # the rotations and the stop test square entries
         raise ValueError("matrix Frobenius norm overflows")
@@ -171,7 +178,7 @@ def _jacobi(M: np.ndarray):
         off = math.sqrt(2.0 * math.fsum([x * x for j, col in enumerate(C)
                                          for x in col[:j]]))
         if off <= off_tol:
-            return [col[j] for j, col in enumerate(C)], V
+            return [col[j] for j, col in enumerate(C)], log
         if sweep == _JACOBI_MAX_SWEEPS:
             raise JacobiConvergenceError(off, _JACOBI_MAX_SWEEPS)
         for p in range(m - 1):
@@ -199,9 +206,20 @@ def _jacobi(M: np.ndarray):
                 for Ci, x, y in zip(C, Np, Nq):
                     Ci[p] = x
                     Ci[q] = y
-                Vp, Vq = V[p], V[q]
-                V[p] = [c * a - s * b for a, b in zip(Vp, Vq)]
-                V[q] = [s * a + c * b for a, b in zip(Vp, Vq)]
+                log.append((p, q, c, s))
+
+
+def _rotate_identity(m: int, log: list) -> list:
+    """The rotations of a ``_jacobi`` log applied in order to the identity.
+
+    V[j] is column j of the rotation matrix.
+    """
+    V = np.eye(m).tolist()
+    for p, q, c, s in log:
+        Vp, Vq = V[p], V[q]
+        V[p] = [c * a - s * b for a, b in zip(Vp, Vq)]
+        V[q] = [s * a + c * b for a, b in zip(Vp, Vq)]
+    return V
 
 
 def _jacobi_2x2(M: np.ndarray):
@@ -257,6 +275,27 @@ def _decompose_2x2(M: np.ndarray) -> SpectralDecomp:
                           eigenvectors=np.array([[x0, x1], [y0, y1]]))
 
 
+def _sorted_spectrum(M: np.ndarray, vectors: bool):
+    """(eigenvalues, eigenvectors or None) of a matrix other than 2x2.
+
+    The order is non-increasing in value, ties broken by the
+    sign-canonicalized eigenvectors.  Those are replayed from the
+    rotation log only when ``vectors`` asks for them or two values tie
+    exactly (0.0 and -0.0 included), where they decide the order.
+    """
+    vals, log = _jacobi(check_symmetric(M))
+    m = len(vals)
+    if vectors or len(set(vals)) < m:
+        cols = [_canonical_sign(col) for col in _rotate_identity(m, log)]
+        order = sorted(range(m), key=lambda i: (-vals[i], cols[i]))
+    else:
+        order = sorted(range(m), key=lambda i: -vals[i])
+    lam = np.array([vals[i] for i in order])
+    if not vectors:
+        return lam, None
+    return lam, np.array([cols[i] for i in order]).T.copy() if order else np.eye(0)
+
+
 def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
     """Spectral decomposition with eigenvalues sorted non-increasingly.
 
@@ -267,13 +306,16 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
     M = np.asarray(M, dtype=float)
     if M.shape == (2, 2):
         return _decompose_2x2(M)
-    M = check_symmetric(M)
-    vals, V = _jacobi(M)
-    cols = [_canonical_sign(col) for col in V]
-    order = sorted(range(len(vals)), key=lambda i: (-vals[i], cols[i]))
-    lam = np.array([vals[i] for i in order])
-    U = np.array([cols[i] for i in order]).T.copy() if order else np.eye(0)
+    lam, U = _sorted_spectrum(M, vectors=True)
     return SpectralDecomp(eigenvalues=lam, eigenvectors=U)
+
+
+def eigenvalues(M: np.ndarray) -> np.ndarray:
+    """``spectral_decompose(M).eigenvalues``, bit for bit, without the vectors."""
+    M = np.asarray(M, dtype=float)
+    if M.shape == (2, 2):
+        return _decompose_2x2(M).eigenvalues
+    return _sorted_spectrum(M, vectors=False)[0]
 
 
 def _psd_part(U: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -169,6 +169,11 @@ class MatrixPolyProblem:
             linalg.check_symmetric(B)
             if B.shape != (self.m, self.m):
                 raise ValueError("quadratic constraint term has wrong shape")
+        # dg returns these matrices themselves, so no caller may write into them
+        a_lin = tuple(np.array(A, dtype=float) for A in self.a_lin)
+        for A in a_lin:
+            A.flags.writeable = False
+        object.__setattr__(self, "a_lin", a_lin)
 
     def f(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -186,18 +191,19 @@ class MatrixPolyProblem:
         return G
 
     def dg(self, x) -> list:
+        """The read-only ``a_lin`` matrices, each b_quad term added once.
+
+        Each entry gets its terms in b_quad order, as a sum per entry
+        would add them, so the bits do not depend on the loop's shape.
+        """
         x = np.asarray(x, dtype=float)
-        out = []
-        for l in range(self.n):
-            D = self.a_lin[l].copy()
-            for (i, j), B in self.b_quad.items():
-                if i == j == l:
-                    D = D + 2.0 * x[l] * B
-                elif i == l:
-                    D = D + x[j] * B
-                elif j == l:
-                    D = D + x[i] * B
-            out.append(D)
+        out = list(self.a_lin)
+        for (i, j), B in self.b_quad.items():
+            if i == j:
+                out[i] = out[i] + 2.0 * x[i] * B
+            else:
+                out[i] = out[i] + x[j] * B
+                out[j] = out[j] + x[i] * B
         return out
 
     def problem(self) -> NsdpProblem:

@@ -416,7 +416,7 @@ def _bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     nrm = linalg.frob(B)
     if nrm > 1e6:
         B = B * (1e6 / nrm)
-    lam_min = float(linalg.spectral_decompose(B).eigenvalues[-1])
+    lam_min = float(linalg.eigenvalues(B)[-1])
     if lam_min < 1e-10:
         B = B + (1e-10 - lam_min) * np.eye(B.shape[0])
     return B

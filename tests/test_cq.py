@@ -177,6 +177,35 @@ def test_robinson_violated_rotation_pair(registry):
     assert cq.replay_witness(fix.problem, verdict)
 
 
+@pytest.mark.parametrize("fixture_id, phi_calls", [("ex-3.2", 201), ("ex-4.3", 2010)])
+def test_robinson_search_stops_after_the_certifying_restart(registry, monkeypatch,
+                                                            fixture_id, phi_calls):
+    # one restart is 200 ascent steps and a closing evaluation; a search
+    # that finds no certificate (ex-4.3) still runs all ten restarts
+    fix = registry.get(fixture_id)
+    ctx = cq.PointContext.at(fix.problem, fix.x_bar)
+    decompose, certificate = linalg.spectral_decompose, cq._robinson_certificate
+    inside, calls = [False], []
+
+    def searching(*args):
+        inside[0] = True
+        try:
+            return certificate(*args)
+        finally:
+            inside[0] = False
+
+    def counting(M):
+        if inside[0]:
+            calls.append(len(M))
+        return decompose(M)
+
+    monkeypatch.setattr(cq, "_robinson_certificate", searching)
+    monkeypatch.setattr(linalg, "spectral_decompose", counting)
+    verdict = cq.CHECKS["robinson"].run(ctx)
+    assert len(calls) == phi_calls
+    assert verdict.status == fix.allowed("robinson")[0]
+
+
 def test_robinson_interior_certified(registry):
     problem = registry.get("ex-4.2").problem
     verdict = cq.check_robinson(problem, np.array([2.0]))

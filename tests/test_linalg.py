@@ -150,15 +150,21 @@ def reference_decompose(M):
 
 
 def assert_same_bits(M):
-    """Reference bits, or ValueError where the kernel's squared norm overflows."""
+    """Reference bits, or ValueError where the kernel's squared norm overflows.
+
+    Both kernel entries: ``spectral_decompose`` and the values-only
+    ``eigenvalues``, whose bits include the sign of a tied zero.
+    """
     nrm = linalg.frob(M)
     if M.shape[0] >= 2 and math.isinf(nrm * nrm):
-        with pytest.raises(ValueError, match="norm overflows"):
-            linalg.spectral_decompose(M)
+        for kernel in (linalg.spectral_decompose, linalg.eigenvalues):
+            with pytest.raises(ValueError, match="norm overflows"):
+                kernel(M)
         return
     lam_ref, U_ref = reference_decompose(M)
     dec = linalg.spectral_decompose(M)
-    for got, want in ((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref)):
+    for got, want in ((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref),
+                      (linalg.eigenvalues(M), lam_ref)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.flags.c_contiguous == want.flags.c_contiguous
         assert np.array_equal(got, want)
@@ -221,6 +227,13 @@ def test_stop_test_near_tolerance_needs_no_numpy_sum(monkeypatch, m):
     monkeypatch.setattr(np, "sum", no_sum)
     for M in near_tolerance(m, rng(m), BAND_K):
         assert_same_bits(M)
+
+
+def test_eigenvalues_break_a_signed_zero_tie_by_the_eigenvectors():
+    # 0.0 and -0.0 tie; the eigenvectors put -0.0 first, not the index order
+    M = np.diag([0.0, -0.0, 1.0])
+    assert np.array_equal(np.signbit(linalg.eigenvalues(M)), [False, True, False])
+    assert_same_bits(M)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

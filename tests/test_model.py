@@ -182,6 +182,40 @@ def test_round_trip_evaluations_identical(tmp_path):
             assert np.array_equal(A, B)
 
 
+def test_dg_matches_a_sum_per_entry():
+    poly = _sample_poly()
+    gen = np.random.default_rng(8)
+    for _ in range(20):
+        x = gen.normal(size=2)
+        want = []
+        for l in range(poly.n):
+            D = poly.a_lin[l].copy()
+            for (i, j), B in poly.b_quad.items():
+                if i == j == l:
+                    D = D + 2.0 * x[l] * B
+                elif i == l:
+                    D = D + x[j] * B
+                elif j == l:
+                    D = D + x[i] * B
+            want.append(D)
+        for A, B in zip(poly.dg(x), want):
+            assert np.array_equal(A, B)
+
+
+def test_dg_hands_out_read_only_copies():
+    A = np.eye(2)
+    poly = model.MatrixPolyProblem(
+        n=1, m=2, c0=0.0, c_lin=np.array([1.0]), c_quad=np.zeros((1, 1)),
+        a0=np.zeros((2, 2)), a_lin=(A,), b_quad={})
+    A[0, 0] = 7.0
+    assert poly.a_lin[0][0, 0] == 1.0 and A.flags.writeable
+    # with no quadratic term dg returns the stored matrix itself
+    D = poly.dg(np.array([0.5]))[0]
+    assert D is poly.a_lin[0]
+    with pytest.raises(ValueError, match="read-only"):
+        D[0, 0] = 5.0
+
+
 def test_dict_round_trip_without_optionals():
     poly = model.MatrixPolyProblem(
         n=1, m=2, c0=0.0, c_lin=np.array([1.0]), c_quad=np.zeros((1, 1)),

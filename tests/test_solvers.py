@@ -124,7 +124,7 @@ def test_al_decomposes_each_point_once(registry, monkeypatch, fid):
 
 
 def test_al_decomposes_each_multiplier_once(monkeypatch):
-    """kkt_residual's decomposition of an outer multiplier is its only one."""
+    """kkt_residual's spectrum of an outer multiplier is its only one."""
     # min x_0 + 0.2 x_1 + |x|^2 / 2 s.t. Q diag(x_0 + x_1, x_0 - x_1, 1) Q' PSD,
     # both kernel constraints active at the solution 0; the random frame
     # Q keeps the matrices decomposed during the solve distinct
@@ -138,13 +138,16 @@ def test_al_decomposes_each_multiplier_once(monkeypatch):
         a0=frame([0.0, 0.0, 1.0]), a_lin=(frame([1.0, 1.0, 0.0]), frame([1.0, -1.0, 0.0])),
         b_quad={}).problem()
     seen = []
-    decompose = linalg.spectral_decompose
 
-    def counting(M):
-        seen.append(np.asarray(M, dtype=float).tobytes())
-        return decompose(M)
+    def counting(kernel):
+        def counted(M):
+            seen.append(np.asarray(M, dtype=float).tobytes())
+            return kernel(M)
+        return counted
 
-    monkeypatch.setattr(linalg, "spectral_decompose", counting)
+    # both kernel entries: the full decomposition and the values alone
+    for name in ("spectral_decompose", "eigenvalues"):
+        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name)))
     trace = solvers.solve_augmented_lagrangian(problem, np.array([1.0, 1.0]))
     assert trace.termination == "converged" and len(trace) > 2
     assert [seen.count(rec.y.tobytes()) for rec in trace.records] == [1] * len(trace)
