@@ -48,6 +48,9 @@ PROJECTION_CONFIG = solvers.AlConfig(stagnation_window=20)
 #: than MSR_GROWTH as the ball shrinks, calls the modulus unbounded
 MSR_GROWTH = 3.0
 MSR_CAP = 100.0
+#: sequences whose points the weak checks decompose in one stack (48
+#: matrices at 12 levels); an early verdict wastes at most one chunk
+WEAK_CHUNK = 4
 
 
 class InfeasiblePointError(ValueError):
@@ -767,8 +770,14 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
                 spec.name, VIOLATED, witness=witness,
                 notes=("every sampled kernel basis fails at the point itself",))
 
-    for seq_idx, (label, d, xs) in enumerate(_sequences(x, ctx.curves, ts, budget)):
-        decs = [linalg.spectral_decompose(problem.g(p)) for p in xs]
+    seqs = _sequences(x, ctx.curves, ts, budget)
+    for seq_idx, (label, d, xs) in enumerate(seqs):
+        if seq_idx % WEAK_CHUNK == 0:  # the next chunk's stack, once reached
+            stack = iter(linalg.spectral_decompose_many(
+                [_g_or_nan(problem, p) for _, _, ys in seqs[seq_idx:seq_idx + WEAK_CHUNK]
+                 for p in ys]))
+        # a lane that failed raises its error here, in the loop's own order
+        decs = [next(stack) or linalg.spectral_decompose(problem.g(p)) for p in xs]
         chain_E = linalg.aligned_kernel_bases(decs, r)
         patterns = []
         for dc in decs:
@@ -811,6 +820,15 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
                 spec.name, VIOLATED, witness=witness,
                 notes=("every reachable eigenbasis limit fails along this sequence",))
     return ctx.verdict(spec.name, NO_VIOLATION_FOUND)
+
+
+def _g_or_nan(problem, x):
+    """G(x), or a NaN matrix where G fails: callbacks are pure, so a call
+    for x alone raises the error again where ``_weak`` reaches x."""
+    try:
+        return problem.g(x)
+    except Exception:
+        return np.full((problem.m, problem.m), np.nan)
 
 
 def _sequences(x, curves, ts, budget: CqBudget) -> list:

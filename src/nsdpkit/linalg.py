@@ -10,33 +10,36 @@ reported in non-increasing order; ties are broken by a lexicographic
 comparison of the sign-canonicalized eigenvectors so that equal inputs
 produce identical output arrays.
 
-The kernel has two paths.  A 2x2 matrix stays on Python floats, input
-check, sign rule and ordering included, around the one rotation that
-``_jacobi_2x2`` replays; larger matrices run ``_jacobi`` on nested lists
-of Python floats.  ``_jacobi`` rotates the matrix alone and logs each
-rotation; ``spectral_decompose`` replays the log on the identity for the
-eigenvectors, and ``eigenvalues``, the entry for callers that read no
-eigenvectors, skips the replay unless two values tie exactly, where the
-eigenvectors decide the order.  Both paths do the IEEE operations of
-the numpy-scalar loop they replaced, in the same order, and return its
-bits; ``tests/test_linalg.py`` keeps that loop as the reference and
-compares with ``np.array_equal``.  There is no BLAS norm: ``frob`` is
-``math.hypot`` over the entries, so the 2x2 path's bits do not depend
-on numpy.  Each sweep's stop test compares the off-diagonal norm with its
-tolerance; the norm sums its squares by a correctly rounded
-``math.fsum``, in the kernel and the reference loop alike, so no numpy
-reduction decides a stop.  Non-finite input, and input whose
-squared Frobenius norm overflows, is rejected with ValueError: the
-rotations and the stop test square entries, though ``frob`` itself is
-finite up to about 1.8e308.  The BLAS steps left, the PSD
-reconstruction above 2x2 and the Gram product, have one site each:
-``_psd_part`` and ``gram_decompose``.  With them and LAPACK QR in
-``orthonormal_columns``, bits are reproducible on one platform with one
-Python minor version and one numpy, not across platforms.
+The kernel has three paths with the same bits per matrix.  A 2x2
+matrix stays on Python floats, input check, sign rule and ordering
+included, around the one rotation that ``_jacobi_2x2`` replays; larger
+matrices run ``_jacobi`` on nested lists of Python floats.  ``_jacobi``
+rotates the matrix alone and logs each rotation; ``spectral_decompose``
+replays the log on the identity for the eigenvectors, and
+``eigenvalues``, the entry for callers that read no eigenvectors, skips
+the replay unless two values tie exactly.  ``spectral_decompose_many``,
+which ``cq``'s weak checks call on their sequences, runs ``_jacobi``'s
+sweep on a stack of same-size matrices in numpy elementwise +, -, *, /,
+sqrt, abs and comparisons, with no BLAS and no numpy sum; a lane that
+``spectral_decompose`` rejects comes back None and stops no other.
+Each path does the IEEE operations of the numpy-scalar loop it
+replaced, in the same order; ``tests/test_linalg.py`` keeps that loop
+as the reference and compares with ``np.array_equal``.  ``frob`` is
+``math.hypot`` over the entries, and the stop test sums its squares by
+a correctly rounded ``math.fsum``: no BLAS norm and no numpy reduction
+decides a stop.  Non-finite input, and input whose squared Frobenius
+norm overflows, is rejected with ValueError: the rotations and the stop
+test square entries, though ``frob`` itself is finite up to about
+1.8e308.  The BLAS steps left, the PSD reconstruction above 2x2 and the
+Gram product, have one site each: ``_psd_part`` and ``gram_decompose``.
+With them and LAPACK QR in ``orthonormal_columns``, bits are
+reproducible on one platform with one Python minor version and one
+numpy, not across platforms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -286,10 +289,14 @@ def _sorted_spectrum(M: np.ndarray, vectors: bool):
     vals, log = _jacobi(check_symmetric(M))
     m = len(vals)
     if vectors or len(set(vals)) < m:
-        cols = [_canonical_sign(col) for col in _rotate_identity(m, log)]
-        order = sorted(range(m), key=lambda i: (-vals[i], cols[i]))
-    else:
-        order = sorted(range(m), key=lambda i: -vals[i])
+        return _ordered(vals, _rotate_identity(m, log), vectors)
+    return np.array(sorted(vals, key=lambda v: -v)), None
+
+
+def _ordered(vals: list, V: list, vectors: bool = True):
+    """The sign rule and the order applied to values and columns ``V[j]``."""
+    cols = [_canonical_sign(col) for col in V]
+    order = sorted(range(len(vals)), key=lambda i: (-vals[i], cols[i]))
     lam = np.array([vals[i] for i in order])
     if not vectors:
         return lam, None
@@ -316,6 +323,64 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
     if M.shape == (2, 2):
         return _decompose_2x2(M).eigenvalues
     return _sorted_spectrum(M, vectors=False)[0]
+
+
+def _decompose_or_none(M):
+    try:
+        return spectral_decompose(M)
+    except (ValueError, JacobiConvergenceError):
+        return None
+
+
+def spectral_decompose_many(mats) -> list:
+    """``spectral_decompose`` of each same-size matrix, bit for bit, or None.
+
+    Row j of a lane holds column j of the matrix and of the rotations, so
+    one update rotates both; ``np.where`` holds a lane that skips a
+    rotation, and a lane leaves at its own ``math.fsum`` stop test.
+    """
+    mats = [np.asarray(M, dtype=float) for M in mats]
+    if not mats or mats[0].shape[0] <= 2:
+        return [_decompose_or_none(M) for M in mats]
+    K, m = len(mats), mats[0].shape[0]
+    S = np.array(mats).reshape(K, m, m)
+    with np.errstate(invalid="ignore", over="ignore"):  # check_symmetric per lane
+        big = 1.0 + np.abs(S).max(axis=(1, 2))
+        asym = np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2))
+        nrm = np.array([frob(A) for A in S])
+        idx = np.flatnonzero(np.isfinite(big) & (asym <= EPS_SYM * big)
+                             & ~np.isinf(nrm * nrm))
+    out, off_tol, skip_tol = [None] * K, 1e-14 * (1.0 + nrm[idx]), 1e-18 * (1.0 + nrm[idx])
+    W = np.concatenate([S[idx].transpose(0, 2, 1),
+                        np.broadcast_to(np.eye(m), (idx.size, m, m))], axis=2)
+    low = np.tril_indices(m, -1)  # W[k, j, i] with i < j: the upper triangle
+    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
+        U = W[:, low[0], low[1]]
+        stop = np.array([math.sqrt(2.0 * math.fsum(row)) <= tol for row, tol
+                         in zip((U * U).tolist(), off_tol.tolist())], dtype=bool)
+        for k in np.flatnonzero(stop).tolist():
+            lane = W[k].tolist()
+            out[idx[k]] = SpectralDecomp(*_ordered([lane[j][j] for j in range(m)],
+                                                   [row[m:] for row in lane]))
+        W, idx, off_tol, skip_tol = W[~stop], idx[~stop], off_tol[~stop], skip_tol[~stop]
+        if sweep == _JACOBI_MAX_SWEEPS or not idx.size:
+            return out
+        for p, q in itertools.combinations(range(m), 2):
+            Wp, Wq, apq = W[:, p], W[:, q], W[:, q, p]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta = (Wq[:, q] - Wp[:, p]) / (2.0 * apq)
+                t = np.where(theta < 0.0, -1.0, 1.0)
+                t = t / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = (t * c)[:, None]
+                Np, Nq = c[:, None] * Wp - s * Wq, s * Wp + c[:, None] * Wq
+                Np[:, p], Nq[:, q] = Wp[:, p] - t * apq, Wq[:, q] + t * apq
+            Np[:, q] = Nq[:, p] = 0.0
+            hold = (np.abs(apq) <= skip_tol)[:, None]
+            W[:, p], W[:, q] = np.where(hold, Wp, Np), np.where(hold, Wq, Nq)
+            # the rows mirror the new columns
+            W[:, :, p], W[:, :, q] = (np.where(hold, W[:, :, p], Np[:, :m]),
+                                      np.where(hold, W[:, :, q], Nq[:, :m]))
 
 
 def _psd_part(U: np.ndarray, lam: np.ndarray) -> np.ndarray:

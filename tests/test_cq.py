@@ -278,6 +278,109 @@ def test_weak_crcq_fold_witness_vectors(registry):
         assert not level["dependent"]
 
 
+# ---------------------------------------------------------------------------
+# the weak checks' stacked decompositions at m >= 3
+
+
+def padded(problem, g_eval=None):
+    """``problem`` with G padded to m + 1 by a constant 1 block."""
+    def pad(M, corner):
+        out = np.zeros((problem.m + 1, problem.m + 1))
+        out[:-1, :-1] = M
+        out[-1, -1] = corner
+        return out
+    g_eval = g_eval or problem.g_eval
+    return model.NsdpProblem(
+        n=problem.n, m=problem.m + 1, f_eval=problem.f_eval, grad_f=problem.grad_f,
+        g_eval=lambda x: pad(g_eval(x), 1.0),
+        dg_eval=lambda x: [pad(D, 0.0) for D in problem.dg_eval(x)])
+
+
+def upper(M):
+    return [float(M[i, j]) for i in range(M.shape[0]) for j in range(i, M.shape[0])]
+
+
+def frame_m4_point():
+    """n = 3, m = 4: G(x) = Q diag(x1 + x2, x1 - x2, 1.5 + x3, 1.2 - x1) Q'
+    in a random frame Q, so every matrix decomposed is dense; kernel 2 at 0."""
+    Q = linalg.haar_orthogonal(4, np.random.default_rng(7))
+    def frame(*v):
+        return upper((Q * np.array(v)) @ Q.T)
+    poly = model.problem_from_dict({
+        "format": "nsdp-problem/1", "name": "frame-m4", "n": 3, "m": 4,
+        "objective": {"constant": 0.0, "linear": [1.0, 0.2, 0.3],
+                      "quadratic": upper(np.eye(3))},
+        "constraint": {"constant": frame(0.0, 0.0, 1.5, 1.2),
+                       "linear": [frame(1.0, 1.0, 0.0, -1.0), frame(1.0, -1.0, 0.0, 0.0),
+                                  frame(0.0, 0.0, 1.0, 0.0)]},
+        "x_bar": [0.0, 0.0, 0.0]})
+    return poly.problem(), poly.x_bar, ()
+
+
+def weak_texts(problem, x_bar, curves):
+    ctx = cq.PointContext.at(problem, x_bar, curves=curves)
+    return [cq.verdict_to_text(cq.CHECKS[name].run(ctx), "2000-01-01T00:00:00+00:00")
+            for name in cq.WEAK_KINDS]
+
+
+def one_at_a_time(mats):
+    """The per-matrix loop the stack replaces, failures left to the caller."""
+    out = []
+    for M in mats:
+        try:
+            out.append(linalg.spectral_decompose(M))
+        except (ValueError, linalg.JacobiConvergenceError):
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("point", ["ex-3.1", "ex-4.1", "ex-3.2", "frame-m4"])
+def test_weak_checks_same_through_the_stack(registry, monkeypatch, point):
+    if point == "frame-m4":
+        problem, x_bar, curves = frame_m4_point()
+    else:
+        fix = registry.get(point)
+        problem, x_bar, curves = padded(fix.problem), fix.x_bar, fix.curves
+    stacked = weak_texts(problem, x_bar, curves)
+    monkeypatch.setattr(linalg, "spectral_decompose_many", one_at_a_time)
+    assert weak_texts(problem, x_bar, curves) == stacked
+    if point == "ex-3.1":  # every check stops early, before its last chunk
+        assert all('"status": "VIOLATED"' in text for text in stacked)
+
+
+def failing_where(condition, how, failed):
+    """ex-3.1's G, failing (NaN or raising) at the points ``condition`` picks,
+    each of which is appended to ``failed``."""
+    base = fixtures.default_registry().get("ex-3.1").problem.g_eval
+
+    def g_eval(x):
+        if not condition(x[0]):
+            return base(x)
+        failed.append(x[0])
+        if how == "nan":
+            return np.full((2, 2), np.nan)
+        raise ArithmeticError("G undefined here")
+    return g_eval
+
+
+@pytest.mark.parametrize("how", ["nan", "raise"])
+def test_weak_failure_raised_only_where_the_loop_reaches_it(registry, how):
+    # ex-3.1 violates along its first sequence, curve:neg-ray (x < 0); the
+    # rays share its stack, so G failing at x > 0 is in a lane never read
+    fix = registry.get("ex-3.1")
+    clean = weak_texts(padded(fix.problem), fix.x_bar, fix.curves)
+    failed = []
+    later = padded(fix.problem, failing_where(lambda x: x > 0.0, how, failed))
+    assert weak_texts(later, fix.x_bar, fix.curves) == clean
+    assert failed  # the failing lanes were in the stack
+    first = padded(fix.problem, failing_where(lambda x: x < 0.0, how, []))
+    error, message = {"nan": (ValueError, "matrix has non-finite entries"),
+                      "raise": (ArithmeticError, "G undefined here")}[how]
+    ctx = cq.PointContext.at(first, fix.x_bar, curves=fix.curves)
+    with pytest.raises(error, match=message):
+        cq.CHECKS["weak-crcq"].run(ctx)
+
+
 def test_seq_crcq_aligned_shift_witness(registry):
     # the registered curve prescribes eigenvalues (t, 2t) on the tilted
     # basis; the leading diagonal vector follows the closed form

@@ -163,12 +163,31 @@ def assert_same_bits(M):
         return
     lam_ref, U_ref = reference_decompose(M)
     dec = linalg.spectral_decompose(M)
-    for got, want in ((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref),
-                      (linalg.eigenvalues(M), lam_ref)):
+    assert_arrays_same_bits((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref),
+                            (linalg.eigenvalues(M), lam_ref))
+
+
+def assert_arrays_same_bits(*pairs):
+    """Values, signs of zero, dtype, shape and C-contiguity of each (got, want)."""
+    for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.flags.c_contiguous == want.flags.c_contiguous
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_stack_same_bits(mats):
+    """Each lane of one ``spectral_decompose_many`` stack has the reference
+    bits, or is None where the kernel rejects the matrix's norm."""
+    decs = linalg.spectral_decompose_many(mats)
+    assert len(decs) == len(mats)
+    for M, dec in zip(mats, decs):
+        nrm = linalg.frob(M)
+        if M.shape[0] >= 2 and math.isinf(nrm * nrm):
+            assert dec is None
+            continue
+        lam_ref, U_ref = reference_decompose(M)
+        assert_arrays_same_bits((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref))
 
 
 EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
@@ -214,8 +233,13 @@ def parity_matrices(m, seed):
 def test_kernel_matches_reference_bits(m):
     seeds = {0: 1, 1: 20, 2: 60, 3: 20, 4: 10, 8: 3, 16: 1}[m]
     for seed in range(seeds):
-        for M in parity_matrices(m, seed):
+        mats = parity_matrices(m, seed)
+        for M in mats:
             assert_same_bits(M)
+        # one stack: lanes that stop after different sweep counts, skip
+        # rotations, hold +-0, subnormals or +-1e300, sit in the stop-test
+        # band or read an asymmetric lower triangle
+        assert_stack_same_bits(mats)
 
 
 @pytest.mark.parametrize("m", [3, 4, 8, 16])
@@ -225,8 +249,10 @@ def test_stop_test_near_tolerance_needs_no_numpy_sum(monkeypatch, m):
         raise AssertionError("np.sum called")
 
     monkeypatch.setattr(np, "sum", no_sum)
-    for M in near_tolerance(m, rng(m), BAND_K):
+    mats = near_tolerance(m, rng(m), BAND_K)
+    for M in mats:
         assert_same_bits(M)
+    assert_stack_same_bits(mats)
 
 
 def test_eigenvalues_break_a_signed_zero_tie_by_the_eigenvectors():
@@ -234,6 +260,51 @@ def test_eigenvalues_break_a_signed_zero_tie_by_the_eigenvectors():
     M = np.diag([0.0, -0.0, 1.0])
     assert np.array_equal(np.signbit(linalg.eigenvalues(M)), [False, True, False])
     assert_same_bits(M)
+
+
+def test_stack_error_lanes_stop_no_other_lane(monkeypatch):
+    """A rejected lane comes back None beside good ones; the per-matrix
+    kernel raises its own error type and message on it."""
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 2)
+    gen = rng(5)
+    good = [np.diag([3.0, 1.0, 2.0]),                      # stops at sweep 0
+            np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]),
+            near_tolerance(3, gen, (0.5,))[0]]
+    non_finite = np.eye(3)
+    non_finite[2, 0] = non_finite[0, 2] = np.nan
+    asymmetric = np.eye(3)
+    asymmetric[2, 0] = 1e-6
+    overflow = np.diag([1e200, 1.0, 1.0])
+    capped = random_sym(gen, 3)                            # needs more sweeps
+    bad = {"matrix has non-finite entries": (ValueError, non_finite),
+           "matrix is not symmetric": (ValueError, asymmetric),
+           "matrix Frobenius norm overflows": (ValueError, overflow),
+           "did not converge after 2 sweeps": (linalg.JacobiConvergenceError, capped)}
+    mats = [good[0], non_finite, good[1], asymmetric, overflow, capped, good[2]]
+    decs = linalg.spectral_decompose_many(mats)
+    for M, dec in zip(mats, decs):
+        if any(M is B for _, B in bad.values()):
+            assert dec is None
+            continue
+        want = linalg.spectral_decompose(M)
+        assert_arrays_same_bits((dec.eigenvalues, want.eigenvalues),
+                                (dec.eigenvectors, want.eigenvectors))
+    for message, (error, M) in bad.items():
+        with pytest.raises(error, match=message) as info:
+            linalg.spectral_decompose(M)
+        assert type(info.value) is error
+
+
+def test_stack_kernel_has_no_product_or_reduction():
+    # the stacked sweep adds no BLAS-dependent site: elementwise numpy only
+    tree = ast.parse(Path(linalg.__file__).read_text(encoding="utf-8"))
+    body = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and node.name == "spectral_decompose_many")
+    banned = {"sum", "dot", "matmul", "einsum", "inner", "tensordot", "vdot", "prod",
+              "mean", "cumsum", "linalg"}
+    for node in ast.walk(body):
+        assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        assert not (isinstance(node, ast.Attribute) and node.attr in banned), node.attr
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -253,6 +324,14 @@ def test_kernel_2x2_matches_reference_property(upper):
 def test_kernel_3x3_matches_reference_property(upper):
     a, b, c, d, e, f = upper
     assert_same_bits(np.array([[a, b, c], [b, d, e], [c, e, f]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@given(st.lists(st.lists(finite, min_size=6, max_size=6), min_size=2, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_stack_3x3_matches_reference_property(uppers):
+    assert_stack_same_bits([np.array([[a, b, c], [b, d, e], [c, e, f]])
+                            for a, b, c, d, e, f in uppers])
 
 
 def assert_same_check(M):
