@@ -631,6 +631,59 @@ def test_rank_zero_matrix():
     assert linalg.numerical_rank(np.zeros(2), 1.0) == 0
 
 
+def reference_numerical_rank(values, scale):
+    """The numpy rule ``numerical_rank`` had before it moved to Python floats."""
+    values = np.asarray(values, dtype=float)
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+    if values.size > 1 and np.any(np.diff(values) > 1e-12 * (1.0 + scale)):
+        raise ValueError("values must be sorted non-increasingly")
+    return int(np.sum(values > linalg.EPS_RANK * scale))
+
+
+RANK_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf,
+                 math.nan, 1e-7, 1.0, 3.0]
+rank_value = st.one_of(st.sampled_from(RANK_SPECIALS), st.floats())
+
+
+@st.composite
+def rank_inputs(draw):
+    """0-6 values, mostly descending, with adjacent pairs that rise by a
+    fraction or a multiple of the 1e-12 band, or one value as a 0-d array,
+    and a scale."""
+    scale = draw(st.one_of(st.sampled_from([1.0, 3.0, 1e-300, 0.0, -0.0, -1.0, math.inf,
+                                            math.nan]), st.floats(min_value=0.0)))
+    values = sorted(draw(st.lists(rank_value, max_size=6)), reverse=True)
+    band = 1e-12 * (1.0 + scale)
+    for i in range(1, len(values)):
+        rise = draw(st.sampled_from([None, 0.0, 0.5, 1.0, 1.5, 4.0, "any"]))
+        if rise == "any":
+            values[i] = draw(rank_value)
+        elif rise is not None and math.isfinite(values[i - 1] + band):
+            values[i] = values[i - 1] + rise * band
+    if len(values) == 1 and draw(st.booleans()):
+        return values[0], scale
+    return values, scale
+
+
+def rank_outcome(rule, values, scale):
+    try:
+        return rule(np.array(values, dtype=float), scale)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@given(rank_inputs())
+@settings(max_examples=400, deadline=None)
+def test_numerical_rank_matches_numpy_rule(case):
+    values, scale = case
+    got = rank_outcome(linalg.numerical_rank, values, scale)
+    assert got == rank_outcome(reference_numerical_rank, values, scale)
+    assert type(got) in (int, tuple)
+
+
 def test_lin_dependent_examples():
     assert not linalg.lin_dependent([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert linalg.lin_dependent([np.array([2.0, 0.0]), np.array([2.0, 0.0])])
