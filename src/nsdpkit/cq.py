@@ -73,9 +73,9 @@ class CqBudget:
 
     ``shrink_levels`` sequences use step sizes t0 * 2^-j, j = 0..L-1; a
     violation needs the trailing ``consecutive`` levels to agree.  ``n_q``
-    bounds the Haar draws over kernel bases, ``angle_grid`` the resolution
-    of the deterministic rotation sweep used when the kernel is
-    two-dimensional.
+    bounds the Haar draws over kernel bases, ``angle_grid`` the grid of
+    the rotation sweep over a two-dimensional kernel, whose angles cost
+    float arithmetic on one contraction of the derivatives per point.
     """
 
     n_directions: int = 32
@@ -312,6 +312,26 @@ def _golden_min(fun, a: float, b: float):
     return d, fd
 
 
+def _rotated_diagonals(problem: model.NsdpProblem, x_bar, E0: np.ndarray):
+    """theta -> (v1, v2) of E0 R(theta) on floats: with c, s = cos, sin theta,
+    v1 = c^2 v00 + cs (v01 + v10) + s^2 v11 and v2 = s^2 v00 - cs (v01 + v10)
+    + c^2 v11, exact also for D_l asymmetric within EPS_SYM.  Evaluated as
+    h +- (q cos 2theta + p sin 2theta), h, q, p = (v00 + v11, v00 - v11,
+    v01 + v10) / 2: near a zero the last subtraction is exact (Sterbenz)."""
+    v00, v01, v10, v11 = (v.tolist() for v in model.curvature_vectors(
+        problem, x_bar, E0, [(0, 0), (0, 1), (1, 0), (1, 1)]))
+    hs = [0.5 * (a + b) for a, b in zip(v00, v11)]
+    qs = [0.5 * (a - b) for a, b in zip(v00, v11)]
+    ps = [0.5 * (a + b) for a, b in zip(v01, v10)]
+
+    def rotated(theta: float) -> tuple:
+        c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+        r = [q * c + p * s for q, p in zip(qs, ps)]
+        return [h + t for h, t in zip(hs, r)], [h - t for h, t in zip(hs, r)]
+
+    return rotated
+
+
 def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
                       scale_v: float, budget: CqBudget) -> list:
     """Deterministic rotation sweep over a two-column kernel basis.
@@ -319,27 +339,34 @@ def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
     Haar draws almost surely miss the measure-zero rotations where a
     diagonal family member vanishes or the pair becomes positively
     dependent, so those angles are located by a grid plus golden-section
-    refinement of four scalar dependence measures.  Returned bases are
-    proposals only; the callers re-test dependence before using them.
+    refinement of four dependence measures of ``_rotated_diagonals``'s
+    (v1, v2), on Python floats: |v1| and |v2| by ``math.hypot``, the
+    distance from 0 to [v2, v1] from ``math.fsum`` dots, and sigma_min
+    as |v1 ^ v2| / sigma_max, the wedge over the 2x2 minors (Lagrange's
+    identity, no cancellation).  The measures only screen angles: the
+    callers re-test each returned basis before using it.
     """
     if E0.shape[1] != 2:
         return []
-    x_bar = np.asarray(x_bar, dtype=float)
+    rotated = _rotated_diagonals(problem, x_bar, E0)
+    minors = list(itertools.combinations(range(problem.n), 2))
 
     def basis(theta: float) -> np.ndarray:
         c, s = math.cos(theta), math.sin(theta)
         return E0 @ np.array([[c, -s], [s, c]])
 
     def measures(theta: float) -> tuple:
-        v1, v2 = model.diag_vectors(problem, x_bar, basis(theta), (0, 1))
-        m1 = linalg.frob(v1)
-        m2 = linalg.frob(v2)
-        d = v1 - v2
-        dd = float(d @ d)
-        alpha = 0.5 if dd <= 0.0 else min(1.0, max(0.0, -float(v2 @ d) / dd))
-        mc = linalg.frob(v2 + alpha * d)
-        sig = linalg.singular_values(linalg.gram_decompose([v1, v2]))
-        return m1, m2, mc, float(sig[-1])
+        v1, v2 = rotated(theta)
+        m1, m2 = math.hypot(*v1), math.hypot(*v2)
+        d = [a - b for a, b in zip(v1, v2)]
+        dd = math.fsum(t * t for t in d)
+        alpha = 0.5 if dd <= 0.0 else min(
+            1.0, max(0.0, -math.fsum(b * t for b, t in zip(v2, d)) / dd))
+        mc = math.hypot(*(b + alpha * t for b, t in zip(v2, d)))
+        half = 0.5 * (m1 * m1 + m2 * m2)
+        smax2 = half + math.hypot(half - m2 * m2, math.fsum(a * b for a, b in zip(v1, v2)))
+        wedge = math.hypot(*(v1[i] * v2[j] - v1[j] * v2[i] for i, j in minors))
+        return m1, m2, mc, wedge / math.sqrt(smax2) if smax2 > 0.0 else 0.0
 
     grid = budget.angle_grid
     h = math.pi / grid

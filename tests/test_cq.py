@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -300,8 +303,8 @@ def upper(M):
     return [float(M[i, j]) for i in range(M.shape[0]) for j in range(i, M.shape[0])]
 
 
-def frame_m4_point():
-    """n = 3, m = 4: G(x) = Q diag(x1 + x2, x1 - x2, 1.5 + x3, 1.2 - x1) Q'
+def frame_m4_point(big=1.0):
+    """n = 3, m = 4: G(x) = Q diag(x1 + x2, x1 - x2, 1.5 + big x3, 1.2 - x1) Q'
     in a random frame Q, so every matrix decomposed is dense; kernel 2 at 0."""
     Q = linalg.haar_orthogonal(4, np.random.default_rng(7))
     def frame(*v):
@@ -312,7 +315,7 @@ def frame_m4_point():
                       "quadratic": upper(np.eye(3))},
         "constraint": {"constant": frame(0.0, 0.0, 1.5, 1.2),
                        "linear": [frame(1.0, 1.0, 0.0, -1.0), frame(1.0, -1.0, 0.0, 0.0),
-                                  frame(0.0, 0.0, 1.0, 0.0)]},
+                                  frame(0.0, 0.0, big, 0.0)]},
         "x_bar": [0.0, 0.0, 0.0]})
     return poly.problem(), poly.x_bar, ()
 
@@ -379,6 +382,101 @@ def test_weak_failure_raised_only_where_the_loop_reaches_it(registry, how):
     ctx = cq.PointContext.at(first, fix.x_bar, curves=fix.curves)
     with pytest.raises(error, match=message):
         cq.CHECKS["weak-crcq"].run(ctx)
+
+
+# ---------------------------------------------------------------------------
+# the rotation sweep over a two-column kernel
+
+
+def tilted_m4_point():
+    """frame-m4 with D_3 (no kernel part) at 100x and every D_l tilted by
+    t (E0 J E0'), J the quarter turn: asymmetric within EPS_SYM, with
+    v01 - v10 = 2t, about 1e-10 for D_3."""
+    problem, x_bar, _ = frame_m4_point(big=100.0)
+    E0 = cq.PointContext.at(problem, x_bar).E0
+    turn = E0 @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ E0.T
+    def dg_eval(x):
+        return [D + 0.4e-12 * (1.0 + np.abs(D).max()) * turn for D in problem.dg(x)]
+    tilted = model.NsdpProblem(n=problem.n, m=problem.m, f_eval=problem.f_eval,
+                               grad_f=problem.grad_f, g_eval=problem.g_eval,
+                               dg_eval=dg_eval, name="tilted-m4")
+    for D in tilted.dg(x_bar):
+        linalg.check_symmetric(D)
+    return tilted, x_bar
+
+
+def sweep_points(registry):
+    points = [(fix.fixture_id, fix.problem, fix.x_bar) for fix in registry]
+    points.append(("frame-m4",) + frame_m4_point()[:2])
+    points.append(("tilted-m4",) + tilted_m4_point())
+    return points
+
+
+def rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)],
+                     [math.sin(theta), math.cos(theta)]])
+
+
+def test_rotated_diagonals_match_the_contraction(registry):
+    # the closed form from E0's v_ij equals contracting at E0 R(theta)
+    thetas = np.random.default_rng(18).uniform(0.0, math.pi, 32).tolist()
+    checked = []
+    for name, problem, x_bar in sweep_points(registry):
+        E0 = cq.PointContext.at(problem, x_bar).E0
+        if E0 is None or E0.shape[1] != 2:
+            continue
+        rotated = cq._rotated_diagonals(problem, x_bar, E0)
+        for theta in thetas:
+            want = model.diag_vectors(problem, x_bar, E0 @ rotation(theta), (0, 1))
+            tol = 1e-12 * (1.0 + max(np.abs(v).max() for v in want))
+            for got, v in zip(rotated(theta), want):
+                assert np.abs(np.array(got) - v).max() <= tol, (name, theta)
+        checked.append(name)
+    assert len(checked) >= 10 and {"frame-m4", "tilted-m4"} <= set(checked)
+
+
+def sweep_angles(problem, x_bar):
+    ctx = cq.PointContext.at(problem, x_bar)
+    hits = cq._sweep_candidates(problem, ctx.x, ctx.E0, ctx.scale_v, ctx.budget)
+    angles = []
+    for label, E in hits:
+        R = ctx.E0.T @ E
+        angles.append(math.atan2(R[1, 0], R[0, 0]) % math.pi)
+        assert label == f"sweep@{angles[-1]:.8f}"
+    return angles
+
+
+def test_sweep_locates_the_ex31_double_zeros(registry):
+    # v2 = 1 - sin 2 theta and v1 = 1 + sin 2 theta: double zeros
+    fix = registry.get("ex-3.1")
+    got = sweep_angles(fix.problem, fix.x_bar)
+    assert len(got) == 2
+    for theta, want in zip(got, (math.pi / 4, 3 * math.pi / 4)):
+        assert abs(theta - want) <= 1e-8
+
+
+def test_sweep_contracts_once(registry):
+    fix = registry.get("nlp-coords")
+    calls = []
+    def dg_eval(x):
+        calls.append(1)
+        return fix.problem.dg_eval(x)
+    problem = dataclasses.replace(fix.problem, dg_eval=dg_eval)
+    ctx = cq.PointContext.at(problem, fix.x_bar)
+    calls.clear()
+    hits = cq._sweep_candidates(problem, ctx.x, ctx.E0, ctx.scale_v, ctx.budget)
+    assert len(hits) == 2 and len(calls) == 1
+
+
+def test_sweep_measures_run_on_floats():
+    # per angle: no numpy, no BLAS product, no linalg or model call
+    tree = ast.parse(Path(cq.__file__).read_text(encoding="utf-8"))
+    for name in ("measures", "rotated"):
+        body = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        for node in ast.walk(body):
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+            assert not (isinstance(node, ast.Name) and node.id in ("np", "linalg", "model"))
 
 
 def test_seq_crcq_aligned_shift_witness(registry):
