@@ -391,7 +391,7 @@ def test_weak_failure_raised_only_where_the_loop_reaches_it(registry, how):
 def tilted_m4_point():
     """frame-m4 with D_3 (no kernel part) at 100x and every D_l tilted by
     t (E0 J E0'), J the quarter turn: asymmetric within EPS_SYM, with
-    v01 - v10 = 2t, about 1e-10 for D_3."""
+    v01 - v10 = 2t, about 4e-11 for D_3, far above the 1e-12 tolerance."""
     problem, x_bar, _ = frame_m4_point(big=100.0)
     E0 = cq.PointContext.at(problem, x_bar).E0
     turn = E0 @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ E0.T
