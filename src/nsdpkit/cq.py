@@ -800,11 +800,12 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
     seqs = _sequences(x, ctx.curves, ts, budget)
     for seq_idx, (label, d, xs) in enumerate(seqs):
         if seq_idx % WEAK_CHUNK == 0:  # the next chunk's stack, once reached
-            stack = iter(linalg.spectral_decompose_many(
-                [_g_or_nan(problem, p) for _, _, ys in seqs[seq_idx:seq_idx + WEAK_CHUNK]
-                 for p in ys]))
-        # a lane that failed raises its error here, in the loop's own order
-        decs = [next(stack) or linalg.spectral_decompose(problem.g(p)) for p in xs]
+            chunk = [p for _, _, ys in seqs[seq_idx:seq_idx + WEAK_CHUNK] for p in ys]
+            try:
+                stack = iter(linalg.spectral_decompose_many([problem.g(p) for p in chunk]))
+            except Exception:  # G is pure: one at a time, an error surfaces where reached
+                stack = (linalg.spectral_decompose(problem.g(p)) for p in chunk)
+        decs = [next(stack) for _ in xs]
         chain_E = linalg.aligned_kernel_bases(decs, r)
         patterns = []
         for dc in decs:
@@ -847,15 +848,6 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
                 spec.name, VIOLATED, witness=witness,
                 notes=("every reachable eigenbasis limit fails along this sequence",))
     return ctx.verdict(spec.name, NO_VIOLATION_FOUND)
-
-
-def _g_or_nan(problem, x):
-    """G(x), or a NaN matrix where G fails: callbacks are pure, so a call
-    for x alone raises the error again where ``_weak`` reaches x."""
-    try:
-        return problem.g(x)
-    except Exception:
-        return np.full((problem.m, problem.m), np.nan)
 
 
 def _sequences(x, curves, ts, budget: CqBudget) -> list:
@@ -1201,8 +1193,7 @@ def _msr_unbounded(gamma_big: float, gamma_small: float,
 def check_msr(problem: model.NsdpProblem, x_bar, budget: CqBudget | None = None,
               samples: int = 200) -> CqVerdict:
     """VIOLATED when ``estimate_msr_trend`` at radius 0.1 finds the modulus unbounded."""
-    return _msr(PointContext.at(problem, x_bar, budget, msr_samples=samples),
-                CHECKS["msr"])
+    return CHECKS["msr"].run(PointContext.at(problem, x_bar, budget, msr_samples=samples))
 
 
 def _msr(ctx: PointContext, spec: CheckSpec) -> CqVerdict:

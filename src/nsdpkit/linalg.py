@@ -11,17 +11,18 @@ comparison of the sign-canonicalized eigenvectors so that equal inputs
 produce identical output arrays.
 
 The kernel has three paths with the same bits per matrix.  A 2x2
-matrix stays on Python floats, input check, sign rule and ordering
-included, around the one rotation that ``_jacobi_2x2`` replays; larger
-matrices run ``_jacobi`` on nested lists of Python floats.  ``_jacobi``
-rotates the matrix alone and logs each rotation; ``spectral_decompose``
-replays the log on the identity for the eigenvectors, and
-``eigenvalues``, the entry for callers that read no eigenvectors, skips
-the replay unless two values tie exactly.  ``spectral_decompose_many``,
-which ``cq``'s weak checks call on their sequences, runs ``_jacobi``'s
-sweep on a stack of same-size matrices in numpy elementwise +, -, *, /,
-sqrt, abs and comparisons, with no BLAS and no numpy sum; a lane that
-``spectral_decompose`` rejects comes back None and stops no other.
+matrix stays on Python floats, input check, single rotation, sign rule
+and ordering included, in ``_decompose_2x2``; larger matrices run
+``_jacobi`` on nested lists of Python floats.  ``_jacobi`` rotates the
+matrix alone and logs each rotation; ``spectral_decompose`` replays the
+log on the identity for the eigenvectors, and ``eigenvalues``, the entry
+for callers that read no eigenvectors, skips the replay unless two
+values tie exactly.  ``spectral_decompose_many``, which ``cq``'s weak
+checks call on their sequences, runs ``_jacobi``'s sweep on a stack of
+same-size matrices in numpy elementwise +, -, *, /, sqrt, abs and
+comparisons, with no BLAS and no numpy sum; a stack raises as
+``spectral_decompose`` would on one of its matrices, and the weak checks
+then redo that chunk one matrix at a time.
 Each path does the IEEE operations of the numpy-scalar loop it
 replaced, in the same order; ``tests/test_linalg.py`` keeps that loop
 as the reference and compares with ``np.array_equal``.  ``frob`` is
@@ -225,32 +226,6 @@ def _rotate_identity(m: int, log: list) -> list:
     return V
 
 
-def _jacobi_2x2(M: np.ndarray):
-    """``_jacobi`` of a 2x2 matrix: its single rotation, on floats.
-
-    Same tests and expressions as the cyclic loop.  The off-diagonal norm
-    of a 2x2 sums one square, so it needs no ``math.fsum``; passing the
-    off test implies |a01| > 1e-18 * scale, so the rotation is never
-    skipped, and it zeroes a01, so the next sweep's test passes.
-    """
-    (a00, a01), (_, a11) = M.tolist()
-    nrm = frob(M)
-    if math.isinf(nrm * nrm):
-        raise ValueError("matrix Frobenius norm overflows")
-    scale = 1.0 + nrm
-    if math.sqrt(a01 * a01 * 2.0) <= 1e-14 * scale:
-        return [a00, a11], [[1.0, 0.0], [0.0, 1.0]]
-    theta = (a11 - a00) / (2.0 * a01)
-    t = -1.0 if theta < 0.0 else 1.0
-    t = t / (abs(theta) + math.sqrt(theta * theta + 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    # the rotation applied to the identity's columns (1, 0) and (0, 1)
-    return ([a00 - t * a01, a11 + t * a01],
-            [[c * 1.0 - s * 0.0, c * 0.0 - s * 1.0],
-             [s * 1.0 + c * 0.0, s * 0.0 + c * 1.0]])
-
-
 def _canonical_sign(col: list) -> list:
     """Flip a vector so its first largest-magnitude entry is positive."""
     if max(col, key=abs) < -_SIGN_TINY:
@@ -259,7 +234,14 @@ def _canonical_sign(col: list) -> list:
 
 
 def _decompose_2x2(M: np.ndarray) -> SpectralDecomp:
-    """``spectral_decompose``'s steps on the floats of a 2x2: same bits."""
+    """``spectral_decompose``'s steps on the floats of a 2x2: same bits.
+
+    ``_jacobi``'s tests and expressions around its single rotation.  The
+    off-diagonal norm of a 2x2 sums one square, so it needs no
+    ``math.fsum``; passing the off test implies |a01| > 1e-18 * scale, so
+    the rotation is never skipped, and it zeroes a01, so the next sweep's
+    test passes.
+    """
     (a00, a01), (a10, a11) = M.tolist()
     # entry by entry: Python's max, unlike numpy's, skips over a NaN
     if not (math.isfinite(a00) and math.isfinite(a01) and math.isfinite(a10)
@@ -267,7 +249,21 @@ def _decompose_2x2(M: np.ndarray) -> SpectralDecomp:
         raise ValueError("matrix has non-finite entries")
     if abs(a01 - a10) > EPS_SYM * (1.0 + max(abs(a00), abs(a01), abs(a10), abs(a11))):
         raise ValueError("matrix is not symmetric")
-    (v0, v1), ((x0, y0), (x1, y1)) = _jacobi_2x2(M)
+    nrm = frob(M)
+    if math.isinf(nrm * nrm):
+        raise ValueError("matrix Frobenius norm overflows")
+    if math.sqrt(a01 * a01 * 2.0) <= 1e-14 * (1.0 + nrm):
+        v0, v1, x0, y0, x1, y1 = a00, a11, 1.0, 0.0, 0.0, 1.0
+    else:
+        theta = (a11 - a00) / (2.0 * a01)
+        t = -1.0 if theta < 0.0 else 1.0
+        t = t / (abs(theta) + math.sqrt(theta * theta + 1.0))
+        c = 1.0 / math.sqrt(t * t + 1.0)
+        s = t * c
+        v0, v1 = a00 - t * a01, a11 + t * a01
+        # the rotation applied to the identity's columns (1, 0) and (0, 1)
+        x0, y0 = c * 1.0 - s * 0.0, c * 0.0 - s * 1.0
+        x1, y1 = s * 1.0 + c * 0.0, s * 0.0 + c * 1.0
     if (y0 if abs(y0) > abs(x0) else x0) < -_SIGN_TINY:
         x0, y0 = -x0, -y0
     if (y1 if abs(y1) > abs(x1) else x1) < -_SIGN_TINY:
@@ -278,29 +274,13 @@ def _decompose_2x2(M: np.ndarray) -> SpectralDecomp:
                           eigenvectors=np.array([[x0, x1], [y0, y1]]))
 
 
-def _sorted_spectrum(M: np.ndarray, vectors: bool):
-    """(eigenvalues, eigenvectors or None) of a matrix other than 2x2.
-
-    The order is non-increasing in value, ties broken by the
-    sign-canonicalized eigenvectors.  Those are replayed from the
-    rotation log only when ``vectors`` asks for them or two values tie
-    exactly (0.0 and -0.0 included), where they decide the order.
-    """
-    vals, log = _jacobi(check_symmetric(M))
-    m = len(vals)
-    if vectors or len(set(vals)) < m:
-        return _ordered(vals, _rotate_identity(m, log), vectors)
-    return np.array(sorted(vals, key=lambda v: -v)), None
-
-
-def _ordered(vals: list, V: list, vectors: bool = True):
-    """The sign rule and the order applied to values and columns ``V[j]``."""
+def _ordered(vals: list, V: list):
+    """Values non-increasing and their columns ``V[j]`` sign-canonicalized,
+    ties broken by those columns."""
     cols = [_canonical_sign(col) for col in V]
     order = sorted(range(len(vals)), key=lambda i: (-vals[i], cols[i]))
-    lam = np.array([vals[i] for i in order])
-    if not vectors:
-        return lam, None
-    return lam, np.array([cols[i] for i in order]).T.copy() if order else np.eye(0)
+    return (np.array([vals[i] for i in order]),
+            np.array([cols[i] for i in order]).T.copy() if order else np.eye(0))
 
 
 def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
@@ -313,58 +293,65 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
     M = np.asarray(M, dtype=float)
     if M.shape == (2, 2):
         return _decompose_2x2(M)
-    lam, U = _sorted_spectrum(M, vectors=True)
-    return SpectralDecomp(eigenvalues=lam, eigenvectors=U)
+    vals, log = _jacobi(check_symmetric(M))
+    return SpectralDecomp(*_ordered(vals, _rotate_identity(len(vals), log)))
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """``spectral_decompose(M).eigenvalues``, bit for bit, without the vectors."""
+    """``spectral_decompose(M).eigenvalues``, bit for bit, without the vectors.
+
+    The rotation log is replayed only where two values tie exactly (0.0
+    and -0.0 included), since the eigenvectors break the tie.
+    """
     M = np.asarray(M, dtype=float)
     if M.shape == (2, 2):
         return _decompose_2x2(M).eigenvalues
-    return _sorted_spectrum(M, vectors=False)[0]
-
-
-def _decompose_or_none(M):
-    try:
-        return spectral_decompose(M)
-    except (ValueError, JacobiConvergenceError):
-        return None
+    vals, log = _jacobi(check_symmetric(M))
+    if len(set(vals)) < len(vals):
+        return _ordered(vals, _rotate_identity(len(vals), log))[0]
+    return np.array(sorted(vals, key=lambda v: -v))
 
 
 def spectral_decompose_many(mats) -> list:
-    """``spectral_decompose`` of each same-size matrix, bit for bit, or None.
+    """``spectral_decompose`` of each same-size matrix, bit for bit.
 
-    Row j of a lane holds column j of the matrix and of the rotations, so
-    one update rotates both; ``np.where`` holds a lane that skips a
-    rotation, and a lane leaves at its own ``math.fsum`` stop test.
+    Raises what ``spectral_decompose`` raises on a matrix of the stack:
+    ValueError for the first one that it rejects, before any sweep, and
+    JacobiConvergenceError at the sweep cap.  Row j of a lane holds
+    column j of the matrix and of the rotations, so one update rotates
+    both; ``np.where`` holds a lane that skips a rotation, and a lane
+    leaves at its own ``math.fsum`` stop test.
     """
     mats = [np.asarray(M, dtype=float) for M in mats]
     if not mats or mats[0].shape[0] <= 2:
-        return [_decompose_or_none(M) for M in mats]
+        return [spectral_decompose(M) for M in mats]
     K, m = len(mats), mats[0].shape[0]
     S = np.array(mats).reshape(K, m, m)
     with np.errstate(invalid="ignore", over="ignore"):  # check_symmetric per lane
         big = 1.0 + np.abs(S).max(axis=(1, 2))
         asym = np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2))
         nrm = np.array([frob(A) for A in S])
-        idx = np.flatnonzero(np.isfinite(big) & (asym <= EPS_SYM * big)
-                             & ~np.isinf(nrm * nrm))
-    out, off_tol, skip_tol = [None] * K, 1e-14 * (1.0 + nrm[idx]), 1e-18 * (1.0 + nrm[idx])
-    W = np.concatenate([S[idx].transpose(0, 2, 1),
-                        np.broadcast_to(np.eye(m), (idx.size, m, m))], axis=2)
+        rejected = np.flatnonzero(~(np.isfinite(big) & (asym <= EPS_SYM * big)
+                                    & ~np.isinf(nrm * nrm)))
+    if rejected.size:
+        spectral_decompose(S[rejected[0]])  # raises that matrix's own error
+    out, idx = [None] * K, np.arange(K)
+    off_tol, skip_tol = 1e-14 * (1.0 + nrm), 1e-18 * (1.0 + nrm)
+    W = np.concatenate([S.transpose(0, 2, 1), np.broadcast_to(np.eye(m), (K, m, m))], axis=2)
     low = np.tril_indices(m, -1)  # W[k, j, i] with i < j: the upper triangle
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         U = W[:, low[0], low[1]]
-        stop = np.array([math.sqrt(2.0 * math.fsum(row)) <= tol for row, tol
-                         in zip((U * U).tolist(), off_tol.tolist())], dtype=bool)
+        off = [math.sqrt(2.0 * math.fsum(row)) for row in (U * U).tolist()]
+        stop = np.array([a <= tol for a, tol in zip(off, off_tol.tolist())], dtype=bool)
         for k in np.flatnonzero(stop).tolist():
             lane = W[k].tolist()
             out[idx[k]] = SpectralDecomp(*_ordered([lane[j][j] for j in range(m)],
                                                    [row[m:] for row in lane]))
-        W, idx, off_tol, skip_tol = W[~stop], idx[~stop], off_tol[~stop], skip_tol[~stop]
-        if sweep == _JACOBI_MAX_SWEEPS or not idx.size:
+        if stop.all():
             return out
+        if sweep == _JACOBI_MAX_SWEEPS:
+            raise JacobiConvergenceError(off[int(np.argmin(stop))], _JACOBI_MAX_SWEEPS)
+        W, idx, off_tol, skip_tol = W[~stop], idx[~stop], off_tol[~stop], skip_tol[~stop]
         for p, q in itertools.combinations(range(m), 2):
             Wp, Wq, apq = W[:, p], W[:, q], W[:, q, p]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -8,12 +8,15 @@ Run from the root of a checkout:
 status and content digest at each fixture, each fixture's recovery
 status, the ``regress --suite cq`` report hash and the platform they
 were computed on.  ``test_behaviour_lock`` compares the same function's
-output with the file.  The script prints every entry whose status or
+output with the file.  The script prints the OpenBLAS core that numpy's
+bundled library runs on this machine (bits may differ between cores;
+the name is not written to the lock), then every entry whose status or
 digest moved, then rewrites the file; it writes nothing when the
 ``regress`` run fails.
 """
 
 import contextlib
+import ctypes
 import io
 import json
 import platform
@@ -106,6 +109,19 @@ def moved(old, new):
             for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
 
 
+def openblas_core():
+    """Name of the OpenBLAS core in numpy's bundled library, or "unknown"
+    where that library or its query is absent."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            query = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        query.restype = ctypes.c_char_p
+        return query().decode()
+    return "unknown"
+
+
 def main():
     old = json.loads(LOCK_PATH.read_text())
     registry = fixtures.default_registry()
@@ -118,6 +134,7 @@ def main():
     new = lock_entries(verdict_matrix(registry, old["msr_samples"]),
                        penalty_recoveries(registry), report, old["msr_samples"])
     lines = moved(old, new)
+    print(f"OpenBLAS core: {openblas_core()}")
     for line in lines:
         print(line)
     print(f"{len(lines)} entries moved")

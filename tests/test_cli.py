@@ -392,9 +392,29 @@ def test_kernel_failure_exits_3(tmp_path, capsys, monkeypatch, argv):
     def stall(M):
         raise linalg.JacobiConvergenceError(float("nan"), 100)
 
-    monkeypatch.setattr(linalg, "_jacobi_2x2", stall)
+    monkeypatch.setattr(linalg, "_decompose_2x2", stall)
     rc = run(argv + ["--out-dir", tmp_path])
     assert_clean_error(rc, capsys, "Jacobi iteration did not converge")
+
+
+def test_stacked_kernel_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # m = 3, G(x) = [[x1, x2, 0], [x2, 1, 0], [0, 0, 1]]: diagonal at x_bar = 0,
+    # so the point itself decomposes, but dense along e2, where the weak
+    # check's stacked sequences stop at the sweep cap
+    from nsdpkit import linalg
+
+    e = np.eye(3)
+    poly = model.MatrixPolyProblem(
+        n=2, m=3, c0=0.0, c_lin=np.array([1.0, 1.0]), c_quad=np.zeros((2, 2)),
+        a0=np.diag([0.0, 1.0, 1.0]),
+        a_lin=(np.outer(e[0], e[0]), np.outer(e[0], e[1]) + np.outer(e[1], e[0])),
+        b_quad={}, name="dense-along-e2", x_bar=np.zeros(2))
+    path = tmp_path / "dense-along-e2.json"
+    model.save_problem(poly, path)
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
+    rc = run(["diagnose", "--problem", path, "--checks", "weak-crcq",
+              "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "Jacobi iteration did not converge after 0 sweeps")
 
 
 def test_reduction_failure_exits_3(tmp_path, capsys, monkeypatch):

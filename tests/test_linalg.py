@@ -177,17 +177,22 @@ def assert_arrays_same_bits(*pairs):
 
 
 def assert_stack_same_bits(mats):
-    """Each lane of one ``spectral_decompose_many`` stack has the reference
-    bits, or is None where the kernel rejects the matrix's norm."""
-    decs = linalg.spectral_decompose_many(mats)
-    assert len(decs) == len(mats)
-    for M, dec in zip(mats, decs):
+    """Each lane of one ``spectral_decompose_many`` stack of the matrices the
+    kernel accepts has the reference bits; a stack that also holds one
+    whose squared norm overflows raises the per-matrix ValueError."""
+    def accepted(M):
         nrm = linalg.frob(M)
-        if M.shape[0] >= 2 and math.isinf(nrm * nrm):
-            assert dec is None
-            continue
+        return M.shape[0] < 2 or not math.isinf(nrm * nrm)
+
+    good = [M for M in mats if accepted(M)]
+    decs = linalg.spectral_decompose_many(good)
+    assert len(decs) == len(good)
+    for M, dec in zip(good, decs):
         lam_ref, U_ref = reference_decompose(M)
         assert_arrays_same_bits((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref))
+    if len(good) < len(mats):
+        with pytest.raises(ValueError, match="norm overflows"):
+            linalg.spectral_decompose_many(mats)
 
 
 EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
@@ -262,37 +267,38 @@ def test_eigenvalues_break_a_signed_zero_tie_by_the_eigenvectors():
     assert_same_bits(M)
 
 
-def test_stack_error_lanes_stop_no_other_lane(monkeypatch):
-    """A rejected lane comes back None beside good ones; the per-matrix
-    kernel raises its own error type and message on it."""
+@pytest.mark.parametrize("kind", ["nan", "asymmetric", "overflow", "sweep-cap"])
+def test_stack_raises_the_per_matrix_error(monkeypatch, kind):
+    """A rejected matrix beside good lanes makes the stack raise the error
+    type and message ``spectral_decompose`` raises on it alone."""
     monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 2)
     gen = rng(5)
     good = [np.diag([3.0, 1.0, 2.0]),                      # stops at sweep 0
             np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]),
-            near_tolerance(3, gen, (0.5,))[0]]
+            near_tolerance(3, gen, (0.5,))[0],
+            np.diag([1.0, 2.0, 3.0]) + 0.01 * (1.0 - np.eye(3))]  # stops at sweep 2
     non_finite = np.eye(3)
     non_finite[2, 0] = non_finite[0, 2] = np.nan
     asymmetric = np.eye(3)
     asymmetric[2, 0] = 1e-6
-    overflow = np.diag([1e200, 1.0, 1.0])
-    capped = random_sym(gen, 3)                            # needs more sweeps
-    bad = {"matrix has non-finite entries": (ValueError, non_finite),
-           "matrix is not symmetric": (ValueError, asymmetric),
-           "matrix Frobenius norm overflows": (ValueError, overflow),
-           "did not converge after 2 sweeps": (linalg.JacobiConvergenceError, capped)}
-    mats = [good[0], non_finite, good[1], asymmetric, overflow, capped, good[2]]
-    decs = linalg.spectral_decompose_many(mats)
-    for M, dec in zip(mats, decs):
-        if any(M is B for _, B in bad.values()):
-            assert dec is None
-            continue
+    error, message, bad = {
+        "nan": (ValueError, "matrix has non-finite entries", non_finite),
+        "asymmetric": (ValueError, "matrix is not symmetric", asymmetric),
+        "overflow": (ValueError, "matrix Frobenius norm overflows",
+                     np.diag([1e200, 1.0, 1.0])),
+        "sweep-cap": (linalg.JacobiConvergenceError, "did not converge after 2 sweeps",
+                      random_sym(gen, 3)),                 # needs more sweeps
+    }[kind]
+    with pytest.raises(error, match=message) as single:
+        linalg.spectral_decompose(bad)
+    with pytest.raises(error) as stacked:
+        linalg.spectral_decompose_many([good[0], good[1], good[3], bad, good[2]])
+    assert type(stacked.value) is type(single.value) is error
+    assert str(stacked.value) == str(single.value)
+    for M, dec in zip(good, linalg.spectral_decompose_many(good)):
         want = linalg.spectral_decompose(M)
         assert_arrays_same_bits((dec.eigenvalues, want.eigenvalues),
                                 (dec.eigenvectors, want.eigenvectors))
-    for message, (error, M) in bad.items():
-        with pytest.raises(error, match=message) as info:
-            linalg.spectral_decompose(M)
-        assert type(info.value) is error
 
 
 def test_stack_kernel_has_no_product_or_reduction():
