@@ -276,7 +276,7 @@ def test_stack_raises_the_per_matrix_error(monkeypatch, kind):
     good = [np.diag([3.0, 1.0, 2.0]),                      # stops at sweep 0
             np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]),
             near_tolerance(3, gen, (0.5,))[0],
-            np.diag([1.0, 2.0, 3.0]) + 0.01 * (1.0 - np.eye(3))]  # stops at sweep 2
+            np.diag([1.0, 2.0, 3.0]) + 0.01 * (1.0 - np.eye(3))]  # stops at the cap, 2
     non_finite = np.eye(3)
     non_finite[2, 0] = non_finite[0, 2] = np.nan
     asymmetric = np.eye(3)
