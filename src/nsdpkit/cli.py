@@ -20,18 +20,19 @@ content hashes exclude.
 
 Exit codes: solve 0 converged / 2 iteration cap / 3 error; diagnose 0
 match or no comparison / 1 mismatch / 3 error; regress 0 clean / 1 any
-failed entry or an expected table that breaks the implication order / 3
-error.  A usage error (an unknown option, an option of another
-subcommand, a bad choice or number, an --msr-samples or --prop-cases
-below 1) exits 3, never argparse's 2, and --help exits 0.  Malformed
-input (an unknown check, budget field or config key, a config or budget
-value of the wrong type, a config cap below 1 or a negative target_tol,
---point or --x0 with --fixture, a config, problem or expected-table
-file of the wrong shape or JSON type, an expected table naming an
-unknown fixture, check or status, a missing file, a missing reference
-point, a non-finite number) ends in exit 3 before any check runs; a
-solve that records no iteration, an eigendecomposition that does not
-converge, or a Caratheodory reduction that fails, ends in exit 3.
+failed entry / 3 error.  An --expected table that breaks the implication
+order exits 1 in diagnose and regress.  A usage error (an unknown
+option, an option of another subcommand, a bad choice or number, an
+--msr-samples or --prop-cases below 1) exits 3, never argparse's 2, and
+--help exits 0.  After parsing, any other error exits 3 with one
+``error:`` line, an unusable output directory and a failed write
+included; malformed input (an unknown check, budget field or config
+key, a config or budget value of the wrong type, a config cap below 1
+or a negative target_tol, --point or --x0 with --fixture, a config,
+problem or expected-table file of the wrong shape or JSON type, an
+expected table naming an unknown fixture, check or status, a missing
+file, a missing reference point, a non-finite number) does so before
+any check runs.
 """
 
 from __future__ import annotations
@@ -235,22 +236,13 @@ def _summary_text(source: fixtures.Fixture, solver: str,
 
 
 def cmd_solve(args) -> int:
-    try:
-        source = _load_source(args)
-        config = _load_config(args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    source = _load_source(args)
+    config = _load_config(args)
     out = _out_dir(args)
-    try:
-        trace = _run_solver(source.problem, source.x0, args.solver, config)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    trace = _run_solver(source.problem, source.x0, args.solver, config)
     if not trace.records:
-        print(f"error: the {args.solver} solver recorded no iteration "
-              f"(termination: {trace.termination})", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"the {args.solver} solver recorded no iteration "
+                         f"(termination: {trace.termination})")
     trace_path = out / f"{source.fixture_id}-{args.solver}.trace"
     kkt.write_trace(trace.certificate(), trace_path)
     summary = _summary_text(source, args.solver, trace)
@@ -261,7 +253,8 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     if trace.termination == "iteration_cap":
         return EXIT_CAP
-    return EXIT_ERROR
+    raise ValueError(f"the {args.solver} solver did not converge "
+                     f"(termination: {trace.termination})")
 
 
 # ---------------------------------------------------------------------------
@@ -288,38 +281,26 @@ def _context(source: fixtures.Fixture, budget: cq.CqBudget,
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        source = _load_source(args)
-        budget = _parse_budget(args)
-        checks = _check_names(args.checks, source)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    source = _load_source(args)
+    budget = _parse_budget(args)
+    checks = _check_names(args.checks, source)
     out = _out_dir(args)
+    ctx = _context(source, budget, args.msr_samples)
     mismatches = []
     compared = 0
-    try:
-        ctx = _context(source, budget, args.msr_samples)
-        for name in checks:
-            verdict = cq.CHECKS[name].run(ctx)
-            cq.write_verdict(verdict, out / f"{source.fixture_id}-{name}.verdict")
-            allowed = source.allowed(name)
-            note = ""
-            if allowed is not None:
-                compared += 1
-                if verdict.status not in allowed:
-                    mismatches.append(name)
-                    note = f"  MISMATCH (expected {' or '.join(allowed)})"
-                else:
-                    note = "  (matches expected)"
-            print(f"{name}: {verdict.status}{note}")
-    except cq.InfeasiblePointError as exc:
-        print(f"error: point is infeasible, measured violation "
-              f"{exc.infeasibility:.3e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (cq.CombinatorialCapError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    for name in checks:
+        verdict = cq.CHECKS[name].run(ctx)
+        cq.write_verdict(verdict, out / f"{source.fixture_id}-{name}.verdict")
+        allowed = source.allowed(name)
+        note = ""
+        if allowed is not None:
+            compared += 1
+            if verdict.status not in allowed:
+                mismatches.append(name)
+                note = f"  MISMATCH (expected {' or '.join(allowed)})"
+            else:
+                note = "  (matches expected)"
+        print(f"{name}: {verdict.status}{note}")
     if mismatches:
         print(f"{len(mismatches)} mismatch(es): {', '.join(mismatches)}")
         return EXIT_MISMATCH
@@ -379,7 +360,7 @@ def _regress_solvers(registry, csv_rows):
                      {"max_outer": 12} if solver == "al" else {"max_iter": 25}
             try:
                 trace = _run_solver(problem, fix.x0, solver, config)
-            except (ValueError, np.linalg.LinAlgError) as exc:
+            except ValueError as exc:
                 entries.append(_entry("solvers", fix.fixture_id, solver,
                                       "error", None, False, error=str(exc)))
                 continue
@@ -487,16 +468,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_regress(args) -> int:
-    try:
-        budget = _parse_budget(args)
-        registry = fixtures.FixtureRegistry(args.expected) if args.expected \
-            else fixtures.default_registry()
-    except fixtures.ImplicationOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    budget = _parse_budget(args)
+    registry = fixtures.FixtureRegistry(args.expected) if args.expected \
+        else fixtures.default_registry()
     out = _out_dir(args)
     suite = args.suite
     entries = []
@@ -637,14 +611,27 @@ def cmd_fixtures(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; its exit code, --help and usage errors included."""
+    """Run one subcommand; its exit code, --help and usage errors included.
+
+    The subcommands raise and this is the only place where an exception
+    becomes an exit code (see the module docstring); any exception not
+    named here is a bug and keeps its traceback.
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:
         return args.func(args)
-    except (linalg.JacobiConvergenceError, caratheodory.ReductionError) as exc:
+    except fixtures.ImplicationOrderError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except cq.InfeasiblePointError as exc:
+        print(f"error: point is infeasible, measured violation "
+              f"{exc.infeasibility:.3e}", file=sys.stderr)
+        return EXIT_ERROR
+    except (OSError, ValueError, KeyError, linalg.JacobiConvergenceError,
+            caratheodory.ReductionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -17,4 +17,10 @@ def lock():
 @pytest.fixture(scope="session")
 def regress_cq(tmp_path_factory):
     """One ``nsdpkit regress --suite cq`` run: (exit code, stdout, report)."""
-    return regen_lock.regress_cq(tmp_path_factory.mktemp("regress-cq"))
+    return regen_lock.regress("cq", tmp_path_factory.mktemp("regress-cq"))
+
+
+@pytest.fixture(scope="session")
+def regress_solvers(tmp_path_factory):
+    """One ``nsdpkit regress --suite solvers`` run: (exit code, stdout, report)."""
+    return regen_lock.regress("solvers", tmp_path_factory.mktemp("regress-solvers"))

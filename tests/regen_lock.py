@@ -6,13 +6,13 @@ Run from the root of a checkout:
 
 ``lock_entries`` computes every entry of the lock: each check's verdict
 status and content digest at each fixture, each fixture's recovery
-status, the ``regress --suite cq`` report hash and the platform they
-were computed on.  ``test_behaviour_lock`` compares the same function's
-output with the file.  The script prints the OpenBLAS core that numpy's
-bundled library runs on this machine (bits may differ between cores;
-the name is not written to the lock), then every entry whose status or
-digest moved, then rewrites the file; it writes nothing when the
-``regress`` run fails.
+status, the ``regress --suite cq`` and ``--suite solvers`` report
+hashes and the platform they were computed on.  ``test_behaviour_lock``
+compares the same function's output with the file.  The script prints
+the OpenBLAS core that numpy's bundled library runs on this machine
+(bits may differ between cores; the name is not written to the lock),
+then every entry whose status or digest moved, then rewrites the file;
+it writes nothing when a ``regress`` run fails.
 """
 
 import contextlib
@@ -64,18 +64,23 @@ def penalty_recoveries(registry):
     return outcomes
 
 
-def regress_cq(out_dir):
-    """Run ``nsdpkit regress --suite cq`` into out_dir: (exit code, stdout, report)."""
+#: the suites whose ``regress`` report hashes the lock pins
+LOCKED_SUITES = ("cq", "solvers")
+
+
+def regress(suite, out_dir):
+    """Run ``nsdpkit regress --suite <suite>`` into out_dir: (exit code,
+    stdout, report)."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        rc = cli.main(["regress", "--suite", "cq", "--out-dir", str(out_dir)])
+        rc = cli.main(["regress", "--suite", suite, "--out-dir", str(out_dir)])
     report = json.loads((Path(out_dir) / "report.json").read_text())
     return rc, stdout.getvalue(), report
 
 
-def lock_entries(matrix, recoveries, regress_report, msr_samples):
+def lock_entries(matrix, recoveries, reports, msr_samples):
     """The lock as a dict, from ``verdict_matrix``, ``penalty_recoveries``
-    and a ``regress_cq`` report."""
+    and the ``regress`` report of each of ``LOCKED_SUITES``, by suite."""
     verdicts = {}
     for (fid, check), verdict in matrix.items():
         text = cq.verdict_to_text(verdict, generated_at="-")
@@ -87,7 +92,8 @@ def lock_entries(matrix, recoveries, regress_report, msr_samples):
                            "python": platform.python_version()},
         "msr_samples": msr_samples,
         "recovery": {fid: rec.status for fid, (_, rec) in recoveries.items()},
-        "regress_cq_sha256": regress_report["content_sha256"],
+        **{f"regress_{suite}_sha256": reports[suite]["content_sha256"]
+           for suite in LOCKED_SUITES},
         "verdicts": verdicts,
     }
 
@@ -97,8 +103,9 @@ def _flat(lock):
     for fid, checks in lock["verdicts"].items():
         for check, entry in checks.items():
             flat[f"verdict {fid} {check}"] = f"{entry['status']} {entry['digest']}"
-    for key in ("generated_with", "msr_samples", "regress_cq_sha256"):
-        flat[key] = json.dumps(lock[key], sort_keys=True)
+    for key in ("generated_with", "msr_samples",
+                *(f"regress_{suite}_sha256" for suite in LOCKED_SUITES)):
+        flat[key] = json.dumps(lock.get(key), sort_keys=True)
     return flat
 
 
@@ -125,14 +132,16 @@ def openblas_core():
 def main():
     old = json.loads(LOCK_PATH.read_text())
     registry = fixtures.default_registry()
-    with tempfile.TemporaryDirectory() as tmp:
-        rc, stdout, report = regress_cq(tmp)
-    if rc != cli.EXIT_OK:
-        print(stdout, end="")
-        print("regress --suite cq failed; the lock is left as it is")
-        return 1
+    reports = {}
+    for suite in LOCKED_SUITES:
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, stdout, reports[suite] = regress(suite, tmp)
+        if rc != cli.EXIT_OK:
+            print(stdout, end="")
+            print(f"regress --suite {suite} failed; the lock is left as it is")
+            return 1
     new = lock_entries(verdict_matrix(registry, old["msr_samples"]),
-                       penalty_recoveries(registry), report, old["msr_samples"])
+                       penalty_recoveries(registry), reports, old["msr_samples"])
     lines = moved(old, new)
     print(f"OpenBLAS core: {openblas_core()}")
     for line in lines:

@@ -265,16 +265,18 @@ def test_criterion_10_implication_diagram(registry, matrix):
     assert not broken, broken
 
 
-def test_behaviour_lock(registry, matrix, recoveries, regress_cq, lock):
+def test_behaviour_lock(registry, matrix, recoveries, regress_cq, regress_solvers,
+                        lock):
     """Every verdict, its digest, every recovery status and the regress
-    cq hash match the lock, as ``regen_lock`` computes them.
+    cq and solvers hashes match the lock, as ``regen_lock`` computes them.
 
     A refactor that moves any of them changed behaviour.  Every VIOLATED
     witness must also replay from its verdict alone.
     """
-    _, _, report = regress_cq
-    got = regen_lock.lock_entries(matrix, recoveries, report, lock["msr_samples"])
-    for key in ("verdicts", "recovery", "regress_cq_sha256"):
+    reports = {"cq": regress_cq[2], "solvers": regress_solvers[2]}
+    got = regen_lock.lock_entries(matrix, recoveries, reports, lock["msr_samples"])
+    for key in ("verdicts", "recovery", "regress_cq_sha256",
+                "regress_solvers_sha256"):
         assert got[key] == lock[key], key
     for (fid, check), verdict in matrix.items():
         if verdict.status != cq.VIOLATED:

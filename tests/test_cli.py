@@ -9,15 +9,22 @@ from nsdpkit import cli, fixtures, kkt, model
 import regen_lock
 
 
-def scaled_identity_poly(**kwargs):
+def scaled_identity_poly(m=2, **kwargs):
     return model.MatrixPolyProblem(
-        n=1, m=2, c0=0.0, c_lin=np.array([1.0]), c_quad=np.zeros((1, 1)),
-        a0=np.zeros((2, 2)), a_lin=(np.eye(2),), b_quad={},
+        n=1, m=m, c0=0.0, c_lin=np.array([1.0]), c_quad=np.zeros((1, 1)),
+        a0=np.zeros((m, m)), a_lin=(np.eye(m),), b_quad={},
         name="scaled-identity", **kwargs)
 
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def assert_clean_error(rc, capsys, fragment, code=cli.EXIT_ERROR):
+    """``rc`` is ``code`` and stderr is one line, ``error: <fragment>...``."""
+    err = capsys.readouterr().err.splitlines()
+    assert rc == code
+    assert len(err) == 1 and err[0].startswith(f"error: {fragment}"), err
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +157,32 @@ def test_diagnose_unknown_check_fails_before_any_run(tmp_path, capsys):
     assert not list(tmp_path.glob("*.verdict"))
 
 
-def assert_clean_error(rc, capsys, fragment):
-    err = capsys.readouterr().err
-    assert rc == cli.EXIT_ERROR
-    assert f"error: {fragment}" in err
-    assert "Traceback" not in err
+def test_diagnose_problem_without_point_exits_3(tmp_path, capsys):
+    path = tmp_path / "scaled-identity.json"
+    model.save_problem(scaled_identity_poly(), path)
+    rc = run(["diagnose", "--problem", path, "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "no reference point: give --point or a file x_bar")
+
+
+def test_diagnose_subset_cap_exits_3(tmp_path, capsys):
+    # G(x) = x I vanishes at x_bar = 0, so the kernel has m - r = 13 columns
+    path = tmp_path / "scaled-identity.json"
+    model.save_problem(scaled_identity_poly(m=13, x_bar=np.array([0.0])), path)
+    rc = run(["diagnose", "--problem", path, "--checks", "weak-crcq",
+              "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "subset enumeration over 13 columns exceeds the cap 12")
+
+
+def test_diagnose_rejects_implication_breaking_tables(tmp_path, capsys):
+    tables = load_tables()
+    tables["ex-3.2"]["checks"]["seq-cpld"] = "VIOLATED"
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables))
+    rc = run(["diagnose", "--fixture", "ex-3.2", "--checks", "nondegeneracy",
+              "--expected", path, "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "expected-verdict tables break the implication "
+                       "ordering: ex-3.2: ", code=cli.EXIT_MISMATCH)
+    assert not list(tmp_path.glob("*.verdict"))
 
 
 def test_problem_file_with_nan_is_rejected(tmp_path, capsys):
@@ -267,6 +295,20 @@ def test_solve_empty_trace_exits_3(tmp_path, capsys):
     assert not list(tmp_path.glob("*.trace"))
 
 
+def test_solve_unbounded_exits_3(tmp_path, capsys):
+    # f(x) = -x - x^2 over the constant G = 1: the AL inner loop leaves
+    # its trust radius in the first outer iteration
+    poly = model.MatrixPolyProblem(
+        n=1, m=1, c0=0.0, c_lin=np.array([-1.0]), c_quad=-np.eye(1),
+        a0=np.eye(1), a_lin=(np.zeros((1, 1)),), b_quad={}, name="concave")
+    path = tmp_path / "concave.json"
+    model.save_problem(poly, path)
+    rc = run(["solve", "--problem", path, "--solver", "al", "--out-dir", tmp_path])
+    assert_clean_error(rc, capsys, "the al solver did not converge "
+                       "(termination: unbounded)")
+    assert (tmp_path / "concave-al.trace").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["diagnose", "--point", "5"], ["solve", "--point", "5"], ["solve", "--x0", "5"],
     ["diagnose", "--problem"], ["solve", "--problem"],
@@ -340,6 +382,22 @@ def test_usage_error_exits_3(tmp_path, capsys, argv):
 def test_help_exits_0(capsys):
     assert run(["diagnose", "--help"]) == cli.EXIT_OK
     assert "--checks" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+@pytest.mark.parametrize("via", ["option", "environment"])
+@pytest.mark.parametrize("below", ["", "out"], ids=["file", "under-file"])
+def test_unusable_out_dir_exits_3(tmp_path, capsys, monkeypatch, command, via,
+                                  below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / below
+    argv = VALID[command]
+    if via == "option":
+        argv = argv + ["--out-dir", out]
+    else:
+        monkeypatch.setenv("NSDPKIT_OUT_DIR", str(out))
+    assert_clean_error(run(argv), capsys, "[Errno")
 
 
 @pytest.mark.parametrize("command", ["diagnose", "regress"])
@@ -454,7 +512,7 @@ def load_tables():
 def test_regress_cq_deterministic(tmp_path, regress_cq, lock):
     reports = []
     hashes = []
-    for rc, out, report in (regress_cq, regen_lock.regress_cq(tmp_path)):
+    for rc, out, report in (regress_cq, regen_lock.regress("cq", tmp_path)):
         assert rc == cli.EXIT_OK
         assert "0 failed" in out
         report = dict(report)

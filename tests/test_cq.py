@@ -490,6 +490,22 @@ def test_seq_crcq_aligned_shift_witness(registry):
     assert cq.replay_witness(fix.problem, verdict)
 
 
+def test_seq_crcq_pair_sequence_replays_at_rank_two():
+    # frame-m4 has r = 2: the sequences complete E_bar from a non-empty
+    # P_bar, and each level's shift keeps the P'GP core
+    problem, x_bar, curves = frame_m4_point()
+    verdict = cq.CHECKS["seq-crcq"].run(cq.PointContext.at(problem, x_bar,
+                                                           curves=curves))
+    assert verdict.status == cq.VIOLATED
+    payload = verdict.to_payload()
+    witness = payload["witness"]
+    assert witness["kind"] == "pair-sequence"
+    assert np.shape(witness["E_bar"]) == (4, 2)
+    assert cq.replay_witness(problem, payload)
+    witness["levels"][0]["delta"][0][0] += 1e-3
+    assert not cq.replay_witness(problem, payload)
+
+
 def test_seq_tail_orthonormalizes_each_stiefel_basis_once(registry, monkeypatch):
     # ex-4.2's seq-crcq search finds no tail, so every probe direction
     # runs every Stiefel variant; a (variant, level) basis depends on the

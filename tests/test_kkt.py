@@ -168,6 +168,44 @@ def test_akkt_rejects_inconsistent_defect(registry):
     assert not ok and failure == 0
 
 
+@pytest.fixture(scope="module")
+def al_trace(registry):
+    """ex-4.2's AL trace as ``regress`` runs it: two records that certify AKKT."""
+    fix = registry.get("ex-4.2")
+    trace = solvers.solve_augmented_lagrangian(fix.problem, fix.x0,
+                                               target_tol=1e-6, max_outer=12)
+    assert len(trace) == 2
+    assert kkt.akkt_check(fix.problem, trace, tol=1e-4) == (True, None)
+    return fix.problem, trace.records
+
+
+def edited(problem, rec, **changes):
+    """``rec`` with ``changes``, its defect recomputed as grad_x L(x, y)."""
+    rec = replace(rec, **changes)
+    return replace(rec, delta_vec=model.lagrangian_grad(problem, rec.x, rec.y))
+
+
+# each edit breaks one rule: the per-record PSD tests fail at the edited
+# first record, the window tests at the last one.  With y = Diag(0, 1)
+# the last record stays complementary to a shift Diag(d, 0), whose size d
+# is then its measure.
+@pytest.mark.parametrize("first,last,index", [
+    pytest.param({"y": np.diag([1.5, -0.5])}, {}, 0, id="y-not-psd"),
+    pytest.param({"delta": np.diag([0.5, 0.5 - 1e-8])}, {}, 0, id="shift-not-psd"),
+    pytest.param({}, {"y": np.diag([0.0, 1.0]), "delta": np.diag([1e-3, 0.0])}, 1,
+                 id="final-above-tol"),
+    pytest.param(None, {"y": np.diag([0.0, 1.0]), "delta": np.diag([1e-6, 0.0])}, 1,
+                 id="no-decay"),
+])
+def test_akkt_rejection_rules(al_trace, first, last, index):
+    problem, (rec0, rec1) = al_trace
+    rec1 = edited(problem, rec1, **last)
+    # no-decay: the window's first record is its last, so no decay at all
+    rec0 = rec1 if first is None else edited(problem, rec0, **first)
+    cert = kkt.AkktCertificate(records=(rec0, rec1))
+    assert kkt.akkt_check(problem, cert, tol=1e-4) == (False, index)
+
+
 def test_akkt_empty_certificate_raises(registry):
     problem = registry.get("ex-4.2").problem
     with pytest.raises(kkt.TraceTooShortError):
