@@ -355,18 +355,34 @@ def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
         c, s = math.cos(theta), math.sin(theta)
         return E0 @ np.array([[c, -s], [s, c]])
 
-    def measures(theta: float) -> tuple:
-        v1, v2 = rotated(theta)
-        m1, m2 = math.hypot(*v1), math.hypot(*v2)
+    def segment_distance(v1, v2) -> float:
         d = [a - b for a, b in zip(v1, v2)]
         dd = math.fsum(t * t for t in d)
         alpha = 0.5 if dd <= 0.0 else min(
             1.0, max(0.0, -math.fsum(b * t for b, t in zip(v2, d)) / dd))
-        mc = math.hypot(*(b + alpha * t for b, t in zip(v2, d)))
+        return math.hypot(*(b + alpha * t for b, t in zip(v2, d)))
+
+    def sigma_min(v1, v2, m1, m2) -> float:
         half = 0.5 * (m1 * m1 + m2 * m2)
         smax2 = half + math.hypot(half - m2 * m2, math.fsum(a * b for a, b in zip(v1, v2)))
         wedge = math.hypot(*(v1[i] * v2[j] - v1[j] * v2[i] for i, j in minors))
-        return m1, m2, mc, wedge / math.sqrt(smax2) if smax2 > 0.0 else 0.0
+        return wedge / math.sqrt(smax2) if smax2 > 0.0 else 0.0
+
+    def measures(theta: float) -> tuple:
+        v1, v2 = rotated(theta)
+        m1, m2 = math.hypot(*v1), math.hypot(*v2)
+        return m1, m2, segment_distance(v1, v2), sigma_min(v1, v2, m1, m2)
+
+    def measure(theta: float, obj: int) -> float:
+        """``measures(theta)[obj]`` from the same expressions, computing it alone."""
+        v1, v2 = rotated(theta)
+        if obj == 0:
+            return math.hypot(*v1)
+        if obj == 1:
+            return math.hypot(*v2)
+        if obj == 2:
+            return segment_distance(v1, v2)
+        return sigma_min(v1, v2, math.hypot(*v1), math.hypot(*v2))
 
     grid = budget.angle_grid
     h = math.pi / grid
@@ -388,9 +404,8 @@ def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
         coarse.sort()
         hits = []
         for _, k in coarse[:8]:
-            theta_star, val = _golden_min(
-                lambda th, o=obj: measures(th)[o],
-                thetas[k] - h, thetas[k] + h)
+            theta_star, val = _golden_min(lambda th, o=obj: measure(th, o),
+                                          thetas[k] - h, thetas[k] + h)
             if val <= accept:
                 hits.append((val, theta_star % math.pi))
         hits.sort(key=lambda t: (t[0], t[1]))
@@ -459,11 +474,9 @@ class PointContext:
         """Sweep hits, then Haar draws: the costly part of the dictionary."""
         out = _sweep_candidates(self.problem, self.x, self.E0, self.scale_v,
                                 self.budget)
-        rng = _rng(self.budget.seed, 1)
-        q = self.E0.shape[1]
-        for j in range(self.budget.n_q):
-            out.append((f"haar-{j}", self.E0 @ linalg.haar_orthogonal(q, rng)))
-        return out
+        haar = self.E0 @ linalg.haar_orthogonal(self.E0.shape[1], _rng(self.budget.seed, 1),
+                                                self.budget.n_q)
+        return out + [(f"haar-{j}", E) for j, E in enumerate(haar)]
 
     def free_candidates(self, curve_entries=()) -> list:
         """Kernel bases probed when every basis at x_bar is in play.
@@ -892,6 +905,16 @@ def _seq_tail_violation(problem, x_bar, E_bar, J, budget, scale_v, rng,
     matters because an independence margin of order t times the basis
     offset would otherwise sink below the rank threshold before the
     trailing levels are reached.
+
+    The (direction, basis variant) pairs run level-major: at each
+    trailing level in turn, the J-families of the pairs still live are
+    one stack (one QR of the Stiefel bases, one contraction, one rank
+    decision), and the pairs that test dependent drop out.  The first
+    survivor in (direction, variant) order is the tail a loop over the
+    pairs would find first; only its records are built, through
+    ``_falsifying_levels``.  A stack raises what the one-pair path raises;
+    on any error the pairs are tried one at a time in that order, so an
+    error surfaces where such a loop reaches it.
     """
     levels = [{"t": t} for t in _levels(budget)]
     dirs = _unit_directions(problem.n, min(4, budget.n_directions), rng)
@@ -901,27 +924,49 @@ def _seq_tail_violation(problem, x_bar, E_bar, J, budget, scale_v, rng,
         for expo in (1.0, 0.25):
             variants.append((f"stiefel-{i}@t^{expo}", W, expo))
     bases = {}  # (variant, t) -> basis; the direction d does not enter
-    for d in dirs:
-        for v_label, W, expo in variants:
-            def basis_at(t):
-                if W is None:
-                    return E_bar
-                if (v_label, t) not in bases:
-                    bases[v_label, t] = linalg.orthonormal_columns(
-                        E_bar + (t ** expo) * W)
-                return bases[v_label, t]
-            records = _falsifying_levels(
-                levels, budget.consecutive,
-                lambda lv: model.diag_vectors(problem, x_bar + lv["t"] * d,
-                                              basis_at(lv["t"]), J),
-                scale_v)
-            if records is None:
-                continue
-            for rec in records:
-                x_j, E_j = x_bar + rec["t"] * d, basis_at(rec["t"])
-                rec.update(x=x_j, E=E_j, delta=separating_perturbation(
-                    problem, x_j, x_bar, E_j, _completion_basis(P_bar, E_j)))
-            return {"direction": d, "variant": v_label, "levels": records}
+
+    def orthonormalize(vs, t):
+        """The Stiefel bases of variants ``vs`` at level t not yet built, as one stack."""
+        vs = [v for v in vs if variants[v][1] is not None and (v, t) not in bases]
+        if vs:
+            stack = linalg.orthonormal_columns(np.array(
+                [E_bar + (t ** variants[v][2]) * variants[v][1] for v in vs]))
+            bases.update(((v, t), B) for v, B in zip(vs, stack))
+
+    def basis_at(v, t):
+        orthonormalize([v], t)
+        return bases.get((v, t), E_bar)
+
+    pairs = list(itertools.product(range(len(dirs)), range(len(variants))))
+    live = pairs
+    try:
+        for lv in levels[-budget.consecutive:]:
+            if not live:
+                return None
+            t = lv["t"]
+            orthonormalize(sorted({v for _, v in live}), t)
+            ds = sorted({d for d, _ in live})
+            Ds = np.array([problem.dg(x_bar + t * dirs[d]) for d in ds])
+            fams = model.contract(Ds[[ds.index(d) for d, _ in live]],
+                                  np.array([bases.get((v, t), E_bar) for _, v in live]),
+                                  [(i, i) for i in J])
+            live = [pr for pr, dep in zip(live, linalg.lin_dependent_many(fams, scale_v))
+                    if not dep]
+    except Exception:  # each pair alone, in order: an error surfaces where reached
+        live = pairs
+    for d, v in live:
+        records = _falsifying_levels(
+            levels, budget.consecutive,
+            lambda lv: model.diag_vectors(problem, x_bar + lv["t"] * dirs[d],
+                                          basis_at(v, lv["t"]), J),
+            scale_v)
+        if records is None:
+            continue
+        for rec in records:
+            x_j, E_j = x_bar + rec["t"] * dirs[d], basis_at(v, rec["t"])
+            rec.update(x=x_j, E=E_j, delta=separating_perturbation(
+                problem, x_j, x_bar, E_j, _completion_basis(P_bar, E_j)))
+        return {"direction": dirs[d], "variant": variants[v][0], "levels": records}
     return None
 
 

@@ -32,10 +32,18 @@ decides a stop.  Non-finite input, and input whose squared Frobenius
 norm overflows, is rejected with ValueError: the rotations and the stop
 test square entries, though ``frob`` itself is finite up to about
 1.8e308.  The BLAS steps left, the PSD reconstruction above 2x2 and the
-Gram product, have one site each: ``_psd_part`` and ``gram_decompose``.
-With them and LAPACK QR in ``orthonormal_columns``, bits are
-reproducible on one platform with one Python minor version and one
-numpy, not across platforms.
+Gram product, have one site each: ``_psd_part`` and ``gram_matrices``.
+With them, LAPACK QR in ``orthonormal_columns`` and the matvecs of
+``model.contract``, bits are reproducible on one platform with one
+Python minor version and one numpy, not across platforms.
+Three of those sites take stacks, for ``cq``'s sequential tail test and
+its Haar draws: ``orthonormal_columns`` (and so ``haar_orthogonal``) a
+(..., m, q) stack in one LAPACK call, ``gram_matrices`` a (..., p, n)
+stack of families, and ``model.contract`` a stack of derivative lists
+and bases.  ``lin_dependent_many`` decides rank on a stack of families
+with ``_decompose_2x2``'s expressions or ``spectral_decompose_many``.
+Each gives a matrix of a stack the bits of a call on that matrix alone;
+``_psd_part`` takes one matrix.
 """
 
 from __future__ import annotations
@@ -435,10 +443,20 @@ def numerical_rank(values: np.ndarray, scale: float) -> int:
     return int(sum(x > EPS_RANK * scale for x in values))
 
 
+def gram_matrices(V: np.ndarray) -> np.ndarray:
+    """Gram matrix of each (p, n) family of rows in a (..., p, n) stack.
+
+    The one Gram product: per family the BLAS call and the bits of
+    ``A.T @ A`` for A = [z_1 ... z_p], then symmetrized.
+    """
+    G = np.matmul(V, np.swapaxes(V, -1, -2))
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
+
+
 def gram_decompose(vectors) -> SpectralDecomp:
     """Decomposition of the Gram matrix A'A of A = [z_1 ... z_p], p >= 1."""
-    A = np.column_stack([np.asarray(v, dtype=float).ravel() for v in vectors])
-    return spectral_decompose(sym_part(A.T @ A))
+    return spectral_decompose(gram_matrices(np.array(
+        [np.asarray(v, dtype=float).ravel() for v in vectors])))
 
 
 def singular_values(gram: SpectralDecomp) -> np.ndarray:
@@ -473,6 +491,44 @@ def gram_dependent(gram: SpectralDecomp, scale: float | None = None) -> bool:
         if scale <= 0.0:
             return True
     return numerical_rank(sig, scale) < sig.size
+
+
+def lin_dependent_many(V: np.ndarray, scale: float) -> np.ndarray:
+    """``lin_dependent(family, scale)`` of each family in a (K, p, n) stack.
+
+    Row i of ``V[k]`` is vector i of family k.  Each family's smallest
+    Gram eigenvalue gets the bits of ``gram_dependent``'s: at p = 1 the
+    Gram entry itself, at p = 2 ``_decompose_2x2``'s value expressions
+    applied elementwise, from p = 3 a ``spectral_decompose_many`` lane.
+    The family is dependent when the square root of that eigenvalue,
+    clipped at 0, is not above EPS_RANK * scale.  Raises what
+    ``lin_dependent`` raises on the first family that it rejects.
+    """
+    G = gram_matrices(V)
+    p = G.shape[1]
+    if p >= 3:
+        lam = np.array([d.eigenvalues[-1] for d in spectral_decompose_many(G)])
+    else:
+        rejected = ~np.isfinite(G).all(axis=(1, 2))
+        if p == 2:  # _decompose_2x2 also rejects a norm whose square overflows
+            nrm = np.array([math.hypot(*row) for row in G.reshape(len(G), 4).tolist()])
+            with np.errstate(over="ignore"):
+                rejected |= np.isinf(nrm * nrm)
+        if rejected.any():
+            spectral_decompose(G[np.argmax(rejected)])  # raises that matrix's own error
+        lam = G[:, 0, 0]
+        if p == 2:
+            a00, a01, a11 = lam, G[:, 0, 1], G[:, 1, 1]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta = (a11 - a00) / (2.0 * a01)
+                t = np.where(theta < 0.0, -1.0, 1.0)
+                t = t / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            turn = ~(np.sqrt(a01 * a01 * 2.0) <= 1e-14 * (1.0 + nrm))
+            lam = np.minimum(np.where(turn, a00 - t * a01, a00),
+                             np.where(turn, a11 + t * a01, a11))
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+    return ~(np.sqrt(np.maximum(lam, 0.0)) > EPS_RANK * scale)
 
 
 def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> float:
@@ -562,21 +618,31 @@ def pos_lin_dependent(vectors) -> bool:
     return _phase1_simplex(A, b) <= EPS_PLD
 
 
-def haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix: the sign-fixed QR of a Gaussian draw."""
-    return orthonormal_columns(rng.standard_normal((k, k)))
+def haar_orthogonal(k: int, rng: np.random.Generator,
+                    count: int | None = None) -> np.ndarray:
+    """Haar-distributed orthogonal matrix: the sign-fixed QR of a Gaussian draw.
+
+    With ``count``, a (count, k, k) stack of them: one draw of the stream
+    that ``count`` calls would draw one after another, and the same bits.
+    """
+    shape = (k, k) if count is None else (count, k, k)
+    return orthonormal_columns(rng.standard_normal(shape))
 
 
 def orthonormal_columns(B: np.ndarray) -> np.ndarray:
-    """Thin QR orthonormalization with signs matched to the input columns."""
-    if B.shape[1] == 0:
+    """Thin QR orthonormalization with signs matched to the input columns.
+
+    ``B`` is an (m, q) matrix or a (..., m, q) stack of them; a stack is
+    one call into LAPACK with the bits of one call per matrix.
+    """
+    if B.shape[-1] == 0:
         return B.copy()
     Q, R = np.linalg.qr(B)
     # fix the QR sign ambiguity (R gets a positive diagonal), which is
     # also what makes the QR of a Gaussian draw exactly Haar
-    d = np.sign(np.diag(R))
+    d = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     d[d == 0.0] = 1.0
-    return Q * d
+    return Q * d[..., None, :]
 
 
 def align_columns(E_ref: np.ndarray, E: np.ndarray) -> np.ndarray:

@@ -77,28 +77,40 @@ def lagrangian_grad(problem: NsdpProblem, x: np.ndarray, Y: np.ndarray) -> np.nd
     return problem.grad(x) - adjoint_dg(problem, x, Y)
 
 
+def contract(Ds, E, pairs) -> np.ndarray:
+    """Entries e_i' D_l e_j for each pair (i, j): the one contraction.
+
+    ``Ds`` is a (..., n, m, m) stack of derivative lists and ``E`` a
+    (..., m, q) stack of bases of the same leading shape; row k of the
+    (..., len(pairs), n) result is the curvature vector of pair k.  The
+    images D_l e_j are one stacked matvec, with the bits of ``D @ e`` per
+    matrix.  Each entry is the fsum of e_i[t] (D_l e_j)[t] over t, which
+    keeps the contraction sign-symmetric (no FMA asymmetry), so identities
+    like v_ii = -v_jj for trace-free derivatives hold exactly.  At m = 2
+    the fsum of finite terms a, b is (a + b) + 0.0, signed zeros included,
+    so that sum runs elementwise unless a term is not finite or so large
+    that a sum could overflow.
+    """
+    Ds = np.asarray(Ds, dtype=float)
+    cols = np.swapaxes(np.asarray(E, dtype=float), -1, -2)  # cols[..., j, :] = e_j
+    ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
+    cj = cols if jj == list(range(cols.shape[-2])) else cols[..., jj, :]
+    ci = cj if ii == jj else cols[..., ii, :]
+    images = np.matmul(Ds[..., None, :, :, :], cj[..., None, :, None])[..., 0]
+    terms = ci[..., None, :] * images  # (..., pair, l, t)
+    if terms.shape[-1] == 2 and np.abs(terms).max(initial=0.0) < 8.9e307:  # no sum overflows
+        return (terms[..., 0] + terms[..., 1]) + 0.0
+    return np.array([math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()]
+                    ).reshape(terms.shape[:-1])
+
+
 def curvature_vectors(problem: NsdpProblem, x, E, pairs) -> list:
     """Curvature vectors v_ij of the constraint at (x, E), one per pair.
 
     Entry l of v_ij is e_i' D_l G(x) e_j for columns e_i, e_j of the
-    basis E.  Each entry is the fsum of e_i[t] (D_l e_j)[t] over t, with
-    D_l e_j formed once per column j; fsum keeps the contraction
-    sign-symmetric (no FMA asymmetry), so identities like v_ii = -v_jj
-    for trace-free derivatives hold exactly.
+    basis E, as ``contract`` forms it.
     """
-    cols = np.asarray(E, dtype=float)
-    Ds = problem.dg(np.asarray(x, dtype=float))
-    m = cols.shape[0]
-    images = {}
-    out = []
-    for i, j in pairs:
-        c = cols[:, i]
-        if j not in images:
-            e = c if j == i else cols[:, j]
-            images[j] = [D @ e for D in Ds]
-        out.append(np.array([math.fsum(c[t] * w[t] for t in range(m))
-                             for w in images[j]]))
-    return out
+    return list(contract(problem.dg(np.asarray(x, dtype=float)), E, pairs))
 
 
 def diag_vectors(problem: NsdpProblem, x, E, indices=None) -> list:

@@ -378,6 +378,79 @@ def test_weak_failure_raised_only_where_the_loop_reaches_it(registry, how):
         cq.CHECKS["weak-crcq"].run(ctx)
 
 
+def seq_texts(problem, x_bar, curves):
+    ctx = cq.PointContext.at(problem, x_bar, curves=curves)
+    return [cq.verdict_to_text(cq.CHECKS[name].run(ctx), "2000-01-01T00:00:00+00:00")
+            for name in cq.SEQ_KINDS]
+
+
+def stack_refused(*args):
+    """``_seq_tail_violation`` then tries the pairs one at a time."""
+    raise RuntimeError("no stacked rank decision")
+
+
+@pytest.mark.parametrize("point", ["ex-3.2", "ex-4.2", "ex-4.3", "nlp-coords",
+                                   "nlp-opposite-sign", "frame-m4"])
+def test_seq_checks_same_through_the_stack(registry, monkeypatch, point):
+    if point == "frame-m4":
+        problem, x_bar, curves = frame_m4_point()
+    else:
+        fix = registry.get(point)
+        problem, x_bar, curves = fix.problem, fix.x_bar, fix.curves
+    stacked = seq_texts(problem, x_bar, curves)
+    monkeypatch.setattr(linalg, "lin_dependent_many", stack_refused)
+    assert seq_texts(problem, x_bar, curves) == stacked
+
+
+def dg_failing_where(problem, condition, how, failed):
+    """``problem`` with DG failing (NaN or raising) at the points ``condition``
+    picks, each of which is appended to ``failed``."""
+    def dg_eval(x):
+        if not condition(x):
+            return problem.dg(x)
+        failed.append(x.copy())
+        if how == "nan":
+            return [np.full((problem.m, problem.m), np.nan)] * problem.n
+        raise ArithmeticError("DG undefined here")
+    return model.NsdpProblem(n=problem.n, m=problem.m, f_eval=problem.f_eval,
+                             grad_f=problem.grad_f, g_eval=problem.g_eval,
+                             dg_eval=dg_eval, name=problem.name)
+
+
+@pytest.mark.parametrize("how", ["nan", "raise"])
+def test_seq_failure_raised_only_where_the_loop_reaches_it(registry, how):
+    # ex-3.2's seq-crcq tail runs along +e2, after +-e1 and before -e2: the
+    # first level's stack reads -e2 too, in lanes that decide nothing
+    fix = registry.get("ex-3.2")
+    clean = seq_texts(fix.problem, fix.x_bar, fix.curves)
+    failed = []
+    later = dg_failing_where(fix.problem, lambda x: x[1] < 0.0, how, failed)
+    assert seq_texts(later, fix.x_bar, fix.curves) == clean
+    assert failed
+    first = dg_failing_where(fix.problem, lambda x: x[0] < 0.0, how, [])
+    error, message = {"nan": (ValueError, "matrix has non-finite entries"),
+                      "raise": (ArithmeticError, "DG undefined here")}[how]
+    with pytest.raises(error, match=message):
+        seq_texts(first, fix.x_bar, fix.curves)
+
+
+def test_haar_bases_are_the_draw_sequence(registry):
+    # the stacked draw gives the bases of one E0 @ haar_orthogonal per draw
+    points = [(fix.problem, fix.x_bar) for fix in registry] + [frame_m4_point()[:2]]
+    shapes = set()
+    for problem, x_bar in points:
+        ctx = cq.PointContext.at(problem, x_bar)
+        if ctx.E0 is None:
+            continue
+        got = [E for label, E in ctx._rotated_bases if label.startswith("haar-")]
+        gen, q = cq._rng(ctx.budget.seed, 1), ctx.E0.shape[1]
+        want = [ctx.E0 @ linalg.haar_orthogonal(q, gen) for _ in range(ctx.budget.n_q)]
+        assert len(got) == len(want) == ctx.budget.n_q
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        shapes.add(ctx.E0.shape)
+    assert {(1, 1), (2, 2), (4, 2)} <= shapes
+
+
 # ---------------------------------------------------------------------------
 # the rotation sweep over a two-column kernel
 
@@ -516,8 +589,8 @@ def test_seq_tail_orthonormalizes_each_stiefel_basis_once(registry, monkeypatch)
     active, per_call = [], []
 
     def counting_ortho(B):
-        if active and active[-1] is not None:
-            active[-1].append(B.tobytes())
+        if active and active[-1] is not None:  # each matrix of a stack on its own
+            active[-1].extend(M.tobytes() for M in B.reshape((-1,) + B.shape[-2:]))
         return ortho(B)
 
     def counting_tail(*args):
@@ -544,6 +617,9 @@ def test_seq_tail_orthonormalizes_each_stiefel_basis_once(registry, monkeypatch)
     assert per_call and all(per_call)
     for inputs in per_call:
         assert len(inputs) == len(set(inputs))
+    # the first level's stack holds every Stiefel variant, one matrix each
+    budget = cq.CqBudget()
+    assert all(len(inputs) >= 2 * budget.n_stiefel for inputs in per_call)
 
 
 def test_combinatorial_cap():

@@ -769,6 +769,91 @@ def test_orthonormal_columns_preserves_span():
     assert linalg.frob(Q @ (Q.T @ B) - B) <= 1e-9
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
+def test_orthonormal_columns_stack_matches_each_matrix(m):
+    gen = rng(21)
+    for q in sorted({1, 2, m}):
+        B = gen.standard_normal((40, m, q))
+        B[0, :, 0] = 0.0  # a zero column: R's zero diagonal entry keeps sign +
+        Q = linalg.orthonormal_columns(B)
+        assert Q.shape == B.shape
+        assert all(np.array_equal(Q[k], linalg.orthonormal_columns(B[k]))
+                   for k in range(len(B)))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_haar_stack_is_the_sequence_of_draws(k):
+    got, want = rng(17), rng(17)
+    stack = linalg.haar_orthogonal(k, got, 6)
+    assert stack.shape == (6, k, k)
+    assert all(np.array_equal(H, reference_haar(k, want)) for H in stack)
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def dependence_families(p, n=3):
+    """Random and edge (p, n) families: (v, -v), zero vectors, and then
+    families whose smallest singular value is a few ulps either side of
+    EPS_RANK * scale for scale 1 and 3.7: diagonal, rotated, and (p >= 2)
+    coupled by 1e-12, inside the band where the 2x2 rotation decides,
+    with the small vector last and first."""
+    gen = rng(30 + p)
+    fams = [gen.standard_normal((p, n)) for _ in range(20)]
+    fams += [gen.standard_normal((p, n)) * 10.0 ** float(gen.integers(-12, 5))
+             for _ in range(20)]
+    fams.append(np.zeros((p, n)))
+    for _ in range(3):
+        F = gen.standard_normal((p, n))
+        F[-1] = 0.0
+        fams.append(F)
+        if p >= 2:
+            F = gen.standard_normal((p, n))
+            F[1] = -F[0]
+            fams.append(F)
+    for scale in (1.0, 3.7):
+        c = linalg.EPS_RANK * scale
+        for ulps in range(-4, 5):
+            s_min = c + ulps * math.ulp(c)
+            D = np.eye(p, n)
+            D[-1, p - 1] = s_min
+            fams.append(D)  # the Gram matrix is diagonal: no rotation
+            fams.append(D @ linalg.haar_orthogonal(n, gen))  # a rotated copy
+            if p >= 2:
+                D = D.copy()
+                D[-1, 0] = 1e-12
+                fams += [D, D[::-1]]  # the small vector last, then first
+    return np.array(fams)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lin_dependent_many_matches_each_family(p):
+    fams = dependence_families(p)
+    near = 2 * 9 * (2 if p == 1 else 4)
+    for scale in (1.0, 3.7):
+        got = linalg.lin_dependent_many(fams, scale)
+        want = [linalg.lin_dependent(list(F), scale) for F in fams]
+        assert got.tolist() == want
+        assert len(set(want[-near:])) == 2  # the near-threshold families split
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e153])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lin_dependent_many_raises_the_family_error(p, bad):
+    # 1e153 leaves the Gram matrix finite; its norm check rejects it at p >= 2
+    fams = rng(5).standard_normal((4, p, 3))
+    fams[2, 0, 1] = bad
+
+    def outcome(run):
+        try:
+            return run()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    want = outcome(lambda: [linalg.lin_dependent(list(F), 1.0) for F in fams])
+    assert isinstance(want, tuple) == (p > 1 or bad != 1e153)
+    assert outcome(lambda: linalg.lin_dependent_many(fams, 1.0).tolist()) == want
+
+
 def test_align_columns_fixes_signs():
     E = np.eye(3)
     flipped = E * np.array([1.0, -1.0, -1.0])
@@ -813,18 +898,28 @@ def test_numpy_linalg_is_named_only_in_linalg():
 
 def test_transposed_products_only_in_named_helpers():
     # the PSD reconstruction, the Gram product and the basis alignment are
-    # the only matrix products with a transposed operand, so a portable
-    # rewrite of each changes one function body
-    allowed = {"_psd_part", "gram_decompose", "align_columns"}
+    # the only matrix products with a transposed operand (.T, or swapaxes
+    # on a stack), so a portable rewrite of each changes one function body
+    allowed = {"_psd_part", "gram_matrices", "align_columns"}
     root = Path(linalg.__file__).parent
+
+    def transposed(side):
+        return (isinstance(side, ast.Attribute) and side.attr == "T"
+                or isinstance(side, ast.Call)
+                and getattr(side.func, "attr", None) == "swapaxes")
+
     for name in ("linalg.py", "caratheodory.py", "kkt.py"):
         tree = ast.parse((root / name).read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree)
                    for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-                    and any(isinstance(side, ast.Attribute) and side.attr == "T"
-                            for side in (node.left, node.right))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                sides = (node.left, node.right)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "matmul":
+                sides = node.args
+            else:
+                continue
+            if not any(transposed(side) for side in sides):
                 continue
             scope = node
             while scope in parents and not isinstance(scope, ast.FunctionDef):

@@ -1,11 +1,13 @@
 import copy
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsdpkit import fixtures, model
+from nsdpkit import fixtures, linalg, model
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +216,75 @@ def test_dg_hands_out_read_only_copies():
     assert D is poly.a_lin[0]
     with pytest.raises(ValueError, match="read-only"):
         D[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# the contraction
+
+
+def reference_contraction(Ds, E, pairs):
+    """The loop ``contract`` replaced: D @ e per matrix, fsum per entry."""
+    out = []
+    for i, j in pairs:
+        images = [D @ E[:, j] for D in Ds]
+        out.append(np.array([math.fsum(E[t, i] * w[t] for t in range(len(w)))
+                             for w in images]))
+    return out
+
+
+def callback_problem(Ds):
+    return model.NsdpProblem(n=len(Ds), m=Ds[0].shape[0], f_eval=None,
+                             grad_f=None, g_eval=None, dg_eval=lambda x: Ds)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_contraction_stack_matches_diag_vectors(m):
+    gen = np.random.default_rng(40 + m)
+    n, q = 2, min(m, 3)
+    Dss, Es = [], []
+    for k in range(24):
+        Ds = [sample_psd(gen, m) - sample_psd(gen, m) for _ in range(n)]
+        E = linalg.orthonormal_columns(gen.normal(size=(m, q)))
+        if k % 3 == 1:
+            E[:, 0] = 0.0  # products of signed zeros
+        if k % 3 == 2:
+            Ds[0] = -Ds[0]
+        Dss.append(Ds)
+        Es.append(E)
+    pairs_list = [[(i, i) for i in J] for size in range(1, q + 1)
+                  for J in itertools.combinations(range(q), size)]
+    pairs_list.append([(0, q - 1), (q - 1, 0), (0, 0)])
+    for pairs in pairs_list:
+        stack = model.contract(np.array(Dss), np.array(Es), pairs)
+        assert stack.shape == (len(Es), len(pairs), n)
+        for Ds, E, rows in zip(Dss, Es, stack):
+            one = model.curvature_vectors(callback_problem(Ds), np.zeros(n), E, pairs)
+            for got, a, b in zip(rows, one, reference_contraction(Ds, E, pairs)):
+                assert np.array_equal(got, a) and np.array_equal(got, b)
+                assert np.array_equal(np.signbit(got), np.signbit(b))
+            if all(i == j for i, j in pairs):
+                J = [i for i, _ in pairs]
+                diag = model.diag_vectors(callback_problem(Ds), np.zeros(n), E, J)
+                assert all(np.array_equal(got, a) for got, a in zip(rows, diag))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_contraction_stack_non_finite_lanes_as_one_at_a_time():
+    # a lane whose entry sum overflows raises fsum's error; inf and NaN
+    # entries come out as the loop gives them
+    E = np.array([[0.8], [0.6]])
+    big, inf = np.full((2, 2), 1e308), np.diag([math.inf, 1.0])
+    with pytest.raises(OverflowError) as want:
+        reference_contraction([big], E, [(0, 0)])
+    with pytest.raises(OverflowError) as got:
+        model.contract(np.array([[np.eye(2)], [big]]), np.array([E, E]), [(0, 0)])
+    assert str(got.value) == str(want.value)
+    E0 = np.array([[0.0], [1.0]])
+    stack = model.contract(np.array([[inf], [inf]]), np.array([E, E0]), [(0, 0)])
+    for rows, F in zip(stack, (E, E0)):
+        assert np.array_equal(rows[0], reference_contraction([inf], F, [(0, 0)])[0],
+                              equal_nan=True)
+    assert math.isinf(stack[0, 0, 0]) and math.isnan(stack[1, 0, 0])
 
 
 def test_dict_round_trip_without_optionals():
