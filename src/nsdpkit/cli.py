@@ -18,21 +18,21 @@ Outputs land in --out-dir, the NSDPKIT_OUT_DIR environment variable, or
 byte-identical files except for the generated-at header line, which the
 content hashes exclude.
 
-Exit codes: solve 0 converged / 2 iteration cap / 3 error; diagnose 0
-match or no comparison / 1 mismatch / 3 error; regress 0 clean / 1 any
-failed entry / 3 error.  An --expected table that breaks the implication
-order exits 1 in diagnose and regress.  A usage error (an unknown
-option, an option of another subcommand, a bad choice or number, an
---msr-samples or --prop-cases below 1) exits 3, never argparse's 2, and
---help exits 0.  After parsing, any other error exits 3 with one
-``error:`` line, an unusable output directory and a failed write
-included; malformed input (an unknown check, budget field or config
-key, a config or budget value of the wrong type, a config cap below 1
-or a negative target_tol, --point or --x0 with --fixture, a config,
-problem or expected-table file of the wrong shape or JSON type, an
-expected table naming an unknown fixture, check or status, a missing
-file, a missing reference point, a non-finite number) does so before
-any check runs.
+Exit codes: solve 0 converged / 2 iteration cap or rounding floor / 3
+error; diagnose 0 match or no comparison / 1 mismatch / 3 error; regress
+0 clean / 1 any failed entry / 3 error.  An --expected table that breaks
+the implication order exits 1 in diagnose and regress.  A usage error
+(an unknown option, an option of another subcommand, a bad choice or
+number, an --msr-samples or --prop-cases below 1) exits 3, never
+argparse's 2, and --help exits 0.  After parsing, any other error exits
+3 with one ``error:`` line, an unusable output directory and a failed
+write included; malformed input (an unknown check, budget field or
+config key, a config or budget value of the wrong type, a config cap
+below 1 or a negative target_tol, --point or --x0 with --fixture, a
+config, problem or expected-table file of the wrong shape or JSON type,
+an expected table naming an unknown fixture, check or status, a missing
+file, a missing reference point, a non-finite number) does so before any
+check runs.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def cmd_solve(args) -> int:
     print(f"trace written to {trace_path}")
     if trace.termination == "converged":
         return EXIT_OK
-    if trace.termination == "iteration_cap":
+    if trace.termination in ("iteration_cap", "rounding_floor"):
         return EXIT_CAP
     raise ValueError(f"the {args.solver} solver did not converge "
                      f"(termination: {trace.termination})")
@@ -368,7 +368,8 @@ def _regress_solvers(registry, csv_rows):
             detail = {"termination": trace.termination,
                       "outer_iterations": len(trace)}
             ok = True
-            if solver in ("al", "sqp") and trace.termination == "converged":
+            if solver in ("al", "sqp") and \
+                    trace.termination in ("converged", "rounding_floor"):
                 passed, failure = kkt.akkt_check(problem, trace.certificate(),
                                                  tol=1e-4)
                 detail["akkt"] = bool(passed)

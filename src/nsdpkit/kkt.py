@@ -56,10 +56,17 @@ def kkt_residual(problem: model.NsdpProblem, x, Y) -> KktResidual:
     """
     x = np.asarray(x, dtype=float)
     Y = linalg.check_symmetric(Y)
-    G = problem.g(x)
+    return residual_from(problem.g(x), model.lagrangian_grad(problem, x, Y), Y)
+
+
+def residual_from(G: np.ndarray, grad_l: np.ndarray, Y: np.ndarray) -> KktResidual:
+    """``kkt_residual`` from G(x) and grad_x L(x, Y), already evaluated.
+
+    A solver's outer record has both at hand, so it pays for neither twice.
+    """
     lam_y = linalg.eigenvalues(Y)
     return KktResidual(
-        stationarity=linalg.frob(model.lagrangian_grad(problem, x, Y)),
+        stationarity=linalg.frob(grad_l),
         feasibility=linalg.frob(linalg.proj_psd(-G)),
         complementarity=abs(linalg.inner(G, Y)),
         dual_feasibility=max(0.0, -float(lam_y[-1])) if lam_y.size else 0.0,

@@ -60,21 +60,24 @@ class NsdpProblem:
         return [np.asarray(D, dtype=float) for D in mats]
 
 
-def adjoint_dg(problem: NsdpProblem, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def adjoint_dg(problem: NsdpProblem, x: np.ndarray, Y: np.ndarray,
+               Ds: list | None = None) -> np.ndarray:
     """Adjoint of the constraint derivative applied to a symmetric Y.
 
     Component i is the trace inner product of the i-th partial
-    derivative of G at x with Y.
+    derivative of G at x with Y.  ``Ds`` is ``problem.dg(x)`` where the
+    caller has already evaluated it.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (problem.m, problem.m):
         raise ValueError(f"multiplier has shape {Y.shape}, expected {(problem.m, problem.m)}")
-    return np.array([linalg.inner(D, Y) for D in problem.dg(x)])
+    return np.array([linalg.inner(D, Y) for D in (problem.dg(x) if Ds is None else Ds)])
 
 
-def lagrangian_grad(problem: NsdpProblem, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Gradient in x of f(x) - <G(x), Y>."""
-    return problem.grad(x) - adjoint_dg(problem, x, Y)
+def lagrangian_grad(problem: NsdpProblem, x: np.ndarray, Y: np.ndarray,
+                    Ds: list | None = None) -> np.ndarray:
+    """Gradient in x of f(x) - <G(x), Y>; ``Ds`` as in ``adjoint_dg``."""
+    return problem.grad(x) - adjoint_dg(problem, x, Y, Ds)
 
 
 def contract(Ds, E, pairs) -> np.ndarray:

@@ -7,7 +7,9 @@ Three outer algorithms share one smooth inner loop:
   S(x) = proj_psd(-G(x) + Ytilde / rho); the penalty parameter is
   frozen whenever the measure V = S - Ytilde / rho shrinks by a fixed
   factor, and the next safeguard is the current multiplier scaled
-  into a norm ball.
+  into a norm ball.  Given a target tolerance, the loop stops
+  ("rounding_floor") before rho grows so large that rounding error in
+  the multiplier alone would fail the stationarity test.
 * ``solve_external_penalty``: the same loop with a zero-radius ball, so
   the carried estimate stays zero, driven by prescribed penalty and
   tolerance schedules: it minimizes f + (rho_k / 2) ||neg part of
@@ -186,6 +188,9 @@ def _armijo(fun, x, f, d, slope, trials):
     return None
 
 
+# Machine epsilon, the rounding unit of the stationarity floor in _al_engine.
+ROUNDING_UNIT = 2.0 ** -52
+
 # The last shifted matrix Z = G(x) - Ytilde/rho decomposed, as
 # ((shape, bytes), read-only proj_psd(-Z)).  _al_engine clears it at its start.
 _last_split = None
@@ -264,9 +269,12 @@ class IterRecord:
 class SolverTrace(kkt.AkktCertificate):
     """Outer-iteration history plus the reason the loop stopped.
 
-    termination is one of "converged", "iteration_cap", "unbounded",
-    "stagnation", "line_search_failure", "subproblem_infeasible",
-    "subproblem_failure".
+    termination is one of "converged", "iteration_cap", "rounding_floor",
+    "unbounded", "stagnation", "line_search_failure",
+    "subproblem_infeasible", "subproblem_failure".  "rounding_floor"
+    means the next rho would put the stationarity test below rounding
+    error (see ``_al_engine``); like "iteration_cap" it ends a run that
+    did not converge but whose records may still certify AKKT.
     """
 
     termination: str
@@ -288,7 +296,29 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
     without them rho grows adaptively and the tolerance decays
     geometrically.  The next carried estimate is the multiplier scaled
     into the ball of radius ``config.safeguard_radius``.  Each outer
-    record reads the projection the inner loop's last evaluation made.
+    record reads the projection the inner loop's last evaluation made,
+    and evaluates G(x), the derivative list and the Lagrangian gradient
+    once for the multiplier, the residuals and the stop rules.
+
+    With a positive ``target_tol``, the loop stops with "rounding_floor"
+    before an inner solve that cannot meet the convergence test.  (A
+    zero tolerance is how a caller asks for all ``max_outer`` iterations;
+    any floor would exceed it, so it has none.)  The computed
+    shift Z = G(x) - Ytilde/rho carries an absolute rounding error of
+    about u ||G(x)||_F, u = 2^-52, since every entry of G is rounded.
+    The projection onto the PSD cone is nonexpansive, so it passes that
+    error on at most unchanged, and Yhat = rho proj_psd(-Z) carries rho
+    times it.  DG(x)* maps an error E in Yhat to (<D_i(x), E>)_i, whose
+    norm is about ||E||_F max_i ||D_i(x)||_F for an E not orthogonal to
+    every D_i.  The stationarity residual grad f - DG(x)*[Yhat] at rho
+    is therefore only known to within the floor
+
+        u * rho * ||G(x)||_F * max_i ||D_i(x)||_F,
+
+    and once the floor exceeds ``target_tol`` a record passes the test
+    only by a lucky rounding.  x moves little between the late outer
+    iterations, so the floor at the next rho is taken at the last
+    record's x, from the evaluations that record already made.
     """
     global _last_split
     _last_split = None  # a solve's split count depends on that solve alone
@@ -301,9 +331,13 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
     v_prev = None
     x_prev = None
     stalled = 0
+    floor_scale = None  # ||G(x)|| max_i ||D_i(x)|| at the last record's x
     for k in range(1, max_outer + 1):
         if rho_schedule is not None:
             rho = rho_schedule(k)
+        if floor_scale is not None and ROUNDING_UNIT * rho * floor_scale > target_tol:
+            termination = "rounding_floor"
+            break
         if eps_schedule is not None:
             eps_k = eps_schedule(k)
         else:
@@ -323,13 +357,14 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
             trust_radius=config.trust_radius,
         )
         G = problem.g(x)
+        Ds = problem.dg(x)
         # S = proj_psd(-G + Yt/rho), the displacement is V = S - Yt/rho.
         S = _shifted_projection(G - Yt / rho_k)
         Y = rho_k * S
         V = S - Yt / rho_k
         v_now = linalg.frob(V)
-        delta_vec = model.lagrangian_grad(problem, x, Y)
-        residual = kkt.kkt_residual(problem, x, Y)
+        delta_vec = model.lagrangian_grad(problem, x, Y, Ds)
+        residual = kkt.residual_from(G, delta_vec, Y)
         records.append(IterRecord(
             k=k, x=x.copy(), y=Y, rho=rho_k, delta=V,
             delta_vec=delta_vec, residual=residual,
@@ -355,6 +390,8 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
             rho = rho * config.gamma
         v_prev = v_now
         Ytilde = _project_ball(Y, config.safeguard_radius)
+        if target_tol:
+            floor_scale = linalg.frob(G) * max((linalg.frob(D) for D in Ds), default=0.0)
     return SolverTrace(records=tuple(records), termination=termination,
                        solver=solver_name)
 
@@ -449,9 +486,10 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
     diag = {}
     for k in range(1, max_iter + 1):
         gf = problem.grad(x)
+        G = problem.g(x)
         Ds = problem.dg(x)
         sub = model.MatrixPolyProblem(
-            n=n, m=problem.m, c0=0.0, c_lin=gf, c_quad=2.0 * B, a0=problem.g(x),
+            n=n, m=problem.m, c0=0.0, c_lin=gf, c_quad=2.0 * B, a0=G,
             a_lin=Ds, b_quad={}, name=f"{problem.name}:linearized@{k}").problem()
         sub_trace = _al_engine(sub, np.zeros(n), cfg, stol, 40,
                                Ytilde0=_project_ball(Y, cfg.safeguard_radius),
@@ -473,8 +511,8 @@ def solve_sqp(problem: model.NsdpProblem, x0, target_tol: float = 1e-6,
         Y = sub_trace.final.y
         lin_shift = model.linearize(np.zeros((problem.m, problem.m)), Ds, d)
         delta = linalg.sym_part(lin_shift + sub_trace.final.delta)
-        delta_vec = model.lagrangian_grad(problem, x, Y)
-        residual = kkt.kkt_residual(problem, x, Y)
+        delta_vec = model.lagrangian_grad(problem, x, Y, Ds)
+        residual = kkt.residual_from(G, delta_vec, Y)
         d_norm = linalg.frob(d)
         rec = IterRecord(k=k, x=x.copy(), y=Y, rho=sub_trace.final.rho,
                          delta=delta, delta_vec=delta_vec, residual=residual,

@@ -62,6 +62,18 @@ def test_solve_penalty_divergence_note(tmp_path, capsys):
     assert "may admit no Lagrange multiplier" in summary
 
 
+def test_solve_al_rounding_floor_exits_2_with_a_certifying_trace(tmp_path, capsys):
+    rc = run(["solve", "--fixture", "ex-3.1", "--solver", "al",
+              "--out-dir", tmp_path])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_CAP
+    assert "termination: rounding_floor" in out
+    assert "multiplier estimates diverged" in out
+    fix = fixtures.default_registry().get("ex-3.1")
+    cert = kkt.read_trace(tmp_path / "ex-3.1-al.trace", 1, 2)
+    assert kkt.akkt_check(fix.problem, cert, tol=1e-4) == (True, None)
+
+
 def test_solve_missing_problem_file(tmp_path, capsys):
     rc = run(["solve", "--problem", tmp_path / "nope.json",
               "--out-dir", tmp_path])

@@ -13,5 +13,5 @@ def test_quick_start_prints_what_its_comments_state(capsys):
     assert len(lines) == 5
     assert lines[0] == "VIOLATED"
     assert lines[1] == "True"
-    assert lines[3].startswith("diverged 162.5")
+    assert lines[3].startswith("diverged 76.45")
     assert lines[4] == "converged True"

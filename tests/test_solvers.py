@@ -323,6 +323,26 @@ def test_al_single_point_fixture_feasible_but_divergent(registry):
     assert np.linalg.norm(infeas_grad) <= 1e-5
 
 
+def test_al_single_point_fixture_stops_at_rounding_floor(registry):
+    """ex-3.1's default AL stops where the next rho's rounding floor
+    exceeds target_tol, and its trace certifies AKKT (criterion 1)."""
+    fix = registry.get("ex-3.1")
+    problem, tol, cfg = fix.problem, 1e-6, solvers.AlConfig()
+    trace = solvers.solve_augmented_lagrangian(problem, fix.x0, target_tol=tol)
+    assert trace.termination == "rounding_floor"
+    assert abs(trace.final.x[0]) <= 1e-4
+    assert linalg.frob(trace.final.y) >= 1e3
+    assert kkt.akkt_check(problem, trace.certificate(), tol=1e-4) == (True, None)
+    recs = trace.records
+    # the rho each record hands on, under the freeze rule, and its floor
+    next_rho = [r.rho * (cfg.gamma if i > 0 and r.v_norm > cfg.theta * recs[i - 1].v_norm
+                         else 1.0) for i, r in enumerate(recs)]
+    floors = [solvers.ROUNDING_UNIT * rho * (linalg.frob(problem.g(r.x))
+                                             * max(linalg.frob(D) for D in problem.dg(r.x)))
+              for rho, r in zip(next_rho, recs)]
+    assert [f > tol for f in floors] == [False] * (len(recs) - 1) + [True]
+
+
 def test_al_rho_monotone_and_freeze_rule_replayable(registry):
     # rho_{k+1} stays put iff k == 1 or ||V^k|| <= theta ||V^{k-1}||
     cfg = solvers.AlConfig()
@@ -343,6 +363,7 @@ def test_al_zero_safeguard_matches_penalty_bitwise(registry):
     cfg = solvers.AlConfig(safeguard_radius=0.0)
     al = solvers.solve_augmented_lagrangian(fix.problem, fix.x0, config=cfg,
                                             target_tol=0.0, max_outer=8)
+    assert len(al) == 8  # a zero tolerance has no rounding floor
     rhos = [r.rho for r in al.records]
     target_tol = 0.0
     pen = solvers.solve_external_penalty(
@@ -437,6 +458,24 @@ def test_sqp_line_search_skips_minus_infinity():
     assert all(np.isfinite(problem.f(rec.x)) for rec in trace.records)
 
 
+def test_sqp_infeasible_subproblem_stops_at_rounding_floor(registry, monkeypatch):
+    """ex-3.3's first linearization is infeasible; its AL stops at the
+    rounding floor before stagnation stops at ever larger rho."""
+    fix = registry.get("ex-3.3")
+    inner = solvers.inner_minimize
+    iterations = []
+
+    def counted(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        iterations.append(out[1].iterations)
+        return out
+    monkeypatch.setattr(solvers, "inner_minimize", counted)
+    trace = solvers.solve_sqp(fix.problem, fix.x0)
+    assert trace.termination == "subproblem_infeasible" and len(trace) == 0
+    assert trace.diagnostics["subproblem_termination"] == "rounding_floor"
+    assert sum(iterations) < 100
+
+
 def test_sqp_converges_on_regular_fixtures(registry):
     for fid in ("ex-3.2", "nlp-coords", "nlp-parallel"):
         fix = registry.get(fid)
@@ -451,8 +490,8 @@ def test_sqp_converges_on_regular_fixtures(registry):
 
 
 def test_termination_labels_are_known(registry):
-    known = {"converged", "iteration_cap", "unbounded", "stagnation",
-             "line_search_failure", "subproblem_infeasible",
+    known = {"converged", "iteration_cap", "rounding_floor", "unbounded",
+             "stagnation", "line_search_failure", "subproblem_infeasible",
              "subproblem_failure"}
     for fix in registry:
         for run in (
