@@ -76,6 +76,9 @@ class CqBudget:
     bounds the Haar draws over kernel bases, ``angle_grid`` the grid of
     the rotation sweep over a two-dimensional kernel, whose angles cost
     float arithmetic on one contraction of the derivatives per point.
+    robinson ascends ``robinson_iters`` steps from d = 0, then from the
+    other ``robinson_restarts - 1`` random starts only if no free basis
+    gives a replaying positive-dependence witness, which ends the check.
     """
 
     n_directions: int = 32
@@ -589,36 +592,41 @@ def _pair_family(ctx: PointContext, E) -> dict:
             "dependent": linalg.gram_dependent(gram, ctx.scale_v)}
 
 
-def _robinson_certificate(problem: model.NsdpProblem, x, G, budget: CqBudget,
-                          rng: np.random.Generator, threshold: float):
+def _robinson_starts(n: int, budget: CqBudget) -> list:
+    """d = 0, then unit Gaussian directions, all drawn before any ascent."""
+    rng = _rng(budget.seed, 5)
+    starts = [np.zeros(n)]
+    for _ in range(budget.robinson_restarts - 1):
+        g = rng.standard_normal(n)
+        nrm = linalg.frob(g)
+        starts.append(g / nrm if nrm > 1e-12 else np.zeros(n))
+    return starts
+
+
+def _robinson_certificate(G, Ds, starts, iters: int, threshold: float, best):
     """Search for d with G(x) + DG(x)[d] positive definite on ||d|| <= 1.
 
     The smallest eigenvalue of the affine matrix map is concave in d, so
     projected supergradient ascent with a diminishing step converges;
-    restarts guard against flat starts.  All restart starts are drawn
-    before the first ascent, so the rng stream does not depend on where
-    the search stops: after each restart, its closing evaluation
-    included, it stops once the best eigenvalue exceeds ``threshold``.
-    A search that never gets there runs every restart.
+    restarts guard against flat starts.  After each restart, its closing
+    evaluation included, it stops once the best eigenvalue exceeds
+    ``threshold``.  ``best`` is the (value, d) carried over from starts
+    already run and is replaced only by a strictly larger value, so a
+    search over ``starts[:k]`` then ``starts[k:]`` returns the bits of one
+    pass.  ``_robinson`` ascends from d = 0, screens for positive
+    dependence, then runs the random starts: a replaying
+    positive-dependence witness ends the check before the restarts.
     """
-    n = problem.n
-    Ds = problem.dg(x)
+    best_val, best_d = best
 
     def phi(d):
         M = model.linearize(G, Ds, d)
         dec = linalg.spectral_decompose(linalg.sym_part(M))
         return float(dec.eigenvalues[-1]), dec.eigenvectors[:, -1]
 
-    best_val = -np.inf
-    best_d = np.zeros(n)
-    starts = [np.zeros(n)]
-    for _ in range(budget.robinson_restarts - 1):
-        g = rng.standard_normal(n)
-        nrm = linalg.frob(g)
-        starts.append(g / nrm if nrm > 1e-12 else np.zeros(n))
     for d0 in starts:
         d = d0.copy()
-        for it in range(budget.robinson_iters):
+        for it in range(iters):
             val, u = phi(d)
             if val > best_val:
                 best_val, best_d = val, d.copy()
@@ -640,47 +648,47 @@ def _robinson_certificate(problem: model.NsdpProblem, x, G, budget: CqBudget,
 
 def check_robinson(problem: model.NsdpProblem, x_bar,
                    budget: CqBudget | None = None) -> CqVerdict:
-    """Robinson's condition: certificate search, then falsification.
+    """Robinson's condition: one ascent, then falsification, then restarts.
 
     A strictly feasible direction for the linearized constraint certifies
-    the condition.  Failing that, the condition is violated exactly when
-    the diagonal family is positively dependent at some kernel basis, so
-    canonical, swept, and Haar bases are screened for positive
-    dependence.  If neither side lands, the verdict stays open.
+    the condition; the ascent from d = 0 looks for one first.  Robinson
+    fails exactly when the diagonal family is positively dependent at
+    some kernel basis, so canonical, swept, and Haar bases are screened
+    next, and a replaying witness ends the check before the random
+    restarts.  If neither side lands, the verdict stays open.
     """
     return CHECKS["robinson"].run(PointContext.at(problem, x_bar, budget))
 
 
 def _robinson(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
-    problem, x, G, budget = ctx.problem, ctx.x, ctx.G, ctx.budget
+    problem, budget = ctx.problem, ctx.budget
     if ctx.r == problem.m:
         return ctx.verdict(
             spec.name, CERTIFIED_HOLDS,
             witness={"kind": "interior-direction", "direction": np.zeros(problem.n),
                      "lambda_min": float(ctx.dec.eigenvalues[-1])},
             notes=("constraint has full rank at the point",))
-    rng = _rng(budget.seed, 5)
     threshold = _robinson_threshold(ctx)
-    cert_val, cert_d = _robinson_certificate(problem, x, G, budget, rng, threshold)
+    starts = _robinson_starts(problem.n, budget)
+    search = functools.partial(_robinson_certificate, ctx.G, problem.dg(ctx.x),
+                               iters=budget.robinson_iters, threshold=threshold)
+    cert_val, cert_d = search(starts[:1], best=(-np.inf, starts[0]))
+    if cert_val <= threshold:
+        for label, E, _ in ctx.free_candidates():
+            fail = _limit_failure(ctx, spec, E)
+            if fail is not None:
+                witness = {"kind": "diagonal-positive-dependence", "label": label,
+                           "E": E, "vectors": fail["family_vectors"], "dependent": True}
+                return ctx.verdict(
+                    spec.name, VIOLATED, witness=witness,
+                    notes=("diagonal family positively dependent at a kernel basis",))
+        cert_val, cert_d = search(starts[1:], best=(cert_val, cert_d))
     if cert_val > threshold:
         return ctx.verdict(
             spec.name, CERTIFIED_HOLDS,
             witness={"kind": "interior-direction", "direction": cert_d,
                      "lambda_min": cert_val},
             notes=("strictly feasible direction for the linearization found",))
-    for label, E, _ in ctx.free_candidates():
-        fail = _limit_failure(ctx, spec, E)
-        if fail is not None:
-            witness = {
-                "kind": "diagonal-positive-dependence",
-                "label": label,
-                "E": E,
-                "vectors": fail["family_vectors"],
-                "dependent": True,
-            }
-            return ctx.verdict(
-                spec.name, VIOLATED, witness=witness,
-                notes=("diagonal family positively dependent at a kernel basis",))
     return ctx.verdict(
         spec.name, NO_VIOLATION_FOUND,
         notes=(f"best linearized eigenvalue {cert_val:.3e} below the "

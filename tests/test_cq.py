@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -180,20 +181,24 @@ def test_robinson_violated_rotation_pair(registry):
     assert cq.replay_witness(fix.problem, verdict)
 
 
-@pytest.mark.parametrize("fixture_id, phi_calls", [("ex-3.2", 201), ("ex-4.3", 2010)])
-def test_robinson_search_stops_after_the_certifying_restart(registry, monkeypatch,
-                                                            fixture_id, phi_calls):
-    # one restart is 200 ascent steps and a closing evaluation; a search
-    # that finds no certificate (ex-4.3) still runs all ten restarts
-    fix = registry.get(fixture_id)
-    ctx = cq.PointContext.at(fix.problem, fix.x_bar)
+def robinson_point(registry, point):
+    if point == "frame-m4":
+        return frame_m4_point()[:2]
+    fix = registry.get(point)
+    return fix.problem, fix.x_bar
+
+
+def ascent_evaluations(monkeypatch, ctx):
+    """The robinson verdict at ``ctx`` and the sizes of the matrices its
+    certificate search decomposed; one restart is 200 ascent steps and a
+    closing evaluation."""
     decompose, certificate = linalg.spectral_decompose, cq._robinson_certificate
     inside, calls = [False], []
 
-    def searching(*args):
+    def searching(*args, **kwargs):
         inside[0] = True
         try:
-            return certificate(*args)
+            return certificate(*args, **kwargs)
         finally:
             inside[0] = False
 
@@ -204,9 +209,55 @@ def test_robinson_search_stops_after_the_certifying_restart(registry, monkeypatc
 
     monkeypatch.setattr(cq, "_robinson_certificate", searching)
     monkeypatch.setattr(linalg, "spectral_decompose", counting)
-    verdict = cq.CHECKS["robinson"].run(ctx)
+    return cq.CHECKS["robinson"].run(ctx), calls
+
+
+@pytest.mark.parametrize("point, phi_calls", [("ex-3.2", 201), ("frame-m4", 201)])
+def test_robinson_search_stops_after_the_certifying_restart(registry, monkeypatch,
+                                                            point, phi_calls):
+    # the ascent from d = 0 certifies, so the free bases are never built
+    ctx = cq.PointContext.at(*robinson_point(registry, point))
+    verdict, calls = ascent_evaluations(monkeypatch, ctx)
     assert len(calls) == phi_calls
-    assert verdict.status == fix.allowed("robinson")[0]
+    assert verdict.status == cq.CERTIFIED_HOLDS
+    assert "_rotated_bases" not in vars(ctx)
+
+
+def test_robinson_screen_witness_ends_the_search(registry, monkeypatch):
+    # ex-4.3 fails robinson: after the first ascent the positive-dependence
+    # screen returns its witness, and the random restarts never run
+    fix = registry.get("ex-4.3")
+    verdict, calls = ascent_evaluations(monkeypatch, cq.PointContext.at(fix.problem, fix.x_bar))
+    assert len(calls) == 201
+    assert verdict.status == cq.VIOLATED
+
+
+def test_robinson_failed_screen_keeps_the_full_search(registry, monkeypatch):
+    fix = registry.get("ex-4.3")
+    monkeypatch.setattr(cq, "_limit_failure", lambda ctx, spec, E: None)
+    verdict, calls = ascent_evaluations(monkeypatch, cq.PointContext.at(fix.problem, fix.x_bar))
+    assert len(calls) == 2010
+    assert verdict.status == cq.NO_VIOLATION_FOUND
+
+
+@pytest.mark.parametrize("point", ["ex-4.3", "frame-m4"])
+@pytest.mark.parametrize("stop", ["check-threshold", "no-threshold"])
+def test_robinson_split_search_returns_the_bits_of_one_pass(registry, point, stop):
+    # without a threshold to stop at, every start runs on both sides and
+    # the best (value, d) is carried from starts[:1] into starts[1:]
+    problem, x_bar = robinson_point(registry, point)
+    ctx = cq.PointContext.at(problem, x_bar)
+    threshold = cq._robinson_threshold(ctx) if stop == "check-threshold" else np.inf
+    starts = cq._robinson_starts(problem.n, ctx.budget)
+    assert len(starts) == ctx.budget.robinson_restarts
+    search = functools.partial(cq._robinson_certificate, ctx.G, problem.dg(ctx.x),
+                               iters=ctx.budget.robinson_iters, threshold=threshold)
+    one_val, one_d = search(starts, best=(-np.inf, np.zeros(problem.n)))
+    split_val, split_d = search(starts[:1], best=(-np.inf, np.zeros(problem.n)))
+    if split_val <= threshold:
+        split_val, split_d = search(starts[1:], best=(split_val, split_d))
+    assert split_val == one_val
+    assert np.array_equal(split_d, one_d)
 
 
 def test_robinson_interior_certified(registry):
