@@ -618,11 +618,14 @@ def _robinson_certificate(G, Ds, starts, iters: int, threshold: float, best):
     positive-dependence witness ends the check before the restarts.
     """
     best_val, best_d = best
+    last = [None, None]  # an ascent that settles repeats d: reuse its evaluation
 
     def phi(d):
-        M = model.linearize(G, Ds, d)
-        dec = linalg.spectral_decompose(linalg.sym_part(M))
-        return float(dec.eigenvalues[-1]), dec.eigenvectors[:, -1]
+        key = d.tobytes()
+        if key != last[0]:
+            dec = linalg.spectral_decompose(linalg.sym_part(model.linearize(G, Ds, d)))
+            last[:] = key, (float(dec.eigenvalues[-1]), dec.eigenvectors[:, -1])
+        return last[1]
 
     for d0 in starts:
         d = d0.copy()

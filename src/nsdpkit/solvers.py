@@ -34,7 +34,7 @@ Every outer iterate is recorded with its multiplier estimate, shift,
 stationarity defect, and residuals, so traces can be replayed through
 the sequential-certificate checks without recomputation.  The value,
 the gradient and the outer record at one point share one decomposition
-of the shifted matrix G(x) - Ytilde / rho.
+of the shifted matrix G(x) - Ytilde / rho, one of the last 16 kept.
 """
 
 from __future__ import annotations
@@ -101,7 +101,10 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
     larger objective value than x0.  Stops on the tolerance, the
     iteration cap, a gradient-norm plateau over ``stagnation_window``
     iterations, a failed line search, or the iterates leaving the ball
-    of radius ``trust_radius`` (divergence guard).
+    of radius ``trust_radius`` (divergence guard).  ``fun`` and ``grad``
+    must be deterministic: a step that rounds away (x + t d has the bytes
+    of x) would repeat until a stop, so that stop is returned at once,
+    and ``iterations`` counts the repeats as run.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = float(fun(x))
@@ -143,6 +146,9 @@ def inner_minimize(fun, grad, x0, grad_tol: float, max_iter: int = 4000,
         if step is None:
             return x, InnerStats("line_search", it, gn, f)
         x_new, f_new = step
+        if x_new.tobytes() == x.tobytes():  # since_best < stagnation_window
+            stop = min(it + stagnation_window - since_best, max_iter)
+            return x, InnerStats("stagnation" if stop < max_iter else "max_iter", stop, gn, f)
         g_new = np.asarray(grad(x_new), dtype=float)
         s_vec = x_new - x
         y_vec = g_new - g
@@ -191,26 +197,28 @@ def _armijo(fun, x, f, d, slope, trials):
 # Machine epsilon, the rounding unit of the stationarity floor in _al_engine.
 ROUNDING_UNIT = 2.0 ** -52
 
-# The last shifted matrix Z = G(x) - Ytilde/rho decomposed, as
-# ((shape, bytes), read-only proj_psd(-Z)).  _al_engine clears it at its start.
-_last_split = None
+# The last shifted matrices Z = G(x) - Ytilde/rho decomposed, oldest first:
+# (shape, bytes) -> read-only proj_psd(-Z).  _al_engine clears it at its start.
+_SPLIT_MEMO = 16
+_splits: dict = {}
 
 
 def _shifted_projection(Z: np.ndarray) -> np.ndarray:
     """proj_psd(-Z), the ``minus`` part of ``moreau_split(Z)``, read-only.
 
-    A one-entry memo keyed by Z's shape and bytes: the augmented
-    Lagrangian value, its gradient and the outer record at one point
-    share a single decomposition, with the bits of a fresh split.
+    A memo of the last 16 splits, keyed by Z's shape and bytes, with the
+    bits of a fresh split: the value, gradient and outer record at one
+    point share a decomposition, and so do points the inner loop revisits.
     """
-    global _last_split
     key = (Z.shape, Z.tobytes())
-    last = _last_split
-    if last is None or last[0] != key:
+    minus = _splits.get(key)
+    if minus is None:
         _, minus = linalg.moreau_split(Z)
         minus.flags.writeable = False
-        last = _last_split = (key, minus)
-    return last[1]
+        if len(_splits) == _SPLIT_MEMO:
+            del _splits[next(iter(_splits))]
+        _splits[key] = minus
+    return minus
 
 
 def al_multiplier(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> np.ndarray:
@@ -320,8 +328,7 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
     iterations, so the floor at the next rho is taken at the last
     record's x, from the evaluations that record already made.
     """
-    global _last_split
-    _last_split = None  # a solve's split count depends on that solve alone
+    _splits.clear()  # a solve's split count depends on that solve alone
     x = np.asarray(x0, dtype=float).copy()
     m = problem.m
     Ytilde = np.zeros((m, m)) if Ytilde0 is None else np.asarray(Ytilde0, dtype=float).copy()

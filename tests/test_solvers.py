@@ -46,6 +46,156 @@ def test_inner_descent_property():
         assert fun(x) <= fun(x0) + 1e-12
 
 
+def reference_inner_minimize(fun, grad, x0, grad_tol, max_iter=4000, memory=5,
+                             stagnation_window=200, trust_radius=None):
+    """The inner loop before it skipped ahead past a step that rounds away."""
+    x = np.asarray(x0, dtype=float).copy()
+    f = float(fun(x))
+    g = np.asarray(grad(x), dtype=float)
+    gn = linalg.frob(g)
+    best_gn = gn
+    since_best = 0
+    s_mem, y_mem = [], []
+    for it in range(max_iter):
+        if gn <= grad_tol:
+            return x, solvers.InnerStats("converged", it, gn, f)
+        if trust_radius is not None and linalg.frob(x) > trust_radius:
+            return x, solvers.InnerStats("radius_exceeded", it, gn, f)
+        if since_best >= stagnation_window:
+            return x, solvers.InnerStats("stagnation", it, gn, f)
+        q = g.copy()
+        pairs = [(s, y, 1.0 / max(float(s @ y), 1e-300)) for s, y in zip(s_mem, y_mem)]
+        alphas = []
+        for s, y, rho_i in reversed(pairs):
+            a = rho_i * float(s @ q)
+            alphas.append(a)
+            q -= a * y
+        if pairs:
+            s_last, y_last = s_mem[-1], y_mem[-1]
+            gamma = float(s_last @ y_last) / max(float(y_last @ y_last), 1e-300)
+            q *= max(gamma, 1e-12)
+        for (s, y, rho_i), a in zip(pairs, reversed(alphas)):
+            b = rho_i * float(y @ q)
+            q += (a - b) * s
+        d = -q
+        slope = float(g @ d)
+        if not np.isfinite(slope) or slope >= -1e-14 * gn * linalg.frob(d):
+            d = -g
+            slope = -gn * gn
+        step = solvers._armijo(fun, x, f, d, slope, 60)
+        if step is None:
+            return x, solvers.InnerStats("line_search", it, gn, f)
+        x_new, f_new = step
+        g_new = np.asarray(grad(x_new), dtype=float)
+        s_vec = x_new - x
+        y_vec = g_new - g
+        sy = float(s_vec @ y_vec)
+        if sy > 1e-12 * linalg.frob(s_vec) * linalg.frob(y_vec):
+            s_mem.append(s_vec)
+            y_mem.append(y_vec)
+            if len(s_mem) > memory:
+                s_mem.pop(0)
+                y_mem.pop(0)
+        x, f, g = x_new, f_new, g_new
+        gn = linalg.frob(g)
+        if gn < best_gn * (1.0 - 1e-3):
+            best_gn = gn
+            since_best = 0
+        else:
+            since_best += 1
+    return x, solvers.InnerStats("max_iter", max_iter, gn, f)
+
+
+def _against_reference(fun, grad, *args, inner=solvers.inner_minimize, **kwargs):
+    """inner_minimize's result, asserted equal to the reference loop's, and
+    the number of evaluations of fun each made, as (new, reference).
+    ``inner`` is bound at import, before a test patches the module."""
+    calls = ([], [])
+
+    def counted(i):
+        return lambda z: calls[i].append(z) or fun(z)
+
+    x, stats = inner(counted(0), grad, *args, **kwargs)
+    x_ref, stats_ref = reference_inner_minimize(counted(1), grad, *args, **kwargs)
+    assert x.tobytes() == x_ref.tobytes()
+    assert stats == stats_ref
+    return x, stats, (len(calls[0]), len(calls[1]))
+
+
+# f = x_0 + (x_1 - 1)^2 from x_0 = 1e20: x_1 settles at 1 in two steps,
+# after which every step along x_0 rounds away, x + t d == x; f = x_0
+# from 1e20 rounds its first step away
+SETTLES = (lambda x: float(x[0] + (x[1] - 1.0) ** 2),
+           lambda x: np.array([1.0, 2.0 * (x[1] - 1.0)]), [1e20, 3.0])
+LINEAR = (lambda x: float(x[0]), lambda x: np.ones(1), [1e20])
+
+
+@pytest.mark.parametrize("problem, window, max_iter, reason, iterations", [
+    (SETTLES, 20, 4000, "stagnation", 22),
+    (SETTLES, 200, 25, "max_iter", 25),
+    (LINEAR, 200, 4000, "stagnation", 200),
+    (LINEAR, 200, 201, "stagnation", 200),
+    (LINEAR, 200, 200, "max_iter", 200),
+])
+def test_inner_skips_a_step_that_rounds_away(problem, window, max_iter, reason, iterations):
+    fun, grad, x0 = problem
+    x, stats, (evals, ref_evals) = _against_reference(
+        fun, grad, np.array(x0), grad_tol=1e-8, max_iter=max_iter,
+        stagnation_window=window)
+    assert (stats.reason, stats.iterations) == (reason, iterations)
+    assert x.tolist() == [1e20, 1.0][:len(x0)]
+    assert evals <= 8 < ref_evals
+
+
+@pytest.mark.parametrize("solver", ["penalty", "al", "sqp"])
+def test_inner_calls_match_the_reference_loop_on_fixtures(registry, monkeypatch, solver):
+    # every inner call of the benchmark's solves returns the reference's
+    # x bytes and stats; the penalty runs include skipped repeats
+    evals = []
+
+    def checked(fun, grad, *args, **kwargs):
+        x, stats, counts = _against_reference(fun, grad, *args, **kwargs)
+        evals.append(counts)
+        return x, stats
+
+    monkeypatch.setattr(solvers, "inner_minimize", checked)
+    for fix in registry:
+        if solver == "penalty":
+            solvers.solve_external_penalty(
+                fix.problem, fix.x0, rho_schedule=lambda k: 10.0 ** k,
+                inner_tol_schedule=lambda k: 1e-10, max_outer=8)
+        elif solver == "al":
+            solvers.solve_augmented_lagrangian(fix.problem, fix.x0)
+        else:
+            solvers.solve_sqp(fix.problem, fix.x0)
+    assert len(evals) >= len(registry)
+    if solver == "penalty":
+        assert any(new < ref for new, ref in evals)
+
+
+def test_penalty_skips_the_repeats_of_a_step_that_rounds_away(registry, monkeypatch):
+    # ex-3.1 stagnates at rho = 1e4 and 1e7 with every step rounding away,
+    # 200 repeats each; nlp-curve's iterate creeps while G(x) cycles through
+    # matrices split 9 to 12 evaluations earlier: neither is computed again
+    values, splits = [], []
+    al_value, moreau_split = solvers.al_value, linalg.moreau_split
+    monkeypatch.setattr(solvers, "al_value", lambda *a: values.append(1) or al_value(*a))
+    monkeypatch.setattr(linalg, "moreau_split", lambda Z: splits.append(1) or moreau_split(Z))
+
+    def penalty(fid):
+        values.clear()
+        splits.clear()
+        fix = registry.get(fid)
+        solvers.solve_external_penalty(
+            fix.problem, fix.x0, rho_schedule=lambda k: 10.0 ** k,
+            inner_tol_schedule=lambda k: 1e-10, max_outer=8)
+
+    penalty("ex-3.1")
+    assert len(values) <= 200
+    penalty("nlp-curve")
+    assert len(splits) <= 400
+
+
 def _recorded(fun):
     """fun, and the list of points it is called at."""
     points = []
