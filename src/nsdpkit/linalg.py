@@ -12,8 +12,12 @@ produce identical output arrays.
 
 The kernel has three paths with the same bits per matrix.  A 2x2
 matrix stays on Python floats, input check, single rotation, sign rule
-and ordering included, in ``_decompose_2x2``; larger matrices run
-``_jacobi`` on nested lists of Python floats.  ``_jacobi`` rotates the
+and ordering included, in ``_decompose_2x2``, the float core of four
+entries: ``spectral_decompose`` wraps its floats in a ``SpectralDecomp``,
+``eigenvalues`` returns the two values, and ``proj_psd`` and
+``moreau_split`` build only their PSD parts, by ``_psd_2x2``, the 2x2
+reconstruction of ``_psd_part`` too.  Larger matrices run ``_jacobi`` on
+nested lists of Python floats.  ``_jacobi`` rotates the
 matrix alone and logs each rotation; ``spectral_decompose`` replays the
 log on the identity for the eigenvectors, and ``eigenvalues``, the entry
 for callers that read no eigenvectors, skips the replay unless two
@@ -241,14 +245,15 @@ def _canonical_sign(col: list) -> list:
     return col
 
 
-def _decompose_2x2(M: np.ndarray) -> SpectralDecomp:
+def _decompose_2x2(M: np.ndarray) -> tuple:
     """``spectral_decompose``'s steps on the floats of a 2x2: same bits.
 
-    ``_jacobi``'s tests and expressions around its single rotation.  The
-    off-diagonal norm of a 2x2 sums one square, so it needs no
-    ``math.fsum``; passing the off test implies |a01| > 1e-18 * scale, so
-    the rotation is never skipped, and it zeroes a01, so the next sweep's
-    test passes.
+    Returns ``(v0, v1, x0, y0, x1, y1)``: the eigenvalues, non-increasing,
+    and their eigenvectors (x0, y0) and (x1, y1).  ``_jacobi``'s tests and
+    expressions around its single rotation.  The off-diagonal norm of a
+    2x2 sums one square, so it needs no ``math.fsum``; passing the off
+    test implies |a01| > 1e-18 * scale, so the rotation is never skipped,
+    and it zeroes a01, so the next sweep's test passes.
     """
     (a00, a01), (a10, a11) = M.tolist()
     # entry by entry: Python's max, unlike numpy's, skips over a NaN
@@ -257,7 +262,7 @@ def _decompose_2x2(M: np.ndarray) -> SpectralDecomp:
         raise ValueError("matrix has non-finite entries")
     if abs(a01 - a10) > EPS_SYM * (1.0 + max(abs(a00), abs(a01), abs(a10), abs(a11))):
         raise ValueError("matrix is not symmetric")
-    nrm = frob(M)
+    nrm = math.hypot(a00, a01, a10, a11)  # frob(M)
     if math.isinf(nrm * nrm):
         raise ValueError("matrix Frobenius norm overflows")
     if math.sqrt(a01 * a01 * 2.0) <= 1e-14 * (1.0 + nrm):
@@ -277,9 +282,8 @@ def _decompose_2x2(M: np.ndarray) -> SpectralDecomp:
     if (y1 if abs(y1) > abs(x1) else x1) < -_SIGN_TINY:
         x1, y1 = -x1, -y1
     if (-v1, [x1, y1]) < (-v0, [x0, y0]):
-        v0, x0, y0, v1, x1, y1 = v1, x1, y1, v0, x0, y0
-    return SpectralDecomp(eigenvalues=np.array([v0, v1]),
-                          eigenvectors=np.array([[x0, x1], [y0, y1]]))
+        return v1, v0, x1, y1, x0, y0
+    return v0, v1, x0, y0, x1, y1
 
 
 def _ordered(vals: list, V: list):
@@ -300,7 +304,8 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
     """
     M = np.asarray(M, dtype=float)
     if M.shape == (2, 2):
-        return _decompose_2x2(M)
+        v0, v1, x0, y0, x1, y1 = _decompose_2x2(M)
+        return SpectralDecomp(np.array([v0, v1]), np.array([[x0, x1], [y0, y1]]))
     vals, log = _jacobi(check_symmetric(M))
     return SpectralDecomp(*_ordered(vals, _rotate_identity(len(vals), log)))
 
@@ -313,7 +318,7 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
     """
     M = np.asarray(M, dtype=float)
     if M.shape == (2, 2):
-        return _decompose_2x2(M).eigenvalues
+        return np.array(_decompose_2x2(M)[:2])
     vals, log = _jacobi(check_symmetric(M))
     if len(set(vals)) < len(vals):
         return _ordered(vals, _rotate_identity(len(vals), log))[0]
@@ -378,25 +383,35 @@ def spectral_decompose_many(mats) -> list:
                                       np.where(hold, W[:, :, q], Nq[:, :m]))
 
 
+def _psd_2x2(l0, l1, x0, y0, x1, y1) -> np.ndarray:
+    """The PSD part of the 2x2 with eigenvalues l0, l1 and eigenvectors
+    (x0, y0), (x1, y1), built on floats with one off-diagonal entry for
+    both places: exactly symmetric, and its bits do not depend on numpy."""
+    w0 = l0 if l0 > 0.0 else 0.0
+    w1 = l1 if l1 > 0.0 else 0.0
+    a, b, c, d = x0 * w0, x1 * w1, y0 * w0, y1 * w1  # U diag(w)
+    off = 0.5 * ((a * y0 + b * y1) + (c * x0 + d * x1))
+    return np.array([[a * x0 + b * x1, off], [off, c * y0 + d * y1]])
+
+
 def _psd_part(U: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The PSD matrix sym_part(U diag(max(lam, 0)) U'): the one reconstruction.
 
-    A 2x2 is built on floats, with one off-diagonal entry for both
-    places, so it is exactly symmetric and its bits do not depend on numpy.
+    A 2x2 is ``_psd_2x2``'s.
     """
     if U.shape == (2, 2):
-        (u00, u01), (u10, u11) = U.tolist()
-        l0, l1 = lam.tolist()
-        w0 = l0 if l0 > 0.0 else 0.0
-        w1 = l1 if l1 > 0.0 else 0.0
-        a, b, c, d = u00 * w0, u01 * w1, u10 * w0, u11 * w1  # U diag(w)
-        off = 0.5 * ((a * u10 + b * u11) + (c * u00 + d * u01))
-        return np.array([[a * u00 + b * u01, off], [off, c * u10 + d * u11]])
+        (x0, x1), (y0, y1) = U.tolist()
+        return _psd_2x2(*lam.tolist(), x0, y0, x1, y1)
     return sym_part((U * np.maximum(lam, 0.0)) @ U.T)
 
 
 def proj_psd(M: np.ndarray) -> np.ndarray:
-    """Frobenius projection onto the positive semidefinite cone."""
+    """Frobenius projection onto the positive semidefinite cone.
+
+    A 2x2 goes from ``_decompose_2x2``'s floats to ``_psd_2x2``."""
+    M = np.asarray(M, dtype=float)
+    if M.shape == (2, 2):
+        return _psd_2x2(*_decompose_2x2(M))
     dec = spectral_decompose(M)
     return _psd_part(dec.eigenvectors, dec.eigenvalues)
 
@@ -407,8 +422,12 @@ def moreau_split(M: np.ndarray):
     Returns (plus, minus) with plus = proj_psd(M), minus = proj_psd(-M),
     M = plus - minus and <plus, minus> = 0 up to reconstruction error.
     Both pieces come from a single decomposition so the identities hold
-    to machine precision.
+    to machine precision.  A 2x2 builds both as ``proj_psd`` does.
     """
+    M = np.asarray(M, dtype=float)
+    if M.shape == (2, 2):
+        v0, v1, x0, y0, x1, y1 = _decompose_2x2(M)
+        return _psd_2x2(v0, v1, x0, y0, x1, y1), _psd_2x2(-v0, -v1, x0, y0, x1, y1)
     dec = spectral_decompose(M)
     U = dec.eigenvectors
     return _psd_part(U, dec.eigenvalues), _psd_part(U, -dec.eigenvalues)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -455,16 +456,26 @@ def test_non_finite_vector_is_rejected(tmp_path, capsys, command, option, value)
     ["diagnose", "--fixture", "ex-4.2"],
     ["solve", "--fixture", "ex-4.2"],
     ["regress", "--suite", "cq"],
+    ["diagnose", "--fixture", "ex-4.3", "--checks", "msr"],
 ])
 def test_kernel_failure_exits_3(tmp_path, capsys, monkeypatch, argv):
     from nsdpkit import linalg
 
+    decompose, stalled = linalg._decompose_2x2, []
+
     def stall(M):
+        # under msr the point's own decomposition passes, so the stall
+        # comes from the samples' proj_psd or moreau_split
+        caller = sys._getframe(1).f_code.co_name
+        if "msr" in argv and caller not in ("proj_psd", "moreau_split"):
+            return decompose(M)
+        stalled.append(caller)
         raise linalg.JacobiConvergenceError(float("nan"), 100)
 
     monkeypatch.setattr(linalg, "_decompose_2x2", stall)
     rc = run(argv + ["--out-dir", tmp_path])
     assert_clean_error(rc, capsys, "Jacobi iteration did not converge")
+    assert stalled
 
 
 def test_stacked_kernel_failure_exits_3(tmp_path, capsys, monkeypatch):

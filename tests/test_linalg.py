@@ -566,6 +566,66 @@ def test_moreau_identity_property(m, seed):
     assert np.min(np.linalg.eigvalsh(minus)) >= -tol
 
 
+def reference_psd_part(U, lam):
+    """The 2x2 PSD reconstruction that ``proj_psd`` and ``moreau_split`` ran
+    on a ``spectral_decompose`` before they read ``_decompose_2x2``'s floats."""
+    (u00, u01), (u10, u11) = U.tolist()
+    l0, l1 = lam.tolist()
+    w0 = l0 if l0 > 0.0 else 0.0
+    w1 = l1 if l1 > 0.0 else 0.0
+    a, b, c, d = u00 * w0, u01 * w1, u10 * w0, u11 * w1
+    off = 0.5 * ((a * u10 + b * u11) + (c * u00 + d * u01))
+    return np.array([[a * u00 + b * u01, off], [off, c * u10 + d * u11]])
+
+
+def fused_2x2_inputs():
+    """Diagonal (no rotation), signed zeros, exact ties and rotated inputs
+    at scales from 1e-300 to 1e150."""
+    gen = rng(41)
+    out = [np.zeros((2, 2)), -np.zeros((2, 2)), np.eye(2), -np.eye(2),
+           np.diag([0.0, -0.0]), np.diag([-0.0, 0.0]), np.diag([3.0, -2.0]),
+           np.diag([-2.0, 3.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+           np.array([[1.0, -0.0], [-0.0, 1.0]]), np.array([[-0.0, 1.0], [1.0, -0.0]])]
+    for scale in 10.0 ** np.arange(-300, 151, 15):
+        a, b, c = gen.normal(size=3)
+        out += [np.array([[a, b], [b, c]]) * scale, np.diag([a, c]) * scale,
+                np.diag([a, a]) * scale, np.array([[a, b], [b, a]]) * scale,
+                np.array([[a, b], [b, -a]]) * scale]
+        E = gen.choice(EDGE_VALUES, size=3)
+        out.append(np.array([[E[0], E[1]], [E[1], E[2]]]))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_fused_2x2_entries_match_the_decompose_composition():
+    for M in fused_2x2_inputs():
+        nrm = linalg.frob(M)
+        if math.isinf(nrm * nrm):
+            continue
+        lam, U = reference_decompose(M)
+        plus, minus = linalg.moreau_split(M)
+        assert_arrays_same_bits((linalg.eigenvalues(M), lam),
+                                (linalg.proj_psd(M), reference_psd_part(U, lam)),
+                                (plus, reference_psd_part(U, lam)),
+                                (minus, reference_psd_part(U, -lam)),
+                                (linalg._psd_part(U, lam), reference_psd_part(U, lam)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("M", [
+    [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, 0.5], [-np.inf, 1.0]], [[1.0, 0.0], [1e-6, 1.0]],
+    [[0.0, 1e200], [1e200, 0.0]], [[6.25e307, 0.0], [0.0, 6.25e307]],
+], ids=["nan", "inf", "-inf-low", "asymmetric", "overflow", "huge-diagonal"])
+def test_fused_2x2_entries_raise_the_decompose_error(M):
+    with pytest.raises(ValueError) as want:
+        linalg.spectral_decompose(M)
+    for entry in (linalg.eigenvalues, linalg.proj_psd, linalg.moreau_split):
+        with pytest.raises(ValueError) as got:
+            entry(M)
+        assert str(got.value) == str(want.value)
+
+
 @given(st.integers(1, 5), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_proj_nonexpansive(m, seed):

@@ -7,6 +7,7 @@ failed benchmark run.  The modules are loaded by path, unchanged.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 
 from nsdpkit import caratheodory, cq, fixtures, kkt, linalg, model, solvers
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 MODULES = {"linalg": linalg, "model": model, "caratheodory": caratheodory,
            "kkt": kkt, "solvers": solvers, "cq": cq}
 
@@ -56,3 +58,23 @@ def test_workloads_bind_the_package(registry, tmp_path, monkeypatch):
     assert (workloads.MSR_GROWTH, workloads.MSR_CAP) == (cq.MSR_GROWTH, cq.MSR_CAP)
     for name, workload in workloads.WORKLOADS.items():
         assert workload.build(registry, 0, tmp_path), name
+
+
+def test_per_layer_reads_a_traced_msr_ball_round(registry, tmp_path, monkeypatch):
+    # per_layer indexes the m = 2 decompositions and divides by the calls of
+    # each timed layer; msr-ball's m = 2 work runs in moreau_split and
+    # proj_psd, leaving spectral_decompose only the feasibility gates
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets them at import
+    run, tracing, workloads = (load(name, monkeypatch)
+                               for name in ("run", "tracing", "workloads"))
+    workload = workloads.WORKLOADS["msr-ball"]
+    runner = run.Runner(workload, workload.build(registry, 0, tmp_path))
+    tracer = tracing.Tracer()
+    with tracer.installed(MODULES):
+        runner.round(tracer)
+    assert runner.failed == 0, runner.failures
+    metrics, _ = run.per_layer(tracing.Summary(tracer, 0, len(tracer)), 0.0, 0.0)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert {layer["name"] for layer in bench["per_layer"]} <= set(metrics)
+    assert metrics["linalg.spectral_decompose.calls.m2"][0] > 0
