@@ -59,15 +59,16 @@ def kkt_residual(problem: model.NsdpProblem, x, Y) -> KktResidual:
     return residual_from(problem.g(x), model.lagrangian_grad(problem, x, Y), Y)
 
 
-def residual_from(G: np.ndarray, grad_l: np.ndarray, Y: np.ndarray) -> KktResidual:
+def residual_from(G: np.ndarray, grad_l: np.ndarray, Y: np.ndarray, basis=None) -> KktResidual:
     """``kkt_residual`` from G(x) and grad_x L(x, Y), already evaluated.
 
     A solver's outer record has both at hand, so it pays for neither twice.
+    With a ``basis``, -G and Y take ``linalg``'s warm entry.
     """
-    lam_y = linalg.eigenvalues(Y)
+    lam_y = linalg.eigenvalues(Y, basis)
     return KktResidual(
         stationarity=linalg.frob(grad_l),
-        feasibility=linalg.frob(linalg.proj_psd(-G)),
+        feasibility=linalg.frob(linalg.proj_psd(-G, basis)),
         complementarity=abs(linalg.inner(G, Y)),
         dual_feasibility=max(0.0, -float(lam_y[-1])) if lam_y.size else 0.0,
     )

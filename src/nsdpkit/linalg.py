@@ -17,11 +17,15 @@ entries: ``spectral_decompose`` wraps its floats in a ``SpectralDecomp``,
 ``eigenvalues`` returns the two values, and ``proj_psd`` and
 ``moreau_split`` build only their PSD parts, by ``_psd_2x2``, the 2x2
 reconstruction of ``_psd_part`` too.  Larger matrices run ``_jacobi`` on
-nested lists of Python floats.  ``_jacobi`` rotates the
-matrix alone and logs each rotation; ``spectral_decompose`` replays the
-log on the identity for the eigenvectors, and ``eigenvalues``, the entry
-for callers that read no eigenvectors, skips the replay unless two
-values tie exactly.  ``spectral_decompose_many``, which ``cq``'s weak
+nested lists of Python floats.  ``_jacobi`` rotates the matrix alone and
+logs each rotation; ``spectral_decompose`` replays the log on the
+identity for the eigenvectors, and ``eigenvalues``, the entry for
+callers that read no eigenvectors, skips the replay unless two values
+tie exactly.  With an orthogonal ``basis`` U, ``moreau_split``, ``proj_psd``
+and ``eigenvalues`` take the warm entry, ``_jacobi`` on U'MU, with bits of
+its own and few rotations where U nearly diagonalizes M (Henrici 1958);
+``moreau_split`` returns U rotated by the log, the next basis.
+``spectral_decompose_many``, which ``cq``'s weak
 checks call on their sequences, runs ``_jacobi``'s sweep on a stack of
 same-size matrices in numpy elementwise +, -, *, /, sqrt, abs and
 comparisons, with no BLAS and no numpy sum; a stack raises as
@@ -35,8 +39,8 @@ a correctly rounded ``math.fsum``: no BLAS norm and no numpy reduction
 decides a stop.  Non-finite input, and input whose squared Frobenius
 norm overflows, is rejected with ValueError: the rotations and the stop
 test square entries, though ``frob`` itself is finite up to about
-1.8e308.  The BLAS steps left, the PSD reconstruction above 2x2 and the
-Gram product, have one site each: ``_psd_part`` and ``gram_matrices``.
+1.8e308.  The BLAS steps left, the PSD reconstruction above 2x2 (warm
+too) and the Gram product, have one site each: ``_psd_part`` and ``gram_matrices``.
 With them, LAPACK QR in ``orthonormal_columns`` and the matvecs of
 ``model.contract``, bits are reproducible on one platform with one
 Python minor version and one numpy, not across platforms.
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,17 +230,30 @@ def _jacobi(M: np.ndarray):
                 log.append((p, q, c, s))
 
 
-def _rotate_identity(m: int, log: list) -> list:
-    """The rotations of a ``_jacobi`` log applied in order to the identity.
+def _rotate_basis(V: list, log: list) -> list:
+    """The rotations of a ``_jacobi`` log applied in order to the basis V.
 
-    V[j] is column j of the rotation matrix.
+    V[j] is column j, as in the result; V itself is left as it is.
     """
-    V = np.eye(m).tolist()
+    V = list(V)
     for p, q, c, s in log:
         Vp, Vq = V[p], V[q]
         V[p] = [c * a - s * b for a, b in zip(Vp, Vq)]
         V[q] = [s * a + c * b for a, b in zip(Vp, Vq)]
     return V
+
+
+def _warm_decompose(M: np.ndarray, basis: np.ndarray):
+    """The warm entry: U, the ``basis``, rotated by ``_jacobi``'s log on U'MU,
+    and the values, unsorted; U'MU's entries are ``math.fsum``s of products."""
+    rows = check_symmetric(M).tolist()
+    U = np.asarray(basis, dtype=float).T.tolist()
+    MU = [[math.fsum(map(operator.mul, row, u)) for row in rows] for u in U]
+    B = [[0.0] * len(U) for _ in U]
+    for i, j in itertools.combinations_with_replacement(range(len(U)), 2):
+        B[i][j] = B[j][i] = math.fsum(map(operator.mul, U[i], MU[j]))
+    vals, log = _jacobi(B)
+    return np.array(_rotate_basis(U, log)).T, np.array(vals)
 
 
 def _canonical_sign(col: list) -> list:
@@ -307,21 +325,24 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomp:
         v0, v1, x0, y0, x1, y1 = _decompose_2x2(M)
         return SpectralDecomp(np.array([v0, v1]), np.array([[x0, x1], [y0, y1]]))
     vals, log = _jacobi(check_symmetric(M))
-    return SpectralDecomp(*_ordered(vals, _rotate_identity(len(vals), log)))
+    return SpectralDecomp(*_ordered(vals, _rotate_basis(np.eye(len(vals)).tolist(), log)))
 
 
-def eigenvalues(M: np.ndarray) -> np.ndarray:
+def eigenvalues(M: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     """``spectral_decompose(M).eigenvalues``, bit for bit, without the vectors.
 
     The rotation log is replayed only where two values tie exactly (0.0
-    and -0.0 included), since the eigenvectors break the tie.
+    and -0.0 included), since the eigenvectors break the tie.  With a
+    ``basis``, the warm entry's values, sorted.
     """
     M = np.asarray(M, dtype=float)
+    if basis is not None:
+        return np.sort(_warm_decompose(M, basis)[1])[::-1]
     if M.shape == (2, 2):
         return np.array(_decompose_2x2(M)[:2])
     vals, log = _jacobi(check_symmetric(M))
     if len(set(vals)) < len(vals):
-        return _ordered(vals, _rotate_identity(len(vals), log))[0]
+        return _ordered(vals, _rotate_basis(np.eye(len(vals)).tolist(), log))[0]
     return np.array(sorted(vals, key=lambda v: -v))
 
 
@@ -405,26 +426,33 @@ def _psd_part(U: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return sym_part((U * np.maximum(lam, 0.0)) @ U.T)
 
 
-def proj_psd(M: np.ndarray) -> np.ndarray:
+def proj_psd(M: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     """Frobenius projection onto the positive semidefinite cone.
 
-    A 2x2 goes from ``_decompose_2x2``'s floats to ``_psd_2x2``."""
+    A 2x2 goes from ``_decompose_2x2``'s floats to ``_psd_2x2``; with a
+    ``basis``, the warm entry's decomposition goes to ``_psd_part``."""
     M = np.asarray(M, dtype=float)
+    if basis is not None:
+        return _psd_part(*_warm_decompose(M, basis))
     if M.shape == (2, 2):
         return _psd_2x2(*_decompose_2x2(M))
     dec = spectral_decompose(M)
     return _psd_part(dec.eigenvectors, dec.eigenvalues)
 
 
-def moreau_split(M: np.ndarray):
+def moreau_split(M: np.ndarray, basis: np.ndarray | None = None):
     """Split M into its PSD part and the PSD part of -M.
 
     Returns (plus, minus) with plus = proj_psd(M), minus = proj_psd(-M),
     M = plus - minus and <plus, minus> = 0 up to reconstruction error.
     Both pieces come from a single decomposition so the identities hold
-    to machine precision.  A 2x2 builds both as ``proj_psd`` does.
+    to machine precision.  A 2x2 builds both as ``proj_psd`` does.  With
+    a ``basis``, both are the warm entry's, and its eigenvectors come third.
     """
     M = np.asarray(M, dtype=float)
+    if basis is not None:
+        V, lam = _warm_decompose(M, basis)
+        return _psd_part(V, lam), _psd_part(V, -lam), V
     if M.shape == (2, 2):
         v0, v1, x0, y0, x1, y1 = _decompose_2x2(M)
         return _psd_2x2(v0, v1, x0, y0, x1, y1), _psd_2x2(-v0, -v1, x0, y0, x1, y1)

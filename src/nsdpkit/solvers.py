@@ -34,7 +34,7 @@ Every outer iterate is recorded with its multiplier estimate, shift,
 stationarity defect, and residuals, so traces can be replayed through
 the sequential-certificate checks without recomputation.  The value,
 the gradient and the outer record at one point share one decomposition
-of the shifted matrix G(x) - Ytilde / rho, one of the last 16 kept.
+of the shifted matrix G(x) - Ytilde / rho, one of the solve's last 16.
 """
 
 from __future__ import annotations
@@ -197,55 +197,61 @@ def _armijo(fun, x, f, d, slope, trials):
 # Machine epsilon, the rounding unit of the stationarity floor in _al_engine.
 ROUNDING_UNIT = 2.0 ** -52
 
-# The last shifted matrices Z = G(x) - Ytilde/rho decomposed, oldest first:
-# (shape, bytes) -> read-only proj_psd(-Z).  _al_engine clears it at its start.
-_SPLIT_MEMO = 16
-_splits: dict = {}
+_SPLIT_MEMO, _RESTART = 16, 64
 
 
-def _shifted_projection(Z: np.ndarray) -> np.ndarray:
-    """proj_psd(-Z), the ``minus`` part of ``moreau_split(Z)``, read-only.
+class _SolveSplits:
+    """The state of one ``_al_engine`` solve: ``minus(Z)`` is proj_psd(-Z), read-only."""
 
-    A memo of the last 16 splits, keyed by Z's shape and bytes, with the
-    bits of a fresh split: the value, gradient and outer record at one
-    point share a decomposition, and so do points the inner loop revisits.
-    """
-    key = (Z.shape, Z.tobytes())
-    minus = _splits.get(key)
-    if minus is None:
-        _, minus = linalg.moreau_split(Z)
-        minus.flags.writeable = False
-        if len(_splits) == _SPLIT_MEMO:
-            del _splits[next(iter(_splits))]
-        _splits[key] = minus
-    return minus
+    def __init__(self, m: int):
+        self.m, self.count, self.memo, self.basis = m, 0, {}, None
+
+    def minus(self, Z: np.ndarray) -> np.ndarray:
+        key = Z.tobytes()
+        minus = self.memo.get(key)
+        if minus is None:
+            if self.m < 3:
+                _, minus = linalg.moreau_split(Z)
+            else:
+                start = self.basis if self.count % _RESTART else np.eye(self.m)
+                _, minus, self.basis = linalg.moreau_split(Z, start)
+                self.count += 1
+            minus.flags.writeable = False
+            if len(self.memo) == _SPLIT_MEMO:
+                del self.memo[next(iter(self.memo))]
+            self.memo[key] = minus
+        return minus
 
 
-def al_multiplier(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> np.ndarray:
+def al_multiplier(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray,
+                  splits: _SolveSplits | None = None) -> np.ndarray:
     """First-order multiplier estimate rho * proj_psd(-G(x) + Ytilde/rho)."""
-    G = problem.g(np.asarray(x, dtype=float))
-    return rho * _shifted_projection(G - Ytilde / rho)
+    Z = problem.g(np.asarray(x, dtype=float)) - Ytilde / rho
+    return rho * (splits.minus(Z) if splits else linalg.moreau_split(Z)[1])
 
 
-def al_value(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> float:
+def al_value(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray,
+             splits: _SolveSplits | None = None) -> float:
     """Augmented Lagrangian value at x for carried estimate Ytilde.
 
     inf where the shifted constraint value or its squared Frobenius norm
     overflows, the kernel's reject rule, so that a line search backs off
-    from the trial point instead of failing in the kernel.  The projection
-    is shared with ``al_gradient`` and the outer record at the same point.
+    from the trial point instead of failing in the kernel.  In a solve,
+    ``splits`` shares the projection with ``al_gradient`` and the outer
+    record at the same point; without it the split is cold.
     """
     x = np.asarray(x, dtype=float)
     Z = problem.g(x) - Ytilde / rho
     nrm = linalg.frob(Z)
     if not math.isfinite(nrm * nrm):
         return float("inf")
-    s = linalg.frob(_shifted_projection(Z))
+    s = linalg.frob(splits.minus(Z) if splits else linalg.moreau_split(Z)[1])
     y = linalg.frob(Ytilde)
     return problem.f(x) + 0.5 * rho * (s * s) - y * y / (2.0 * rho)
 
 
-def al_gradient(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -> np.ndarray:
+def al_gradient(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray,
+                splits: _SolveSplits | None = None) -> np.ndarray:
     """Gradient of the augmented Lagrangian in x.
 
     Equals the Lagrangian gradient at the first-order multiplier
@@ -254,7 +260,7 @@ def al_gradient(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray) -
     the same decomposition.
     """
     x = np.asarray(x, dtype=float)
-    Yhat = al_multiplier(problem, x, rho, Ytilde)
+    Yhat = al_multiplier(problem, x, rho, Ytilde, splits)
     return model.lagrangian_grad(problem, x, Yhat)
 
 
@@ -308,6 +314,11 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
     and evaluates G(x), the derivative list and the Lagrangian gradient
     once for the multiplier, the residuals and the stop rules.
 
+    The solve's one state, a ``_SolveSplits``, keeps its last 16 splits of
+    G(x) - Ytilde/rho by bytes.  For m >= 3, splits and records'
+    ``residual_from`` start Jacobi from the eigenbasis of the split before,
+    and every 64th split from the identity: restarts bound its rounding.
+
     With a positive ``target_tol``, the loop stops with "rounding_floor"
     before an inner solve that cannot meet the convergence test.  (A
     zero tolerance is how a caller asks for all ``max_outer`` iterations;
@@ -328,9 +339,9 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
     iterations, so the floor at the next rho is taken at the last
     record's x, from the evaluations that record already made.
     """
-    _splits.clear()  # a solve's split count depends on that solve alone
     x = np.asarray(x0, dtype=float).copy()
     m = problem.m
+    splits = _SolveSplits(m)
     Ytilde = np.zeros((m, m)) if Ytilde0 is None else np.asarray(Ytilde0, dtype=float).copy()
     rho = config.rho1
     records = []
@@ -355,8 +366,8 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
         Yt = Ytilde
 
         x, stats = inner_minimize(
-            lambda z: al_value(problem, z, rho_k, Yt),
-            lambda z: al_gradient(problem, z, rho_k, Yt),
+            lambda z: al_value(problem, z, rho_k, Yt, splits),
+            lambda z: al_gradient(problem, z, rho_k, Yt, splits),
             x, grad_tol=eps_k,
             max_iter=config.inner_max_iter,
             memory=config.inner_memory,
@@ -366,12 +377,12 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
         G = problem.g(x)
         Ds = problem.dg(x)
         # S = proj_psd(-G + Yt/rho), the displacement is V = S - Yt/rho.
-        S = _shifted_projection(G - Yt / rho_k)
+        S = splits.minus(G - Yt / rho_k)
         Y = rho_k * S
         V = S - Yt / rho_k
         v_now = linalg.frob(V)
         delta_vec = model.lagrangian_grad(problem, x, Y, Ds)
-        residual = kkt.residual_from(G, delta_vec, Y)
+        residual = kkt.residual_from(G, delta_vec, Y, splits.basis)
         records.append(IterRecord(
             k=k, x=x.copy(), y=Y, rho=rho_k, delta=V,
             delta_vec=delta_vec, residual=residual,
@@ -406,7 +417,7 @@ def _al_engine(problem: model.NsdpProblem, x0, config: AlConfig,
 def _project_ball(Y: np.ndarray, radius: float) -> np.ndarray:
     """Scale a PSD matrix into the Frobenius-norm ball of ``radius``.
 
-    Y must be PSD, as every caller's is: rho times a ``_shifted_projection``
+    Y must be PSD, as every caller's is: rho times a ``_SolveSplits.minus``
     output, or zero.  For such Y the scaling is the exact projection onto
     the PSD part of the ball, so Y is not decomposed again.
     """

@@ -78,3 +78,23 @@ def test_per_layer_reads_a_traced_msr_ball_round(registry, tmp_path, monkeypatch
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert {layer["name"] for layer in bench["per_layer"]} <= set(metrics)
     assert metrics["linalg.spectral_decompose.calls.m2"][0] > 0
+
+
+def test_per_layer_reads_a_traced_scale_m_round(registry, tmp_path, monkeypatch):
+    # the m >= 3 AL solves split through the warm entry of moreau_split and
+    # call al_value and al_gradient with their solve's state; per_layer
+    # divides by the calls of each timed layer, so each must still be seen
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets them at import
+    run, tracing, workloads = (load(name, monkeypatch)
+                               for name in ("run", "tracing", "workloads"))
+    workload = workloads.WORKLOADS["scale-m"]
+    runner = run.Runner(workload, workload.build(registry, 0, tmp_path))
+    tracer = tracing.Tracer()
+    with tracer.installed(MODULES):
+        runner.round(tracer)
+    assert runner.failed == 0, runner.failures
+    metrics, _ = run.per_layer(tracing.Summary(tracer, 0, len(tracer)), 0.0, 0.0)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert {layer["name"] for layer in bench["per_layer"]} <= set(metrics)
+    assert metrics["linalg.moreau_split.calls"][0] > 0

@@ -259,9 +259,9 @@ def test_al_decomposes_each_point_once(registry, monkeypatch, fid):
         return moreau_split(M)
 
     def recording(al_fn):
-        def wrapped(problem, x, rho, Ytilde):
+        def wrapped(problem, x, rho, Ytilde, *splits):
             evaluated.add((problem.g(x) - Ytilde / rho).tobytes())
-            return al_fn(problem, x, rho, Ytilde)
+            return al_fn(problem, x, rho, Ytilde, *splits)
         return wrapped
 
     monkeypatch.setattr(linalg, "moreau_split", counting_split)
@@ -273,26 +273,32 @@ def test_al_decomposes_each_point_once(registry, monkeypatch, fid):
     assert len(split) == len(set(split)) == len(evaluated)
 
 
-def test_al_decomposes_each_multiplier_once(monkeypatch):
-    """kkt_residual's spectrum of an outer multiplier is its only one."""
-    # min x_0 + 0.2 x_1 + |x|^2 / 2 s.t. Q diag(x_0 + x_1, x_0 - x_1, 1) Q' PSD,
-    # both kernel constraints active at the solution 0; the random frame
-    # Q keeps the matrices decomposed during the solve distinct
-    Q = linalg.haar_orthogonal(3, np.random.default_rng(3))
+def haar_frame_problem(m, seed):
+    """min x_0 + 0.2 x_1 + |x|^2 / 2 s.t. Q diag(x_0 + x_1, x_0 - x_1, l) Q' PSD,
+    l spaced over [1, 2]: both kernel constraints are active at the solution
+    0, and the random frame Q keeps the matrices decomposed distinct."""
+    Q = linalg.haar_orthogonal(m, np.random.default_rng(seed))
+    rest, zero = np.linspace(1.0, 2.0, m - 2), np.zeros(m - 2)
 
     def frame(v):
         return linalg.sym_part((Q * v) @ Q.T)
 
-    problem = model.MatrixPolyProblem(
-        n=2, m=3, c0=0.0, c_lin=np.array([1.0, 0.2]), c_quad=np.eye(2),
-        a0=frame([0.0, 0.0, 1.0]), a_lin=(frame([1.0, 1.0, 0.0]), frame([1.0, -1.0, 0.0])),
+    return model.MatrixPolyProblem(
+        n=2, m=m, c0=0.0, c_lin=np.array([1.0, 0.2]), c_quad=np.eye(2),
+        a0=frame(np.r_[0.0, 0.0, rest]),
+        a_lin=(frame(np.r_[1.0, 1.0, zero]), frame(np.r_[1.0, -1.0, zero])),
         b_quad={}).problem()
+
+
+def test_al_decomposes_each_multiplier_once(monkeypatch):
+    """kkt_residual's spectrum of an outer multiplier is its only one."""
+    problem = haar_frame_problem(3, 3)
     seen = []
 
     def counting(kernel):
-        def counted(M):
+        def counted(M, *basis):
             seen.append(np.asarray(M, dtype=float).tobytes())
-            return kernel(M)
+            return kernel(M, *basis)
         return counted
 
     # both kernel entries: the full decomposition and the values alone
@@ -325,11 +331,102 @@ def test_project_ball_scales_a_psd_multiplier(m, seed, rho, radius):
 
 
 def test_shared_split_is_read_only():
-    Z = np.array([[1.0, 2.0], [2.0, -3.0]])
-    minus = solvers._shifted_projection(Z)
-    with pytest.raises(ValueError):
-        minus[0, 0] = 5.0
-    assert np.array_equal(solvers._shifted_projection(Z.copy()), linalg.moreau_split(Z)[1])
+    # a solve's split is shared by value, gradient and record, so no reader
+    # may write it; an equal Z reads the same array, and another solve's
+    # state starts empty
+    for m in (2, 3):
+        Z = np.array([[1.0, 2.0, 0.5], [2.0, -3.0, 0.25], [0.5, 0.25, 2.0]])[:m, :m]
+        splits = solvers._SolveSplits(m)
+        minus = splits.minus(Z)
+        with pytest.raises(ValueError):
+            minus[0, 0] = 5.0
+        assert splits.minus(Z.copy()) is minus
+        assert (splits.basis is None) == (m == 2)
+        cold = linalg.moreau_split(Z)[1]
+        if m == 2:  # the 2x2 float core, bit for bit
+            assert np.array_equal(minus, cold)
+        assert linalg.frob(minus - cold) <= 1e-14 * (1.0 + linalg.frob(Z))
+        assert solvers._SolveSplits(m).memo == {}
+
+
+def test_splits_start_from_the_last_basis_and_every_64th_from_identity(monkeypatch):
+    starts, split = [], linalg.moreau_split
+
+    def recording(M, basis):
+        starts.append(basis)
+        return split(M, basis)
+
+    monkeypatch.setattr(linalg, "moreau_split", recording)
+    splits, ends = solvers._SolveSplits(3), []
+    for k in range(130):
+        splits.minus(np.diag([1.0, -2.0, 0.5 + k]) + 0.1)
+        ends.append(splits.basis)
+    assert [k for k, U in enumerate(starts) if np.array_equal(U, np.eye(3))] == [0, 64, 128]
+    assert all(starts[k] is ends[k - 1] for k in range(1, 130) if k % 64)
+
+
+def test_warm_splits_reconstruct_within_the_cold_bound(monkeypatch):
+    """Every warm split of an m = 8 solve reconstructs its Z as the cold one does."""
+    problem = haar_frame_problem(8, 8)
+    warm, rotations = [], [0]
+    split, jacobi = linalg.moreau_split, linalg._jacobi
+
+    def recording(M, *basis):
+        out = split(M, *basis)
+        if basis:
+            warm.append((M, *out))
+        return out
+
+    def counting(M):
+        vals, log = jacobi(M)
+        rotations[0] += len(log)
+        return vals, log
+
+    monkeypatch.setattr(linalg, "moreau_split", recording)
+    monkeypatch.setattr(linalg, "_jacobi", counting)
+    trace = solvers.solve_augmented_lagrangian(problem, np.array([1.0, 1.0]))
+    assert trace.termination == "converged" and len(warm) > 20
+    warm_rotations, rotations[0] = rotations[0], 0
+    for Z, plus, minus, V in warm:
+        # the Jacobi stop test leaves 1e-14 (1 + ||Z||); the rest is rounding
+        bound = 2e-14 * (1.0 + linalg.frob(Z))
+        assert linalg.frob(Z - (plus - minus)) <= bound
+        cold_plus, cold_minus = split(Z)
+        assert linalg.frob(Z - (cold_plus - cold_minus)) <= bound
+        assert linalg.frob(minus - cold_minus) <= bound
+        assert linalg.frob(V.T @ V - np.eye(8)) <= 8e-14
+    # the warm solve, its records' residuals included, against cold splits alone
+    assert 5 * warm_rotations < rotations[0]
+    for rec in trace.records:  # the residuals' warm kernel calls against cold ones
+        cold = kkt.kkt_residual(problem, rec.x, rec.y)
+        for name in ("feasibility", "dual_feasibility"):
+            assert abs(getattr(rec.residual, name) - getattr(cold, name)) <= 1e-13
+
+
+def test_back_to_back_solves_write_identical_traces(tmp_path):
+    problem = haar_frame_problem(8, 8)
+    texts = []
+    for k in range(2):
+        trace = solvers.solve_augmented_lagrangian(problem, np.array([1.0, 1.0]))
+        kkt.write_trace(trace.certificate(), tmp_path / f"{k}.trace")
+        texts.append((tmp_path / f"{k}.trace").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_al_calls_outside_a_solve_keep_their_bits():
+    problem = haar_frame_problem(8, 8)
+    args = (problem, np.array([0.3, -0.2]), 10.0, 0.1 * np.eye(8))
+    before = (solvers.al_value(*args), solvers.al_gradient(*args).tobytes())
+    solvers.solve_augmented_lagrangian(problem, np.array([1.0, 1.0]))
+    assert (solvers.al_value(*args), solvers.al_gradient(*args).tobytes()) == before
+    Z = problem.g(args[1]) - args[3] / args[2]
+    assert np.array_equal(solvers.al_multiplier(*args), 10.0 * linalg.moreau_split(Z)[1])
+
+
+def test_solvers_holds_no_module_level_mutable_container():
+    mutable = (dict, list, set, bytearray, np.ndarray)
+    assert [name for name, value in vars(solvers).items()
+            if not name.startswith("__") and isinstance(value, mutable)] == []
 
 
 def test_al_multiplier_at_zero_estimate_is_the_penalty_multiplier(registry):
