@@ -48,8 +48,9 @@ PROJECTION_CONFIG = solvers.AlConfig(stagnation_window=20)
 #: than MSR_GROWTH as the ball shrinks, calls the modulus unbounded
 MSR_GROWTH = 3.0
 MSR_CAP = 100.0
-#: sequences whose points the weak checks decompose in one stack (48
-#: matrices at 12 levels); an early verdict wastes at most one chunk
+#: sequences whose points the weak checks decompose in the first stack (48
+#: matrices at 12 levels), where early verdicts fall; at m >= 3 the rest of
+#: the point's sequences are one more stack, at m <= 2 one chunk at a time
 WEAK_CHUNK = 4
 
 
@@ -822,9 +823,11 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
                 notes=("every sampled kernel basis fails at the point itself",))
 
     seqs = _sequences(x, ctx.curves, ts, budget)
+    end = 0
     for seq_idx, (label, d, xs) in enumerate(seqs):
-        if seq_idx % WEAK_CHUNK == 0:  # the next chunk's stack, once reached
-            chunk = [p for _, _, ys in seqs[seq_idx:seq_idx + WEAK_CHUNK] for p in ys]
+        if seq_idx == end:  # the next stack, once reached
+            end = seq_idx + WEAK_CHUNK if seq_idx == 0 or m <= 2 else len(seqs)
+            chunk = [p for _, _, ys in seqs[seq_idx:end] for p in ys]
             try:
                 stack = iter(linalg.spectral_decompose_many([problem.g(p) for p in chunk]))
             except Exception:  # G is pure: one at a time, an error surfaces where reached
@@ -1052,17 +1055,16 @@ def _seq(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
 
 
 def _curve_candidate(problem, curve: WitnessCurve, r: int, ts: list):
-    points, decs = [], []
+    points, mats = [], []
     for t in ts:
         x_t, delta_t = curve.func(t)
         x_t = np.asarray(x_t, dtype=float)
         delta_t = linalg.sym_part(np.asarray(delta_t, dtype=float))
         points.append((float(t), x_t, delta_t))
-        decs.append(linalg.spectral_decompose(
-            linalg.sym_part(problem.g(x_t) + delta_t)))
+        mats.append(linalg.sym_part(problem.g(x_t) + delta_t))
     levels = [{"t": t, "x": x_t, "E": E, "delta": delta_t}
-              for (t, x_t, delta_t), E in zip(
-                  points, linalg.aligned_kernel_bases(decs, r))]
+              for (t, x_t, delta_t), E in zip(points, linalg.aligned_kernel_bases(
+                  linalg.spectral_decompose_many(mats), r))]
     E_bar = _extrapolated_limit([lv["E"] for lv in levels])
     if E_bar is None:
         return None

@@ -109,19 +109,26 @@ def akkt_check(problem: model.NsdpProblem, cert: AkktCertificate, tol: float):
     already at roundoff level.
 
     ``first_failure`` is the index of the offending record, or None.
+    Cold: all Y and G(x) + Delta go in one ``eigenvalues_many`` stack; if it
+    raises, one record at a time, and an error surfaces where the loop meets it.
     """
     if len(cert) == 0:
         raise TraceTooShortError("empty certificate")
+    try:  # G is pure: the loop below meets any error again where it is reached
+        shifts = [problem.g(rec.x) + rec.delta for rec in cert.records]
+        lams = linalg.eigenvalues_many([rec.y for rec in cert.records] + shifts)
+    except Exception:
+        shifts = lams = None
     measures = []
     for idx, rec in enumerate(cert.records):
         grad_l = model.lagrangian_grad(problem, rec.x, rec.y)
         if linalg.frob(grad_l - rec.delta_vec) > 1e-10:
             return False, idx
-        lam_y = linalg.eigenvalues(rec.y)
+        lam_y = linalg.eigenvalues(rec.y) if lams is None else lams[idx]
         if lam_y.size and float(lam_y[-1]) < -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(rec.y)):
             return False, idx
-        shifted = problem.g(rec.x) + rec.delta
-        lam_s = linalg.eigenvalues(shifted)
+        shifted = problem.g(rec.x) + rec.delta if shifts is None else shifts[idx]
+        lam_s = linalg.eigenvalues(shifted) if lams is None else lams[len(cert) + idx]
         if float(lam_s[-1]) < -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(shifted)):
             return False, idx
         comp = abs(linalg.inner(shifted, rec.y))
@@ -189,9 +196,8 @@ def recover_multiplier(problem: model.NsdpProblem, cert: AkktCertificate,
                               residual=res,
                               message="constraint has full rank at the limit")
     window = cert.records[-max(5, len(cert) // 2):]
-    chain = linalg.aligned_kernel_bases(
-        [linalg.spectral_decompose(problem.g(rec.x) + rec.delta)
-         for rec in window], r)
+    chain = linalg.aligned_kernel_bases(linalg.spectral_decompose_many(
+        [problem.g(rec.x) + rec.delta for rec in window]), r)
     per_record = []
     for rec, E in zip(window, chain):
         weights = np.array([float(E[:, i] @ rec.y @ E[:, i]) for i in range(E.shape[1])])

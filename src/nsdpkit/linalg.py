@@ -25,12 +25,13 @@ tie exactly.  With an orthogonal ``basis`` U, ``moreau_split``, ``proj_psd``
 and ``eigenvalues`` take the warm entry, ``_jacobi`` on U'MU, with bits of
 its own and few rotations where U nearly diagonalizes M (Henrici 1958);
 ``moreau_split`` returns U rotated by the log, the next basis.
-``spectral_decompose_many``, which ``cq``'s weak
-checks call on their sequences, runs ``_jacobi``'s sweep on a stack of
-same-size matrices in numpy elementwise +, -, *, /, sqrt, abs and
-comparisons, with no BLAS and no numpy sum; a stack raises as
-``spectral_decompose`` would on one of its matrices, and the weak checks
-then redo that chunk one matrix at a time.
+``_jacobi_many`` runs that sweep on a stack of same-size matrices in numpy
+elementwise +, -, *, /, sqrt, abs and comparisons, no BLAS and no numpy
+sum, and ``_decompose_many`` signs and orders the lanes in numpy, a tied
+lane by the per-matrix path: ``spectral_decompose_many`` for ``cq``'s weak
+checks and curves and ``kkt.recover_multiplier``, and ``eigenvalues_many``,
+without the rotated identities, for ``kkt.akkt_check`` and ranks.  A stack
+raises as one call would on one of its matrices.
 Each path does the IEEE operations of the numpy-scalar loop it
 replaced, in the same order; ``tests/test_linalg.py`` keeps that loop
 as the reference and compares with ``np.array_equal``.  ``frob`` is
@@ -49,7 +50,7 @@ its Haar draws: ``orthonormal_columns`` (and so ``haar_orthogonal``) a
 (..., m, q) stack in one LAPACK call, ``gram_matrices`` a (..., p, n)
 stack of families, and ``model.contract`` a stack of derivative lists
 and bases.  ``lin_dependent_many`` decides rank on a stack of families
-with ``_decompose_2x2``'s expressions or ``spectral_decompose_many``.
+with ``_decompose_2x2``'s expressions or ``eigenvalues_many``.
 Each gives a matrix of a stack the bits of a call on that matrix alone;
 ``_psd_part`` takes one matrix.
 """
@@ -256,13 +257,6 @@ def _warm_decompose(M: np.ndarray, basis: np.ndarray):
     return np.array(_rotate_basis(U, log)).T, np.array(vals)
 
 
-def _canonical_sign(col: list) -> list:
-    """Flip a vector so its first largest-magnitude entry is positive."""
-    if max(col, key=abs) < -_SIGN_TINY:
-        return [-v for v in col]
-    return col
-
-
 def _decompose_2x2(M: np.ndarray) -> tuple:
     """``spectral_decompose``'s steps on the floats of a 2x2: same bits.
 
@@ -306,8 +300,9 @@ def _decompose_2x2(M: np.ndarray) -> tuple:
 
 def _ordered(vals: list, V: list):
     """Values non-increasing and their columns ``V[j]`` sign-canonicalized,
-    ties broken by those columns."""
-    cols = [_canonical_sign(col) for col in V]
+    each flipped so its first largest-magnitude entry is positive, ties
+    broken by those columns."""
+    cols = [[-v for v in col] if max(col, key=abs) < -_SIGN_TINY else col for col in V]
     order = sorted(range(len(vals)), key=lambda i: (-vals[i], cols[i]))
     return (np.array([vals[i] for i in order]),
             np.array([cols[i] for i in order]).T.copy() if order else np.eye(0))
@@ -346,19 +341,13 @@ def eigenvalues(M: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     return np.array(sorted(vals, key=lambda v: -v))
 
 
-def spectral_decompose_many(mats) -> list:
-    """``spectral_decompose`` of each same-size matrix, bit for bit.
-
-    Raises what ``spectral_decompose`` raises on a matrix of the stack:
-    ValueError for the first one that it rejects, before any sweep, and
-    JacobiConvergenceError at the sweep cap.  Row j of a lane holds
-    column j of the matrix and of the rotations, so one update rotates
-    both; ``np.where`` holds a lane that skips a rotation, and a lane
-    leaves at its own ``math.fsum`` stop test.
-    """
-    mats = [np.asarray(M, dtype=float) for M in mats]
-    if not mats or mats[0].shape[0] <= 2:
-        return [spectral_decompose(M) for M in mats]
+def _jacobi_many(mats, vectors: bool):
+    """``_jacobi``'s sweeps on a stack of same-size matrices above 2x2: their
+    (K, m) values, unsorted, and with ``vectors`` the rotated identities,
+    V[k, j] column j of lane k.  Raises what ``spectral_decompose`` raises on
+    the first matrix that it rejects, before any sweep, or at the sweep cap.
+    Row j of a lane holds column j of the matrix, then of the rotations: one
+    update rotates both.  ``np.where`` holds a lane that skips a rotation."""
     K, m = len(mats), mats[0].shape[0]
     S = np.array(mats).reshape(K, m, m)
     with np.errstate(invalid="ignore", over="ignore"):  # check_symmetric per lane
@@ -369,39 +358,72 @@ def spectral_decompose_many(mats) -> list:
                                     & ~np.isinf(nrm * nrm)))
     if rejected.size:
         spectral_decompose(S[rejected[0]])  # raises that matrix's own error
-    out, idx = [None] * K, np.arange(K)
+    eye = [np.broadcast_to(np.eye(m), (K, m, m))] if vectors else []
+    W = np.concatenate([S.transpose(0, 2, 1)] + eye, axis=2)
+    done, idx = np.empty_like(W), np.arange(K)
     off_tol, skip_tol = 1e-14 * (1.0 + nrm), 1e-18 * (1.0 + nrm)
-    W = np.concatenate([S.transpose(0, 2, 1), np.broadcast_to(np.eye(m), (K, m, m))], axis=2)
     low = np.tril_indices(m, -1)  # W[k, j, i] with i < j: the upper triangle
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         U = W[:, low[0], low[1]]
         off = [math.sqrt(2.0 * math.fsum(row)) for row in (U * U).tolist()]
         stop = np.array([a <= tol for a, tol in zip(off, off_tol.tolist())], dtype=bool)
-        for k in np.flatnonzero(stop).tolist():
-            lane = W[k].tolist()
-            out[idx[k]] = SpectralDecomp(*_ordered([lane[j][j] for j in range(m)],
-                                                   [row[m:] for row in lane]))
+        done[idx[stop]] = W[stop]
         if stop.all():
-            return out
+            return done[:, range(m), range(m)], done[:, :, m:] if vectors else None
         if sweep == _JACOBI_MAX_SWEEPS:
             raise JacobiConvergenceError(off[int(np.argmin(stop))], _JACOBI_MAX_SWEEPS)
         W, idx, off_tol, skip_tol = W[~stop], idx[~stop], off_tol[~stop], skip_tol[~stop]
-        for p, q in itertools.combinations(range(m), 2):
-            Wp, Wq, apq = W[:, p], W[:, q], W[:, q, p]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for p, q in itertools.combinations(range(m), 2):
+                Wp, Wq, apq = W[:, p], W[:, q], W[:, q, p]
                 theta = (Wq[:, q] - Wp[:, p]) / (2.0 * apq)
                 t = np.where(theta < 0.0, -1.0, 1.0)
                 t = t / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
                 c = 1.0 / np.sqrt(t * t + 1.0)
-                s = (t * c)[:, None]
-                Np, Nq = c[:, None] * Wp - s * Wq, s * Wp + c[:, None] * Wq
+                s, c = (t * c)[:, None], c[:, None]
+                Np, Nq = c * Wp - s * Wq, s * Wp + c * Wq
                 Np[:, p], Nq[:, q] = Wp[:, p] - t * apq, Wq[:, q] + t * apq
-            Np[:, q] = Nq[:, p] = 0.0
-            hold = (np.abs(apq) <= skip_tol)[:, None]
-            W[:, p], W[:, q] = np.where(hold, Wp, Np), np.where(hold, Wq, Nq)
-            # the rows mirror the new columns
-            W[:, :, p], W[:, :, q] = (np.where(hold, W[:, :, p], Np[:, :m]),
-                                      np.where(hold, W[:, :, q], Nq[:, :m]))
+                Np[:, q] = Nq[:, p] = 0.0
+                Cp, Cq = Np[:, :m], Nq[:, :m]  # the rows mirror the new columns
+                hold = np.abs(apq) <= skip_tol
+                if hold.any():  # a held lane keeps its rows and columns
+                    hold = hold[:, None]
+                    Np, Nq = np.where(hold, Wp, Np), np.where(hold, Wq, Nq)
+                    Cp, Cq = np.where(hold, W[:, :, p], Cp), np.where(hold, W[:, :, q], Cq)
+                W[:, p], W[:, q], W[:, :, p], W[:, :, q] = Np, Nq, Cp, Cq
+
+
+def _decompose_many(mats, vectors: bool) -> list:
+    """``spectral_decompose``, or without ``vectors`` ``eigenvalues``, of each
+    matrix: a stable argsort of -lam orders a lane, the sign rule reads the
+    first largest |entry| as ``argmax`` and ``max`` do, and a lane whose
+    values tie exactly (0.0 and -0.0 too) takes the per-matrix finish."""
+    mats = [np.asarray(M, dtype=float) for M in mats]
+    if not mats or mats[0].shape[0] <= 2:
+        return [(spectral_decompose if vectors else eigenvalues)(M) for M in mats]
+    lam, V = _jacobi_many(mats, vectors)
+    order = np.argsort(-lam, axis=1, kind="stable")
+    vals = np.take_along_axis(lam, order, axis=1)
+    tie = (vals[:, 1:] == vals[:, :-1]).any(axis=1).tolist()
+    if not vectors:
+        return [eigenvalues(M) if t else v for M, v, t in zip(mats, vals, tie)]
+    lead = np.take_along_axis(V, np.abs(V).argmax(axis=2)[..., None], axis=2)
+    vecs = np.take_along_axis(np.where(lead < -_SIGN_TINY, -V, V), order[..., None], axis=1)
+    vecs = vecs.transpose(0, 2, 1).copy()
+    return [SpectralDecomp(*_ordered(lam[k].tolist(), V[k].tolist())) if tie[k]
+            else SpectralDecomp(vals[k], vecs[k]) for k in range(len(tie))]
+
+
+def spectral_decompose_many(mats) -> list:
+    """``spectral_decompose`` of each same-size matrix, bit for bit, in one
+    stack; raises as ``_jacobi_many`` does."""
+    return _decompose_many(mats, vectors=True)
+
+
+def eigenvalues_many(mats) -> list:
+    """``eigenvalues`` of each same-size matrix, bit for bit: the stack of
+    ``spectral_decompose_many`` without its rotated identities."""
+    return _decompose_many(mats, vectors=False)
 
 
 def _psd_2x2(l0, l1, x0, y0, x1, y1) -> np.ndarray:
@@ -546,7 +568,7 @@ def lin_dependent_many(V: np.ndarray, scale: float) -> np.ndarray:
     Row i of ``V[k]`` is vector i of family k.  Each family's smallest
     Gram eigenvalue gets the bits of ``gram_dependent``'s: at p = 1 the
     Gram entry itself, at p = 2 ``_decompose_2x2``'s value expressions
-    applied elementwise, from p = 3 a ``spectral_decompose_many`` lane.
+    applied elementwise, from p = 3 an ``eigenvalues_many`` lane.
     The family is dependent when the square root of that eigenvalue,
     clipped at 0, is not above EPS_RANK * scale.  Raises what
     ``lin_dependent`` raises on the first family that it rejects.
@@ -554,7 +576,7 @@ def lin_dependent_many(V: np.ndarray, scale: float) -> np.ndarray:
     G = gram_matrices(V)
     p = G.shape[1]
     if p >= 3:
-        lam = np.array([d.eigenvalues[-1] for d in spectral_decompose_many(G)])
+        lam = np.array([v[-1] for v in eigenvalues_many(G)])
     else:
         rejected = ~np.isfinite(G).all(axis=(1, 2))
         if p == 2:  # _decompose_2x2 also rejects a norm whose square overflows

@@ -430,6 +430,46 @@ def test_weak_failure_raised_only_where_the_loop_reaches_it(registry, how):
         cq.CHECKS["weak-crcq"].run(ctx)
 
 
+@pytest.mark.parametrize("how", ["nan", "raise"])
+def test_weak_failure_in_the_second_stack_surfaces_where_reached(monkeypatch, how):
+    # frame-m4 (m = 4) reads all its 38 sequences in every weak check: the
+    # first WEAK_CHUNK in one stack, the rest in a second, where ray:-e3
+    # lies; G fails along that ray alone
+    problem, x_bar, curves = frame_m4_point()
+    ctx = cq.PointContext.at(problem, x_bar, curves=curves)
+    seqs = cq._sequences(x_bar, ctx.curves, cq._levels(ctx.budget), ctx.budget)
+    ray = [label for label, _, _ in seqs].index("ray:-e3")
+    assert ray >= cq.WEAK_CHUNK
+    error, message = {"nan": (ValueError, "matrix has non-finite entries"),
+                      "raise": (ArithmeticError, "G undefined here")}[how]
+
+    def outcomes():
+        out = []
+        for name in cq.WEAK_KINDS:
+            failed = []
+
+            def g_eval(x):
+                if not (x[0] == 0.0 and x[1] == 0.0 and x[2] < 0.0):
+                    return problem.g_eval(x)
+                failed.append(x.copy())
+                if how == "nan":
+                    return np.full((4, 4), np.nan)
+                raise ArithmeticError("G undefined here")
+            bad = model.NsdpProblem(n=3, m=4, f_eval=problem.f_eval, grad_f=problem.grad_f,
+                                    g_eval=g_eval, dg_eval=problem.dg_eval)
+            with pytest.raises(error, match=message) as info:
+                cq.CHECKS[name].run(cq.PointContext.at(bad, x_bar, curves=curves))
+            # the last failing point is the ray's first, where a loop over the
+            # sequences, one matrix at a time, meets the failure
+            assert np.array_equal(failed[-1], seqs[ray][2][0])
+            out.append((name, type(info.value), str(info.value), failed[-1].tolist()))
+        return out
+
+    stacked = outcomes()
+    monkeypatch.setattr(linalg, "spectral_decompose_many", one_at_a_time)
+    assert outcomes() == stacked
+
+
 def seq_texts(problem, x_bar, curves):
     ctx = cq.PointContext.at(problem, x_bar, curves=curves)
     return [cq.verdict_to_text(cq.CHECKS[name].run(ctx), "2000-01-01T00:00:00+00:00")
@@ -452,6 +492,32 @@ def test_seq_checks_same_through_the_stack(registry, monkeypatch, point):
     stacked = seq_texts(problem, x_bar, curves)
     monkeypatch.setattr(linalg, "lin_dependent_many", stack_refused)
     assert seq_texts(problem, x_bar, curves) == stacked
+
+
+def test_curve_candidate_same_through_the_stack(registry, monkeypatch):
+    # ex-4.1's aligned-shift curve, padded to m = 3 with its shift, so its
+    # levels' decompositions are one stack
+    fix = registry.get("ex-4.1")
+
+    def pad_shift(curve):
+        def func(t):
+            x_t, delta_t = curve.func(t)
+            return x_t, np.pad(delta_t, ((0, 1), (0, 1)))
+        return dataclasses.replace(curve, func=func)
+
+    problem, curves = padded(fix.problem), tuple(map(pad_shift, fix.curves))
+    ctx = cq.PointContext.at(problem, fix.x_bar, curves=curves)
+
+    def run():
+        entry = cq._curve_candidate(problem, curves[0], ctx.r, cq._levels(ctx.budget))
+        return [entry["E_bar"]] + [lv["E"] for lv in entry["levels"]], \
+            seq_texts(problem, fix.x_bar, curves)
+
+    stacked, texts = run()
+    monkeypatch.setattr(linalg, "spectral_decompose_many", one_at_a_time)
+    looped, looped_texts = run()
+    assert len(stacked) == len(looped) == len(cq._levels(ctx.budget)) + 1
+    assert all(map(np.array_equal, stacked, looped)) and texts == looped_texts
 
 
 def dg_failing_where(problem, condition, how, failed):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from nsdpkit import fixtures, kkt, linalg, model, solvers
+from test_solvers import haar_frame_problem
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,85 @@ def test_akkt_rejection_rules(al_trace, first, last, index):
     assert kkt.akkt_check(problem, cert, tol=1e-4) == (False, index)
 
 
+def reference_akkt_check(problem, cert, tol):
+    """The per-record loop that ``akkt_check`` stacks: one ``eigenvalues`` call
+    per matrix, each record's tests in order, the window tests last."""
+    measures = []
+    for idx, rec in enumerate(cert.records):
+        grad_l = model.lagrangian_grad(problem, rec.x, rec.y)
+        if linalg.frob(grad_l - rec.delta_vec) > 1e-10:
+            return False, idx
+        lam_y = linalg.eigenvalues(rec.y)
+        if lam_y.size and float(lam_y[-1]) < -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(rec.y)):
+            return False, idx
+        shifted = problem.g(rec.x) + rec.delta
+        lam_s = linalg.eigenvalues(shifted)
+        if float(lam_s[-1]) < -linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(shifted)):
+            return False, idx
+        if abs(linalg.inner(shifted, rec.y)) > kkt.EPS_COMP_FACTOR * (1.0 + linalg.frob(rec.y)):
+            return False, idx
+        measures.append(max(linalg.frob(rec.delta_vec), linalg.frob(rec.delta)))
+    last = measures[-1]
+    if last > tol:
+        return False, len(cert) - 1
+    if len(measures) >= 2:
+        window = measures[-min(5, len(measures)):]
+        if last > max(0.9 * window[0], 1e-12 * (1.0 + linalg.frob(cert.final.y))):
+            return False, len(cert) - 1
+    return True, None
+
+
+@pytest.fixture(scope="module", params=[3, 8])
+def frame_trace(request):
+    """An AL trace of the m = 3 or m = 8 Haar-frame problem that certifies."""
+    problem = haar_frame_problem(request.param, request.param)
+    trace = solvers.solve_augmented_lagrangian(problem, np.array([1.0, 1.0]))
+    assert trace.termination == "converged" and len(trace) >= 4
+    return problem, trace.certificate()
+
+
+def tampered(problem, cert, k, how):
+    """``cert`` with record k broken one way; the defect stays consistent
+    unless it is what breaks."""
+    rec = cert.records[k]
+    m = problem.m
+    if how == "y-not-psd":
+        rec = edited(problem, rec, y=rec.y - (1.0 + linalg.frob(rec.y)) * np.eye(m))
+    elif how == "shift-not-psd":
+        rec = replace(rec, delta=rec.delta - np.eye(m))
+    elif how == "delta-vec":
+        rec = replace(rec, delta_vec=rec.delta_vec + 1e-6)
+    elif how == "complementarity":
+        rec = replace(rec, delta=rec.delta + np.eye(m))
+    elif how == "nan-y":
+        rec = replace(rec, y=np.full((m, m), np.nan))
+    records = list(cert.records)
+    records[k] = rec
+    return kkt.AkktCertificate(records=tuple(records))
+
+
+@pytest.mark.parametrize("how", ["y-not-psd", "shift-not-psd", "delta-vec",
+                                 "complementarity"])
+def test_stacked_akkt_check_keeps_the_per_record_semantics(frame_trace, how):
+    problem, cert = frame_trace
+    assert kkt.akkt_check(problem, cert, tol=1e-4) == reference_akkt_check(
+        problem, cert, 1e-4) == (True, None)
+    for k in (0, len(cert) // 2, len(cert) - 1):
+        bad = tampered(problem, cert, k, how)
+        assert kkt.akkt_check(problem, bad, tol=1e-4) == reference_akkt_check(
+            problem, bad, 1e-4) == (False, k)
+        # a failing record before a NaN record decides; a NaN one raises
+        if k + 1 < len(cert):
+            worse = tampered(problem, bad, k + 1, "nan-y")
+            assert kkt.akkt_check(problem, worse, tol=1e-4) == (False, k)
+    worst = tampered(problem, tampered(problem, cert, 0, "nan-y"), 1, how)
+    with pytest.raises(ValueError) as want:
+        reference_akkt_check(problem, worst, 1e-4)
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$") as got:
+        kkt.akkt_check(problem, worst, tol=1e-4)
+    assert str(got.value) == str(want.value)
+
+
 def test_akkt_empty_certificate_raises(registry):
     problem = registry.get("ex-4.2").problem
     with pytest.raises(kkt.TraceTooShortError):
@@ -330,6 +411,35 @@ def test_recover_requires_five_records(registry):
     cert = penalty_trace(fix.problem, fix.x0, outers=3).certificate()
     with pytest.raises(kkt.TraceTooShortError):
         kkt.recover_multiplier(fix.problem, cert, fix.x_bar)
+
+
+def one_at_a_time(mats):
+    return [linalg.spectral_decompose(M) for M in mats]
+
+
+def assert_same_recovery(a, b):
+    for field in dataclasses.fields(kkt.RecoveryResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "witness_family":
+            assert len(x) == len(y) and all(map(np.array_equal, x, y))
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize("point", ["frame-m8", "ex-4.1"])
+def test_recovery_same_through_the_stack(registry, monkeypatch, point):
+    if point == "frame-m8":
+        problem, x0, x_bar = haar_frame_problem(8, 8), np.array([1.0, 1.0]), np.zeros(2)
+    else:
+        fix = registry.get(point)
+        problem, x0, x_bar = fix.problem, fix.x0, fix.x_bar
+    cert = penalty_trace(problem, x0).certificate()
+    stacked = kkt.recover_multiplier(problem, cert, x_bar)
+    monkeypatch.setattr(linalg, "spectral_decompose_many", one_at_a_time)
+    assert_same_recovery(kkt.recover_multiplier(problem, cert, x_bar), stacked)
+    assert stacked.support  # the window's kernel bases carried a support
 
 
 def test_recovery_matches_expected_tables(registry):

@@ -176,23 +176,29 @@ def assert_arrays_same_bits(*pairs):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+STACKS = (linalg.spectral_decompose_many, linalg.eigenvalues_many)
+
+
 def assert_stack_same_bits(mats):
-    """Each lane of one ``spectral_decompose_many`` stack of the matrices the
-    kernel accepts has the reference bits; a stack that also holds one
-    whose squared norm overflows raises the per-matrix ValueError."""
+    """Each lane of one ``spectral_decompose_many`` stack and one values-only
+    ``eigenvalues_many`` stack of the matrices the kernel accepts has the
+    reference bits; stacks that also hold one whose squared norm overflows
+    raise the per-matrix ValueError."""
     def accepted(M):
         nrm = linalg.frob(M)
         return M.shape[0] < 2 or not math.isinf(nrm * nrm)
 
     good = [M for M in mats if accepted(M)]
-    decs = linalg.spectral_decompose_many(good)
-    assert len(decs) == len(good)
-    for M, dec in zip(good, decs):
+    decs, vals = linalg.spectral_decompose_many(good), linalg.eigenvalues_many(good)
+    assert len(decs) == len(vals) == len(good)
+    for M, dec, lam in zip(good, decs, vals):
         lam_ref, U_ref = reference_decompose(M)
-        assert_arrays_same_bits((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref))
+        assert_arrays_same_bits((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref),
+                                (lam, lam_ref))
     if len(good) < len(mats):
-        with pytest.raises(ValueError, match="norm overflows"):
-            linalg.spectral_decompose_many(mats)
+        for stack in STACKS:
+            with pytest.raises(ValueError, match="norm overflows"):
+                stack(mats)
 
 
 EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
@@ -267,10 +273,33 @@ def test_eigenvalues_break_a_signed_zero_tie_by_the_eigenvectors():
     assert_same_bits(M)
 
 
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_stacks_with_exact_ties_match_the_per_matrix_path(m):
+    """Lanes whose values tie exactly take the per-matrix finish: a repeated
+    diagonal, +-0.0 pairs and the zero matrix, beside lanes without a tie."""
+    gen = rng(m)
+    Q = linalg.haar_orthogonal(m, gen)
+    signed_zeros = np.zeros(m)
+    signed_zeros[1::2] = -0.0
+    mats = [np.diag(np.r_[[2.0, 2.0], np.arange(m - 2.0)]), random_sym(gen, m),
+            np.diag(signed_zeros), np.diag(signed_zeros[::-1]), np.zeros((m, m)),
+            np.diag(np.r_[[0.0, -0.0], np.arange(1.0, m - 1.0)]), np.eye(m),
+            (Q * np.r_[[1.0, 1.0], np.arange(2.0, m)]) @ Q.T, random_sym(gen, m)]
+    decs, vals = linalg.spectral_decompose_many(mats), linalg.eigenvalues_many(mats)
+    assert sum(len(set(lam.tolist())) < m for lam in vals) >= 6
+    for M, dec, lam in zip(mats, decs, vals):
+        want = linalg.spectral_decompose(M)
+        assert_arrays_same_bits((dec.eigenvalues, want.eigenvalues),
+                                (dec.eigenvectors, want.eigenvectors),
+                                (lam, linalg.eigenvalues(M)))
+    assert_stack_same_bits(mats)
+
+
 @pytest.mark.parametrize("kind", ["nan", "asymmetric", "overflow", "sweep-cap"])
 def test_stack_raises_the_per_matrix_error(monkeypatch, kind):
-    """A rejected matrix beside good lanes makes the stack raise the error
-    type and message ``spectral_decompose`` raises on it alone."""
+    """A rejected matrix beside good lanes makes either stack raise the error
+    type and message ``spectral_decompose`` and ``eigenvalues`` raise on it
+    alone."""
     monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 2)
     gen = rng(5)
     good = [np.diag([3.0, 1.0, 2.0]),                      # stops at sweep 0
@@ -289,28 +318,34 @@ def test_stack_raises_the_per_matrix_error(monkeypatch, kind):
         "sweep-cap": (linalg.JacobiConvergenceError, "did not converge after 2 sweeps",
                       random_sym(gen, 3)),                 # needs more sweeps
     }[kind]
-    with pytest.raises(error, match=message) as single:
-        linalg.spectral_decompose(bad)
-    with pytest.raises(error) as stacked:
-        linalg.spectral_decompose_many([good[0], good[1], good[3], bad, good[2]])
-    assert type(stacked.value) is type(single.value) is error
-    assert str(stacked.value) == str(single.value)
-    for M, dec in zip(good, linalg.spectral_decompose_many(good)):
+    for kernel, stack in zip((linalg.spectral_decompose, linalg.eigenvalues), STACKS):
+        with pytest.raises(error, match=message) as single:
+            kernel(bad)
+        with pytest.raises(error) as stacked:
+            stack([good[0], good[1], good[3], bad, good[2]])
+        assert type(stacked.value) is type(single.value) is error
+        assert str(stacked.value) == str(single.value)
+    for M, dec, lam in zip(good, linalg.spectral_decompose_many(good),
+                           linalg.eigenvalues_many(good)):
         want = linalg.spectral_decompose(M)
         assert_arrays_same_bits((dec.eigenvalues, want.eigenvalues),
-                                (dec.eigenvectors, want.eigenvectors))
+                                (dec.eigenvectors, want.eigenvectors),
+                                (lam, linalg.eigenvalues(M)))
 
 
 def test_stack_kernel_has_no_product_or_reduction():
-    # the stacked sweep adds no BLAS-dependent site: elementwise numpy only
+    # the stacked sweep and its numpy finish add no BLAS-dependent site:
+    # elementwise numpy, comparisons, argmax and argsort only
     tree = ast.parse(Path(linalg.__file__).read_text(encoding="utf-8"))
-    body = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                and node.name == "spectral_decompose_many")
     banned = {"sum", "dot", "matmul", "einsum", "inner", "tensordot", "vdot", "prod",
               "mean", "cumsum", "linalg"}
-    for node in ast.walk(body):
-        assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
-        assert not (isinstance(node, ast.Attribute) and node.attr in banned), node.attr
+    for name in ("_jacobi_many", "_decompose_many", "spectral_decompose_many",
+                 "eigenvalues_many"):
+        body = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                    and node.name == name)
+        for node in ast.walk(body):
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+            assert not (isinstance(node, ast.Attribute) and node.attr in banned), node.attr
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
