@@ -48,10 +48,6 @@ PROJECTION_CONFIG = solvers.AlConfig(stagnation_window=20)
 #: than MSR_GROWTH as the ball shrinks, calls the modulus unbounded
 MSR_GROWTH = 3.0
 MSR_CAP = 100.0
-#: sequences whose points the weak checks decompose in the first stack (48
-#: matrices at 12 levels), where early verdicts fall; at m >= 3 the rest of
-#: the point's sequences are one more stack, at m <= 2 one chunk at a time
-WEAK_CHUNK = 4
 
 
 class InfeasiblePointError(ValueError):
@@ -156,7 +152,7 @@ class CqVerdict:
 
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -823,15 +819,8 @@ def _weak(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
                 notes=("every sampled kernel basis fails at the point itself",))
 
     seqs = _sequences(x, ctx.curves, ts, budget)
-    end = 0
+    stack = linalg.decompose_each(problem.g, [p for _, _, xs in seqs for p in xs])
     for seq_idx, (label, d, xs) in enumerate(seqs):
-        if seq_idx == end:  # the next stack, once reached
-            end = seq_idx + WEAK_CHUNK if seq_idx == 0 or m <= 2 else len(seqs)
-            chunk = [p for _, _, ys in seqs[seq_idx:end] for p in ys]
-            try:
-                stack = iter(linalg.spectral_decompose_many([problem.g(p) for p in chunk]))
-            except Exception:  # G is pure: one at a time, an error surfaces where reached
-                stack = (linalg.spectral_decompose(problem.g(p)) for p in chunk)
         decs = [next(stack) for _ in xs]
         chain_E = linalg.aligned_kernel_bases(decs, r)
         patterns = []
@@ -1055,16 +1044,15 @@ def _seq(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
 
 
 def _curve_candidate(problem, curve: WitnessCurve, r: int, ts: list):
-    points, mats = [], []
+    points = []
     for t in ts:
         x_t, delta_t = curve.func(t)
-        x_t = np.asarray(x_t, dtype=float)
-        delta_t = linalg.sym_part(np.asarray(delta_t, dtype=float))
-        points.append((float(t), x_t, delta_t))
-        mats.append(linalg.sym_part(problem.g(x_t) + delta_t))
+        points.append((float(t), np.asarray(x_t, dtype=float),
+                       linalg.sym_part(np.asarray(delta_t, dtype=float))))
     levels = [{"t": t, "x": x_t, "E": E, "delta": delta_t}
               for (t, x_t, delta_t), E in zip(points, linalg.aligned_kernel_bases(
-                  linalg.spectral_decompose_many(mats), r))]
+                  linalg.decompose_each(lambda pt: linalg.sym_part(problem.g(pt[1]) + pt[2]),
+                                        points), r))]
     E_bar = _extrapolated_limit([lv["E"] for lv in levels])
     if E_bar is None:
         return None
@@ -1362,6 +1350,10 @@ def _nlp(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
 def replay_witness(problem, verdict) -> bool:
     """Re-evaluate a verdict's witness with the predicates of its check.
 
+    The status must be the one the witness supports (``_supported_status``),
+    or the verdict replays False.  Without a witness, NO_VIOLATION_FOUND
+    replays True, VIOLATED False, and CERTIFIED_HOLDS only where the gate
+    finds full rank (no active constraint on an embedding).
     Gates the recorded ``x_bar`` under the recorded budget as the check
     did (InfeasiblePointError if infeasible); a ``scale_v`` other than
     the gate's, which every rank threshold reads, replays False.  Each
@@ -1374,23 +1366,41 @@ def replay_witness(problem, verdict) -> bool:
     problem; TypeError otherwise.
     """
     payload = verdict.to_payload() if isinstance(verdict, CqVerdict) else dict(verdict)
-    witness = payload.get("witness")
-    if witness is None:
-        return True
+    witness, status = payload.get("witness"), payload["status"]
+    if witness is None and status != CERTIFIED_HOLDS:
+        return status == NO_VIOLATION_FOUND  # it claims only a spent budget
     spec = check_spec(payload["condition"])
-    replay = spec.replay.get(witness["kind"])
+    replay = _replay_full_rank if witness is None else spec.replay.get(witness["kind"])
     if replay is None:
         raise ValueError(f"unknown witness kind {witness['kind']!r} "
                          f"for {spec.name}")
     scalar = spec.scope == "embedding"
     if scalar != isinstance(problem, model.DiagonalEmbedding):
-        raise TypeError(f"{witness['kind']} witnesses replay against a "
+        raise TypeError(f"{spec.name} verdicts replay against a "
                         + ("DiagonalEmbedding" if scalar else "matrix problem"))
+    if witness is not None and status != _supported_status(witness):
+        return False
     budget = CqBudget(**payload["budget"])
     point = _nlp_point(problem, payload["x_bar"], budget) if scalar \
         else PointContext.at(problem, payload["x_bar"], budget)
     return point.scale_v == float(payload["epsilons"]["scale_v"]) \
         and bool(replay(point, witness, spec))
+
+
+def _supported_status(witness) -> str:
+    """The one status a witness can support: a pair family's by its flag,
+    an interior direction's CERTIFIED_HOLDS, every other kind's VIOLATED."""
+    if witness["kind"] == "pair-family":
+        return VIOLATED if witness["dependent"] else CERTIFIED_HOLDS
+    return CERTIFIED_HOLDS if witness["kind"] == "interior-direction" else VIOLATED
+
+
+def _replay_full_rank(point, witness, spec) -> bool:
+    """A CERTIFIED_HOLDS without a witness: the gate finds no active
+    constraint (nlp) or a constraint of full rank at the point."""
+    if isinstance(point, _NlpPoint):
+        return not point.active
+    return point.r == point.problem.m
 
 
 def _same_flags(recorded, records) -> bool:

@@ -28,10 +28,12 @@ its own and few rotations where U nearly diagonalizes M (Henrici 1958);
 ``_jacobi_many`` runs that sweep on a stack of same-size matrices in numpy
 elementwise +, -, *, /, sqrt, abs and comparisons, no BLAS and no numpy
 sum, and ``_decompose_many`` signs and orders the lanes in numpy, a tied
-lane by the per-matrix path: ``spectral_decompose_many`` for ``cq``'s weak
-checks and curves and ``kkt.recover_multiplier``, and ``eigenvalues_many``,
-without the rotated identities, for ``kkt.akkt_check`` and ranks.  A stack
-raises as one call would on one of its matrices.
+lane by the per-matrix path; a stack raises as one call would on one of
+its matrices.  The stacking rule is ``decompose_each``'s, the entry of every
+batch of independent decompositions: above 2x2 it builds every matrix and
+decomposes them in one stack; at 2x2 and below, or when a build or the
+stack raises, it builds and decomposes each item only when the caller
+reaches it, so an error surfaces where a one-at-a-time loop meets it.
 Each path does the IEEE operations of the numpy-scalar loop it
 replaced, in the same order; ``tests/test_linalg.py`` keeps that loop
 as the reference and compares with ``np.array_equal``.  ``frob`` is
@@ -50,7 +52,7 @@ its Haar draws: ``orthonormal_columns`` (and so ``haar_orthogonal``) a
 (..., m, q) stack in one LAPACK call, ``gram_matrices`` a (..., p, n)
 stack of families, and ``model.contract`` a stack of derivative lists
 and bases.  ``lin_dependent_many`` decides rank on a stack of families
-with ``_decompose_2x2``'s expressions or ``eigenvalues_many``.
+with ``_decompose_2x2``'s expressions or a values-only ``_decompose_many``.
 Each gives a matrix of a stack the bits of a call on that matrix alone;
 ``_psd_part`` takes one matrix.
 """
@@ -395,12 +397,10 @@ def _jacobi_many(mats, vectors: bool):
 
 def _decompose_many(mats, vectors: bool) -> list:
     """``spectral_decompose``, or without ``vectors`` ``eigenvalues``, of each
-    matrix: a stable argsort of -lam orders a lane, the sign rule reads the
-    first largest |entry| as ``argmax`` and ``max`` do, and a lane whose
-    values tie exactly (0.0 and -0.0 too) takes the per-matrix finish."""
+    matrix above 2x2: a stable argsort of -lam orders a lane, the sign rule
+    reads the first largest |entry| as ``argmax`` and ``max`` do, and a lane
+    tied exactly (0.0 and -0.0 too) takes the per-matrix finish."""
     mats = [np.asarray(M, dtype=float) for M in mats]
-    if not mats or mats[0].shape[0] <= 2:
-        return [(spectral_decompose if vectors else eigenvalues)(M) for M in mats]
     lam, V = _jacobi_many(mats, vectors)
     order = np.argsort(-lam, axis=1, kind="stable")
     vals = np.take_along_axis(lam, order, axis=1)
@@ -414,16 +414,21 @@ def _decompose_many(mats, vectors: bool) -> list:
             else SpectralDecomp(vals[k], vecs[k]) for k in range(len(tie))]
 
 
-def spectral_decompose_many(mats) -> list:
-    """``spectral_decompose`` of each same-size matrix, bit for bit, in one
-    stack; raises as ``_jacobi_many`` does."""
-    return _decompose_many(mats, vectors=True)
-
-
-def eigenvalues_many(mats) -> list:
-    """``eigenvalues`` of each same-size matrix, bit for bit: the stack of
-    ``spectral_decompose_many`` without its rotated identities."""
-    return _decompose_many(mats, vectors=False)
+def decompose_each(build, items, vectors: bool = True):
+    """An iterator over ``spectral_decompose(build(item))``, or without
+    ``vectors`` ``eigenvalues(build(item))``, of each item in order, bit for
+    bit; it stacks by the module's rule, from its first ``next`` on."""
+    items, first, stack = list(items), [], None
+    try:
+        first = [np.asarray(build(item), dtype=float) for item in items[:1]]
+        if first and first[0].shape[0] > 2:
+            stack = _decompose_many(first + [build(item) for item in items[1:]], vectors)
+    except Exception:  # the lazy loop below meets the error again where it is reached
+        pass
+    if stack is None:
+        one = spectral_decompose if vectors else eigenvalues
+        stack = map(one, itertools.chain(first, map(build, items[len(first):])))
+    yield from stack
 
 
 def _psd_2x2(l0, l1, x0, y0, x1, y1) -> np.ndarray:
@@ -568,7 +573,7 @@ def lin_dependent_many(V: np.ndarray, scale: float) -> np.ndarray:
     Row i of ``V[k]`` is vector i of family k.  Each family's smallest
     Gram eigenvalue gets the bits of ``gram_dependent``'s: at p = 1 the
     Gram entry itself, at p = 2 ``_decompose_2x2``'s value expressions
-    applied elementwise, from p = 3 an ``eigenvalues_many`` lane.
+    applied elementwise, from p = 3 a values-only ``_decompose_many`` lane.
     The family is dependent when the square root of that eigenvalue,
     clipped at 0, is not above EPS_RANK * scale.  Raises what
     ``lin_dependent`` raises on the first family that it rejects.
@@ -576,7 +581,7 @@ def lin_dependent_many(V: np.ndarray, scale: float) -> np.ndarray:
     G = gram_matrices(V)
     p = G.shape[1]
     if p >= 3:
-        lam = np.array([v[-1] for v in eigenvalues_many(G)])
+        lam = np.array([v[-1] for v in _decompose_many(G, vectors=False)])
     else:
         rejected = ~np.isfinite(G).all(axis=(1, 2))
         if p == 2:  # _decompose_2x2 also rejects a norm whose square overflows

@@ -11,8 +11,10 @@ hashes and the platform they were computed on.  ``test_behaviour_lock``
 compares the same function's output with the file.  The script prints
 the OpenBLAS core that numpy's bundled library runs on this machine
 (bits may differ between cores; the name is not written to the lock),
-then every entry whose status or digest moved, then rewrites the file;
-it writes nothing when a ``regress`` run fails.
+the report hash of every ``regress`` suite (the ``msr``, ``props`` and
+``full`` ones are printed only, not locked), then every entry whose
+status or digest moved, then rewrites the file; it writes nothing when
+a ``regress`` run fails.
 """
 
 import contextlib
@@ -66,6 +68,8 @@ def penalty_recoveries(registry):
 
 #: the suites whose ``regress`` report hashes the lock pins
 LOCKED_SUITES = ("cq", "solvers")
+#: the suites whose report hashes the script prints but does not lock
+PRINTED_SUITES = ("msr", "props", "full")
 
 
 def regress(suite, out_dir):
@@ -133,7 +137,7 @@ def main():
     old = json.loads(LOCK_PATH.read_text())
     registry = fixtures.default_registry()
     reports = {}
-    for suite in LOCKED_SUITES:
+    for suite in LOCKED_SUITES + PRINTED_SUITES:
         with tempfile.TemporaryDirectory() as tmp:
             rc, stdout, reports[suite] = regress(suite, tmp)
         if rc != cli.EXIT_OK:
@@ -144,6 +148,8 @@ def main():
                        penalty_recoveries(registry), reports, old["msr_samples"])
     lines = moved(old, new)
     print(f"OpenBLAS core: {openblas_core()}")
+    for suite, report in reports.items():
+        print(f"regress --suite {suite}: {report['content_sha256']}")
     for line in lines:
         print(line)
     print(f"{len(lines)} entries moved")

@@ -271,17 +271,21 @@ def test_behaviour_lock(registry, matrix, recoveries, regress_cq, regress_solver
     cq and solvers hashes match the lock, as ``regen_lock`` computes them.
 
     A refactor that moves any of them changed behaviour.  Every VIOLATED
-    witness must also replay from its verdict alone.
+    witness must also replay from its verdict alone, and no witness may
+    replay with VIOLATED and CERTIFIED_HOLDS swapped.
     """
     reports = {"cq": regress_cq[2], "solvers": regress_solvers[2]}
     got = regen_lock.lock_entries(matrix, recoveries, reports, lock["msr_samples"])
     for key in ("verdicts", "recovery", "regress_cq_sha256",
                 "regress_solvers_sha256"):
         assert got[key] == lock[key], key
+    swapped = {cq.VIOLATED: cq.CERTIFIED_HOLDS, cq.CERTIFIED_HOLDS: cq.VIOLATED}
     for (fid, check), verdict in matrix.items():
-        if verdict.status != cq.VIOLATED:
-            continue
         fix = registry.get(fid)
         target = fix.embedding if cq.CHECKS[check].scope == "embedding" \
             else fix.problem
-        assert cq.replay_witness(target, verdict), (fid, check)
+        if verdict.witness is not None and verdict.status in swapped:
+            forged = {**verdict.to_payload(), "status": swapped[verdict.status]}
+            assert cq.replay_witness(target, forged) is False, (fid, check)
+        if verdict.status == cq.VIOLATED:
+            assert cq.replay_witness(target, verdict), (fid, check)

@@ -378,9 +378,9 @@ def weak_texts(problem, x_bar, curves):
             for name in cq.WEAK_KINDS]
 
 
-def one_at_a_time(mats):
+def one_at_a_time(mats, vectors):
     """The per-matrix loop the stack replaces."""
-    return [linalg.spectral_decompose(M) for M in mats]
+    return [(linalg.spectral_decompose if vectors else linalg.eigenvalues)(M) for M in mats]
 
 
 @pytest.mark.parametrize("point", ["ex-3.1", "ex-4.1", "ex-3.2", "frame-m4"])
@@ -391,10 +391,44 @@ def test_weak_checks_same_through_the_stack(registry, monkeypatch, point):
         fix = registry.get(point)
         problem, x_bar, curves = padded(fix.problem), fix.x_bar, fix.curves
     stacked = weak_texts(problem, x_bar, curves)
-    monkeypatch.setattr(linalg, "spectral_decompose_many", one_at_a_time)
+    monkeypatch.setattr(linalg, "_decompose_many", one_at_a_time)
     assert weak_texts(problem, x_bar, curves) == stacked
-    if point == "ex-3.1":  # every check stops early, before its last chunk
+    if point == "ex-3.1":  # every check stops early, before its last sequence
         assert all('"status": "VIOLATED"' in text for text in stacked)
+
+
+def test_weak_checks_build_and_stack_only_what_they_read(registry, monkeypatch):
+    """ex-3.1 (m = 2) decides every weak check along its first sequence, so
+    G is evaluated at that sequence's 12 points only, one at a time;
+    frame-m4 (m = 4) reads all 38 sequences, so each weak check makes one
+    stack of their 456 points."""
+    fix = registry.get("ex-3.1")
+    ctx = cq.PointContext.at(fix.problem, fix.x_bar, curves=fix.curves)
+    evaluations = []
+    g = model.NsdpProblem.g
+
+    def counted(self, x):
+        evaluations[-1] += 1
+        return g(self, x)
+    monkeypatch.setattr(model.NsdpProblem, "g", counted)
+    for name in cq.WEAK_KINDS:
+        evaluations.append(0)
+        cq.CHECKS[name].run(ctx)
+    assert evaluations == [0, 12, 12, 12]
+    monkeypatch.undo()
+    problem, x_bar, curves = frame_m4_point()
+    ctx = cq.PointContext.at(problem, x_bar, curves=curves)
+    stacks = []
+    stack = linalg._decompose_many
+
+    def spy(mats, vectors):
+        stacks[-1].append(len(mats))
+        return stack(mats, vectors)
+    monkeypatch.setattr(linalg, "_decompose_many", spy)
+    for name in cq.WEAK_KINDS:
+        stacks.append([])
+        cq.CHECKS[name].run(ctx)
+    assert stacks == [[456]] * 4
 
 
 def failing_where(condition, how, failed):
@@ -432,14 +466,13 @@ def test_weak_failure_raised_only_where_the_loop_reaches_it(registry, how):
 
 @pytest.mark.parametrize("how", ["nan", "raise"])
 def test_weak_failure_in_the_second_stack_surfaces_where_reached(monkeypatch, how):
-    # frame-m4 (m = 4) reads all its 38 sequences in every weak check: the
-    # first WEAK_CHUNK in one stack, the rest in a second, where ray:-e3
-    # lies; G fails along that ray alone
+    # frame-m4 (m = 4) reads all its 38 sequences in every weak check, in
+    # one stack; G fails along ray:-e3 alone, well past the first sequences
     problem, x_bar, curves = frame_m4_point()
     ctx = cq.PointContext.at(problem, x_bar, curves=curves)
     seqs = cq._sequences(x_bar, ctx.curves, cq._levels(ctx.budget), ctx.budget)
     ray = [label for label, _, _ in seqs].index("ray:-e3")
-    assert ray >= cq.WEAK_CHUNK
+    assert ray >= 4
     error, message = {"nan": (ValueError, "matrix has non-finite entries"),
                       "raise": (ArithmeticError, "G undefined here")}[how]
 
@@ -466,7 +499,7 @@ def test_weak_failure_in_the_second_stack_surfaces_where_reached(monkeypatch, ho
         return out
 
     stacked = outcomes()
-    monkeypatch.setattr(linalg, "spectral_decompose_many", one_at_a_time)
+    monkeypatch.setattr(linalg, "_decompose_many", one_at_a_time)
     assert outcomes() == stacked
 
 
@@ -514,7 +547,7 @@ def test_curve_candidate_same_through_the_stack(registry, monkeypatch):
             seq_texts(problem, fix.x_bar, curves)
 
     stacked, texts = run()
-    monkeypatch.setattr(linalg, "spectral_decompose_many", one_at_a_time)
+    monkeypatch.setattr(linalg, "_decompose_many", one_at_a_time)
     looped, looped_texts = run()
     assert len(stacked) == len(looped) == len(cq._levels(ctx.budget)) + 1
     assert all(map(np.array_equal, stacked, looped)) and texts == looped_texts
@@ -948,7 +981,7 @@ def _scale_worst(payload, i, factor):
 
 
 @pytest.mark.parametrize("tamper", [
-    "residual", "ratio", "gamma", "distance-above-span", "bounded-gammas"])
+    "residual", "ratio", "gamma", "distance-above-span", "bounded-gammas", "status"])
 def test_msr_ratio_table_replay_rejects_tampering(registry, tmp_path, tamper):
     fix = registry.get("ex-3.1")
     path = tmp_path / "msr.verdict"
@@ -967,6 +1000,8 @@ def test_msr_ratio_table_replay_rejects_tampering(registry, tmp_path, tamper):
     elif tamper == "distance-above-span":
         span = float(np.linalg.norm(np.asarray(worst["x"]) - fix.x_bar))
         _scale_worst(payload, 0, 2.0 * span / worst["distance"])
+    elif tamper == "status":  # a ratio table supports VIOLATED alone
+        payload["status"] = cq.CERTIFIED_HOLDS
     else:
         _scale_worst(payload, 0, 1e-3)
         _scale_worst(payload, 1, 1e-3)
@@ -977,6 +1012,11 @@ def _levels_at_limit(payload):
     for cand in payload["witness"]["candidates"]:
         for level in cand["levels"]:
             level.update(x=payload["x_bar"], E=cand["E_bar"], dependent=True)
+
+
+def relabel(status):
+    """A forgery that changes the verdict's status alone."""
+    return lambda payload: payload.update(status=status)
 
 
 FORGERIES = {
@@ -1005,6 +1045,17 @@ FORGERIES = {
     # G(x_bar) itself has smallest eigenvalue 0: it matches, but certifies nothing
     "robinson-zero-direction": ("ex-3.2", "robinson", lambda p: p["witness"].update(
         direction=[0.0] * len(p["witness"]["direction"]), lambda_min=0.0), False),
+    # a status the witness does not support: each witness supports one
+    "sequence-as-holds": ("ex-3.1", "weak-crcq", relabel(cq.CERTIFIED_HOLDS), False),
+    "interior-direction-as-violated": ("ex-3.2", "robinson", relabel(cq.VIOLATED), False),
+    "dependent-pair-family-as-holds": ("ex-3.1", "nondegeneracy",
+                                       relabel(cq.CERTIFIED_HOLDS), False),
+    # no witness: a spent budget (rank 0 < m at ex-4.3) certifies and
+    # violates nothing, and nlp-coords has active constraints
+    "no-witness-as-violated": ("ex-4.3", "weak-crcq", relabel(cq.VIOLATED), False),
+    "no-witness-as-holds": ("ex-4.3", "weak-crcq", relabel(cq.CERTIFIED_HOLDS), False),
+    "no-witness-nlp-as-holds": ("nlp-coords", "nlp-crcq", relabel(cq.CERTIFIED_HOLDS),
+                                False),
 }
 
 
@@ -1027,3 +1078,25 @@ def test_replay_rejects_forged_witness(registry, forgery):
     else:
         with pytest.raises(outcome):
             cq.replay_witness(target, payload)
+
+
+def test_certificate_without_witness_replays_by_the_gate(registry):
+    # ex-4.2's G has full rank at x = 1 but not at x_bar = 0; no constraint
+    # of nlp-curve is active at (5, 5), but one is at its x_bar
+    for fid, check, x in (("ex-4.2", "nondegeneracy", [1.0]),
+                          ("nlp-curve", "nlp-crcq", [5.0, 5.0])):
+        fix = registry.get(fid)
+        spec = cq.CHECKS[check]
+        target = fix.embedding if spec.scope == "embedding" else fix.problem
+        verdict = spec.run(cq.PointContext.at(fix.problem, np.array(x),
+                                              embedding=fix.embedding))
+        payload = verdict.to_payload()
+        assert verdict.status == cq.CERTIFIED_HOLDS and verdict.witness is None
+        assert cq.replay_witness(target, payload)
+        # at x_bar, with the gate's own scale there, only the rank rule fails
+        gate = cq.PointContext.at(fix.problem, fix.x_bar, embedding=fix.embedding)
+        payload["x_bar"] = fix.x_bar.tolist()
+        payload["epsilons"]["scale_v"] = (
+            cq._nlp_point(fix.embedding, fix.x_bar, gate.budget) if spec.scope == "embedding"
+            else gate).scale_v
+        assert cq.replay_witness(target, payload) is False

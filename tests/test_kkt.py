@@ -287,6 +287,29 @@ def test_stacked_akkt_check_keeps_the_per_record_semantics(frame_trace, how):
     assert str(got.value) == str(want.value)
 
 
+def test_akkt_check_decomposes_only_what_its_loop_reaches(frame_trace, monkeypatch):
+    """A record 0 that fails its defect test decides before any matrix is
+    decomposed; a trace that certifies decomposes every record's Y and
+    G(x) + Delta in one stack."""
+    problem, cert = frame_trace
+    calls = []
+
+    def spy(name):
+        real = getattr(linalg, name)
+
+        def counted(mats, *args, **kwargs):
+            calls.append((name, len(mats)))
+            return real(mats, *args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+
+    for name in ("_decompose_many", "eigenvalues", "spectral_decompose"):
+        spy(name)
+    assert kkt.akkt_check(problem, tampered(problem, cert, 0, "delta-vec"), 1e-4) == (False, 0)
+    assert calls == []
+    assert kkt.akkt_check(problem, cert, tol=1e-4) == (True, None)
+    assert calls == [("_decompose_many", 2 * len(cert))]
+
+
 def test_akkt_empty_certificate_raises(registry):
     problem = registry.get("ex-4.2").problem
     with pytest.raises(kkt.TraceTooShortError):
@@ -413,8 +436,8 @@ def test_recover_requires_five_records(registry):
         kkt.recover_multiplier(fix.problem, cert, fix.x_bar)
 
 
-def one_at_a_time(mats):
-    return [linalg.spectral_decompose(M) for M in mats]
+def one_at_a_time(mats, vectors):
+    return [(linalg.spectral_decompose if vectors else linalg.eigenvalues)(M) for M in mats]
 
 
 def assert_same_recovery(a, b):
@@ -437,7 +460,7 @@ def test_recovery_same_through_the_stack(registry, monkeypatch, point):
         problem, x0, x_bar = fix.problem, fix.x0, fix.x_bar
     cert = penalty_trace(problem, x0).certificate()
     stacked = kkt.recover_multiplier(problem, cert, x_bar)
-    monkeypatch.setattr(linalg, "spectral_decompose_many", one_at_a_time)
+    monkeypatch.setattr(linalg, "_decompose_many", one_at_a_time)
     assert_same_recovery(kkt.recover_multiplier(problem, cert, x_bar), stacked)
     assert stacked.support  # the window's kernel bases carried a support
 

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -176,29 +177,49 @@ def assert_arrays_same_bits(*pairs):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-STACKS = (linalg.spectral_decompose_many, linalg.eigenvalues_many)
+def each(mats, vectors=True):
+    """``decompose_each`` over matrices already built."""
+    return list(linalg.decompose_each(lambda M: M, mats, vectors))
+
+
+def assert_outputs_same_bits(got, want, vectors):
+    """A ``SpectralDecomp`` against ``want``'s, or values alone against its values."""
+    if vectors:
+        assert_arrays_same_bits((got.eigenvalues, want.eigenvalues),
+                                (got.eigenvectors, want.eigenvectors))
+    else:
+        assert_arrays_same_bits((got, want.eigenvalues))
 
 
 def assert_stack_same_bits(mats):
-    """Each lane of one ``spectral_decompose_many`` stack and one values-only
-    ``eigenvalues_many`` stack of the matrices the kernel accepts has the
-    reference bits; stacks that also hold one whose squared norm overflows
-    raise the per-matrix ValueError."""
+    """Each lane of one stack, with and without its rotated identities, of
+    the matrices the kernel accepts has the reference bits: through
+    ``_decompose_many`` above 2x2 and through ``decompose_each``.  Where one
+    matrix's squared norm overflows, ``_decompose_many`` raises the
+    per-matrix ValueError and ``decompose_each`` raises it at that matrix."""
     def accepted(M):
         nrm = linalg.frob(M)
         return M.shape[0] < 2 or not math.isinf(nrm * nrm)
 
     good = [M for M in mats if accepted(M)]
-    decs, vals = linalg.spectral_decompose_many(good), linalg.eigenvalues_many(good)
-    assert len(decs) == len(vals) == len(good)
-    for M, dec, lam in zip(good, decs, vals):
-        lam_ref, U_ref = reference_decompose(M)
-        assert_arrays_same_bits((dec.eigenvalues, lam_ref), (dec.eigenvectors, U_ref),
-                                (lam, lam_ref))
-    if len(good) < len(mats):
-        for stack in STACKS:
+    stacked = bool(mats) and mats[0].shape[0] > 2
+    want = [linalg.SpectralDecomp(*reference_decompose(M)) for M in good]
+    for vectors in (True, False):
+        for got in [each(good, vectors)] + ([linalg._decompose_many(good, vectors)]
+                                            if stacked and good else []):
+            assert len(got) == len(good)
+            for out, ref in zip(got, want):
+                assert_outputs_same_bits(out, ref, vectors)
+        if len(good) == len(mats):
+            continue
+        if stacked:
             with pytest.raises(ValueError, match="norm overflows"):
-                stack(mats)
+                linalg._decompose_many(mats, vectors)
+        lanes = linalg.decompose_each(lambda M: M, mats, vectors)
+        for _ in itertools.takewhile(accepted, mats):
+            next(lanes)
+        with pytest.raises(ValueError, match="norm overflows"):
+            next(lanes)
 
 
 EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
@@ -285,7 +306,7 @@ def test_stacks_with_exact_ties_match_the_per_matrix_path(m):
             np.diag(signed_zeros), np.diag(signed_zeros[::-1]), np.zeros((m, m)),
             np.diag(np.r_[[0.0, -0.0], np.arange(1.0, m - 1.0)]), np.eye(m),
             (Q * np.r_[[1.0, 1.0], np.arange(2.0, m)]) @ Q.T, random_sym(gen, m)]
-    decs, vals = linalg.spectral_decompose_many(mats), linalg.eigenvalues_many(mats)
+    decs, vals = linalg._decompose_many(mats, True), linalg._decompose_many(mats, False)
     assert sum(len(set(lam.tolist())) < m for lam in vals) >= 6
     for M, dec, lam in zip(mats, decs, vals):
         want = linalg.spectral_decompose(M)
@@ -299,7 +320,7 @@ def test_stacks_with_exact_ties_match_the_per_matrix_path(m):
 def test_stack_raises_the_per_matrix_error(monkeypatch, kind):
     """A rejected matrix beside good lanes makes either stack raise the error
     type and message ``spectral_decompose`` and ``eigenvalues`` raise on it
-    alone."""
+    alone, and ``decompose_each`` raise it once it reaches that matrix."""
     monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 2)
     gen = rng(5)
     good = [np.diag([3.0, 1.0, 2.0]),                      # stops at sweep 0
@@ -318,19 +339,56 @@ def test_stack_raises_the_per_matrix_error(monkeypatch, kind):
         "sweep-cap": (linalg.JacobiConvergenceError, "did not converge after 2 sweeps",
                       random_sym(gen, 3)),                 # needs more sweeps
     }[kind]
-    for kernel, stack in zip((linalg.spectral_decompose, linalg.eigenvalues), STACKS):
+    mats = [good[0], good[1], good[3], bad, good[2]]
+    for vectors, kernel in ((True, linalg.spectral_decompose), (False, linalg.eigenvalues)):
         with pytest.raises(error, match=message) as single:
             kernel(bad)
         with pytest.raises(error) as stacked:
-            stack([good[0], good[1], good[3], bad, good[2]])
-        assert type(stacked.value) is type(single.value) is error
-        assert str(stacked.value) == str(single.value)
-    for M, dec, lam in zip(good, linalg.spectral_decompose_many(good),
-                           linalg.eigenvalues_many(good)):
-        want = linalg.spectral_decompose(M)
-        assert_arrays_same_bits((dec.eigenvalues, want.eigenvalues),
-                                (dec.eigenvectors, want.eigenvectors),
-                                (lam, linalg.eigenvalues(M)))
+            linalg._decompose_many(mats, vectors)
+        lanes = linalg.decompose_each(lambda M: M, mats, vectors)
+        for M in mats[:3]:
+            assert_outputs_same_bits(next(lanes), linalg.spectral_decompose(M), vectors)
+        with pytest.raises(error) as reached:
+            next(lanes)
+        assert type(stacked.value) is type(reached.value) is type(single.value) is error
+        assert str(stacked.value) == str(reached.value) == str(single.value)
+        for M, out in zip(good, linalg._decompose_many(good, vectors)):
+            assert_outputs_same_bits(out, linalg.spectral_decompose(M), vectors)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_decompose_each_builds_and_stacks_where_reached(monkeypatch, m):
+    """Above 2x2 the first ``next`` builds every item and makes one stack; at
+    2x2 an item is built when it is reached.  A build that raises makes the
+    rest one at a time, so the error surfaces at its own item."""
+    mats = [random_sym(rng(k), m) for k in range(5)]
+    stacks, built = [], []
+    stack = linalg._decompose_many
+    monkeypatch.setattr(linalg, "_decompose_many",
+                        lambda ms, vectors: stacks.append(len(ms)) or stack(ms, vectors))
+
+    def build(k):
+        built.append(k)
+        if k == 3 and failing:
+            raise ArithmeticError("no matrix at item 3")
+        return mats[k]
+
+    for failing in (False, True):
+        built.clear()
+        stacks.clear()
+        lanes = linalg.decompose_each(build, range(5))
+        assert built == []
+        for k in range(3):
+            assert_outputs_same_bits(next(lanes), linalg.spectral_decompose(mats[k]), True)
+        assert (built, stacks) == {(2, False): ([0, 1, 2], []),
+                                   (2, True): ([0, 1, 2], []),
+                                   (3, False): ([0, 1, 2, 3, 4], [5]),
+                                   (3, True): ([0, 1, 2, 3, 1, 2], [])}[m, failing]
+        if failing:
+            with pytest.raises(ArithmeticError, match="no matrix at item 3"):
+                next(lanes)
+        else:
+            assert len(list(lanes)) == 2
 
 
 def test_stack_kernel_has_no_product_or_reduction():
@@ -339,8 +397,7 @@ def test_stack_kernel_has_no_product_or_reduction():
     tree = ast.parse(Path(linalg.__file__).read_text(encoding="utf-8"))
     banned = {"sum", "dot", "matmul", "einsum", "inner", "tensordot", "vdot", "prod",
               "mean", "cumsum", "linalg"}
-    for name in ("_jacobi_many", "_decompose_many", "spectral_decompose_many",
-                 "eigenvalues_many"):
+    for name in ("_jacobi_many", "_decompose_many", "decompose_each"):
         body = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                     and node.name == name)
         for node in ast.walk(body):
