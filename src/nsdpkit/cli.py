@@ -56,8 +56,7 @@ EXIT_MISMATCH = 1
 EXIT_CAP = 2
 EXIT_ERROR = 3
 
-DEFAULT_CHECKS = tuple(name for name, spec in cq.CHECKS.items()
-                       if spec.scope == "default")
+DEFAULT_CHECKS = cq.checks_in(("default",))
 #: --config keys and their types: the AlConfig fields plus tolerance,
 #: schedule and caps
 AL_KEYS = {f.name for f in dataclass_fields(solvers.AlConfig)}
@@ -261,20 +260,11 @@ def cmd_solve(args) -> int:
 # diagnose
 
 
-def _check_names(text: str | None, source: fixtures.Fixture) -> list:
-    """The requested checks, validated against the registry before any runs."""
-    if source.x_bar is None:
-        raise ValueError("no reference point: give --point or a file x_bar")
-    names = [c.strip() for c in text.split(",")] if text else list(DEFAULT_CHECKS)
-    for name in names:
-        if cq.check_spec(name).scope == "embedding" and source.embedding is None:
-            raise ValueError(f"{name} needs a diagonal-embedding fixture")
-    return names
-
-
 def _context(source: fixtures.Fixture, budget: cq.CqBudget,
              msr_samples: int) -> cq.PointContext:
     """Point work shared by every check run at the source's reference point."""
+    if source.x_bar is None:
+        raise ValueError("no reference point: give --point or a file x_bar")
     return cq.PointContext.at(source.problem, source.x_bar, budget,
                               curves=source.curves, embedding=source.embedding,
                               msr_samples=msr_samples)
@@ -283,13 +273,14 @@ def _context(source: fixtures.Fixture, budget: cq.CqBudget,
 def cmd_diagnose(args) -> int:
     source = _load_source(args)
     budget = _parse_budget(args)
-    checks = _check_names(args.checks, source)
+    names = [c.strip() for c in args.checks.split(",")] if args.checks \
+        else DEFAULT_CHECKS
+    # every name is checked here, before a verdict is written
+    verdicts = cq.run_checks(_context(source, budget, args.msr_samples), names)
     out = _out_dir(args)
-    ctx = _context(source, budget, args.msr_samples)
     mismatches = []
     compared = 0
-    for name in checks:
-        verdict = cq.CHECKS[name].run(ctx)
+    for name, verdict in verdicts:
         cq.write_verdict(verdict, out / f"{source.fixture_id}-{name}.verdict")
         allowed = source.allowed(name)
         note = ""
@@ -328,14 +319,11 @@ def _entry(section, fixture, item, status, expected, ok, **details):
 def _regress_cq(registry, budget, msr_samples, run_msr):
     entries = []
     recorded = {}
+    scopes = ("default", "embedding") + (("full",) if run_msr else ())
     for fix in registry:
-        ctx = _context(fix, budget, msr_samples)
-        runs = {"default": True, "embedding": fix.embedding is not None,
-                "full": run_msr}
-        for name, spec in cq.CHECKS.items():
-            if not runs[spec.scope]:
-                continue
-            verdict = spec.run(ctx)
+        names = cq.checks_in(scopes, fix.embedding)
+        for name, verdict in cq.run_checks(_context(fix, budget, msr_samples),
+                                           names):
             recorded[(fix.fixture_id, name)] = verdict.status
             allowed = fix.allowed(name)
             ok = allowed is None or verdict.status in allowed
@@ -386,12 +374,9 @@ def _regress_solvers(registry, csv_rows):
         try:
             rec = kkt.recover_multiplier(problem, trace.certificate(), fix.x_bar)
             status = rec.status
-            detail = {}
-            if status == "recovered":
-                res = kkt.kkt_residual(problem, fix.x_bar, rec.multiplier)
-                detail["kkt_residual"] = res.max_entry
-                if res.max_entry > 1e-4:
-                    status = "recovered-but-inaccurate"
+            # a recovered multiplier's KKT residual is within the tol, 1e-4
+            detail = {"kkt_residual": rec.residual.max_entry} \
+                if status == "recovered" else {}
         except kkt.TraceTooShortError as exc:
             status, detail = "trace-too-short", {"error": str(exc)}
         ok = expected_rec is None or status == expected_rec

@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -417,19 +417,6 @@ def _sweep_candidates(problem: model.NsdpProblem, x_bar, E0: np.ndarray,
     return [(f"sweep@{th:.8f}", basis(th)) for th in deduped]
 
 
-def _make_verdict(condition: str, status: str, problem: model.NsdpProblem,
-                  x_bar, r: int, budget: CqBudget, scale_v: float,
-                  witness=None, notes=()) -> CqVerdict:
-    return CqVerdict(
-        condition=condition, status=status, problem_name=problem.name,
-        m=problem.m, n=problem.n, rank=int(r),
-        x_bar=tuple(float(v) for v in np.asarray(x_bar, dtype=float)),
-        seed=budget.seed, budget=asdict(budget),
-        epsilons={"eps_rank": linalg.EPS_RANK, "eps_pld": linalg.EPS_PLD,
-                  "eps_psd_factor": linalg.EPS_PSD_FACTOR, "scale_v": scale_v},
-        notes=tuple(notes), witness=_jsonify(witness) if witness else None)
-
-
 @dataclass(frozen=True, eq=False)
 class PointContext:
     """The point work every check at one (problem, x_bar, budget) shares.
@@ -492,9 +479,14 @@ class PointContext:
 
     def verdict(self, condition: str, status: str, witness=None,
                 notes=()) -> CqVerdict:
-        return _make_verdict(condition, status, self.problem, self.x, self.r,
-                             self.budget, self.scale_v, witness=witness,
-                             notes=notes)
+        return CqVerdict(
+            condition=condition, status=status, problem_name=self.problem.name,
+            m=self.problem.m, n=self.problem.n, rank=int(self.r),
+            x_bar=tuple(float(v) for v in self.x),
+            seed=self.budget.seed, budget=asdict(self.budget),
+            epsilons={"eps_rank": linalg.EPS_RANK, "eps_pld": linalg.EPS_PLD,
+                      "eps_psd_factor": linalg.EPS_PSD_FACTOR, "scale_v": self.scale_v},
+            notes=tuple(notes), witness=_jsonify(witness) if witness else None)
 
 
 @dataclass(frozen=True)
@@ -510,8 +502,9 @@ class CheckSpec:
     arrows of the implication diagram.  ``scope`` says where the check
     runs unasked: "default" in every diagnose and regress pass,
     "embedding" in regress on diagonal embeddings only, "full" in the full
-    regression suite only.  ``limit_only`` marks the weak variants of
-    the pointwise conditions, which test the limit family alone.
+    regression suite only; the selector ``checks_in`` alone reads it.
+    ``limit_only`` marks the weak variants of the pointwise conditions,
+    which test the limit family alone.
     """
 
     name: str
@@ -523,7 +516,7 @@ class CheckSpec:
     limit_only: bool = False
 
     def run(self, ctx: PointContext) -> CqVerdict:
-        return self.runner(ctx, self)
+        return next(run_checks(ctx, (self.name,)))[1]
 
     def dependent(self, scale_v: float):
         """The premise dependence test as a predicate on a vector list."""
@@ -539,6 +532,28 @@ def check_spec(name: str) -> CheckSpec:
     except KeyError:
         raise ValueError(f"unknown check {name!r}; known: "
                          + ", ".join(CHECKS)) from None
+
+
+def _runs_at(spec: CheckSpec, embedding) -> bool:
+    """The embedding guard: the scalar checks need a diagonal embedding."""
+    return spec.scope != "embedding" or embedding is not None
+
+
+def checks_in(scopes, embedding=None) -> tuple:
+    """Names of the checks whose scope is in ``scopes``, in registry
+    order, less those that need an embedding when ``embedding`` is None."""
+    return tuple(name for name, spec in CHECKS.items()
+                 if spec.scope in scopes and _runs_at(spec, embedding))
+
+
+def run_checks(ctx: PointContext, names):
+    """(name, verdict) of each named check at ``ctx``, in the order given;
+    ValueError for an unknown or inapplicable name before any check runs."""
+    specs = [check_spec(name) for name in names]
+    for spec in specs:
+        if not _runs_at(spec, ctx.embedding):
+            raise ValueError(f"{spec.name} needs a diagonal-embedding fixture")
+    return ((spec.name, spec.runner(ctx, spec)) for spec in specs)
 
 
 # ---------------------------------------------------------------------------
@@ -1300,17 +1315,21 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
     spec = CHECKS.get(f"nlp-{kind}")
     if spec is None:
         raise ValueError("kind must be 'crcq' or 'cpld'")
-    _, x, active, grads, scale, budget = _nlp_point(embedding, x_bar,
-                                                    budget or CqBudget())
-    problem = embedding.problem
-    r = embedding.m - len(active)
+    return spec.run(PointContext.at(embedding.problem, x_bar, budget,
+                                    curves=curves, embedding=embedding))
+
+
+def _nlp(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
+    embedding, x, active, grads, scale, budget = _nlp_point(ctx.embedding, ctx.x,
+                                                            ctx.budget)
+    # the verdict records the scalar gate's rank and gradient scale
+    ctx = replace(ctx, r=ctx.problem.m - len(active), scale_v=scale)
     if not active:
-        return _make_verdict(spec.name, CERTIFIED_HOLDS, problem, x, r,
-                             budget, scale,
-                             notes=("no active constraints at the point",))
+        return ctx.verdict(spec.name, CERTIFIED_HOLDS,
+                           notes=("no active constraints at the point",))
     subsets = [tuple(active[i] for i in S) for S in _subsets(len(active))]
     ts = _levels(budget)
-    sequences = _sequences(x, curves, ts, budget)
+    sequences = _sequences(x, ctx.curves, ts, budget)
     for J, prem in _dependent_premises(grads, subsets, spec.dependent(scale)):
         family = _gradient_family(embedding, J)
         for label, d, xs in sequences:
@@ -1327,20 +1346,10 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
                 "premise_gradients": prem,
                 "levels": levels,
             }
-            return _make_verdict(spec.name, VIOLATED, problem, x, r, budget,
-                                 scale, witness=witness,
-                                 notes=("dependent active gradients become "
-                                        "independent along the sequence",))
-    return _make_verdict(spec.name, NO_VIOLATION_FOUND, problem, x, r,
-                         budget, scale)
-
-
-def _nlp(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
-    if ctx.embedding is None:
-        raise ValueError(f"{spec.name} needs a diagonal-embedding fixture")
-    return nlp_constant_rank_check(ctx.embedding, ctx.x,
-                                   spec.name.removeprefix("nlp-"), ctx.budget,
-                                   ctx.curves)
+            return ctx.verdict(spec.name, VIOLATED, witness=witness,
+                               notes=("dependent active gradients become "
+                                      "independent along the sequence",))
+    return ctx.verdict(spec.name, NO_VIOLATION_FOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -1360,10 +1369,11 @@ def replay_witness(problem, verdict) -> bool:
     kind then re-runs its check's functions on the recorded bases and
     levels, the constant-rank falsifier included, and compares the flags;
     serialized floats round-trip exactly, so genuine witnesses replay bit
-    for bit.  A ``ratio-table`` (msr) replays True only when its moduli
-    support a VIOLATED verdict.  ``gradient-sequence`` witnesses replay
-    against the ``DiagonalEmbedding``, all others against the matrix
-    problem; TypeError otherwise.
+    for bit.  A ``ratio-table`` (msr) supports VIOLATED when its moduli
+    meet the trend rule and NO_VIOLATION_FOUND otherwise.
+    ``gradient-sequence`` witnesses replay against the
+    ``DiagonalEmbedding``, all others against the matrix problem;
+    TypeError otherwise.
     """
     payload = verdict.to_payload() if isinstance(verdict, CqVerdict) else dict(verdict)
     witness, status = payload.get("witness"), payload["status"]
@@ -1389,9 +1399,12 @@ def replay_witness(problem, verdict) -> bool:
 
 def _supported_status(witness) -> str:
     """The one status a witness can support: a pair family's by its flag,
-    an interior direction's CERTIFIED_HOLDS, every other kind's VIOLATED."""
+    a ratio table's by the trend rule on its moduli, an interior
+    direction's CERTIFIED_HOLDS, every other kind's VIOLATED."""
     if witness["kind"] == "pair-family":
         return VIOLATED if witness["dependent"] else CERTIFIED_HOLDS
+    if witness["kind"] == "ratio-table":
+        return VIOLATED if _msr_unbounded(*witness["gamma_hat"]) else NO_VIOLATION_FOUND
     return CERTIFIED_HOLDS if witness["kind"] == "interior-direction" else VIOLATED
 
 
@@ -1488,11 +1501,11 @@ def _replay_gradient_sequence(pt, witness, spec) -> bool:
 
 
 def _replay_ratio_table(ctx, witness, spec) -> bool:
-    """Recompute each radius's worst sample and re-apply the trend rule.
+    """Recompute each radius's worst sample; the status was checked
+    against the trend rule by ``_supported_status``.
 
     The distance came from projection solves and is only checked against
-    its bounds: at most ||x - x_bar||, since x_bar is feasible.  True
-    only when the gammas meet the unbounded rule, the VIOLATED claim.
+    its bounds: at most ||x - x_bar||, since x_bar is feasible.
     """
     for radius, gamma, worst in zip(witness["radius"], witness["gamma_hat"],
                                     witness["worst"]):
@@ -1510,7 +1523,7 @@ def _replay_ratio_table(ctx, witness, spec) -> bool:
                 and span <= radius + 1e-12 * (radius + linalg.frob(ctx.x))
                 and worst["distance"] <= span):
             return False
-    return _msr_unbounded(*witness["gamma_hat"])
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ the OpenBLAS core that numpy's bundled library runs on this machine
 (bits may differ between cores; the name is not written to the lock),
 the report hash of every ``regress`` suite (the ``msr``, ``props`` and
 ``full`` ones are printed only, not locked), then every entry whose
-status or digest moved, then rewrites the file; it writes nothing when
-a ``regress`` run fails.
+status or digest moved, then rewrites the file.  It writes nothing, and
+prints what failed, when a ``regress`` run fails or a verdict of the
+matrix does not replay (``failed_replays``).
 """
 
 import contextlib
@@ -31,6 +32,8 @@ import numpy as np
 from nsdpkit import cli, cq, fixtures, kkt, solvers
 
 LOCK_PATH = Path(__file__).parent / "data" / "behaviour_lock.json"
+#: every check runs at every fixture it applies to
+ALL_SCOPES = ("default", "embedding", "full")
 
 
 def verdict_matrix(registry, msr_samples):
@@ -43,10 +46,23 @@ def verdict_matrix(registry, msr_samples):
         ctx = cq.PointContext.at(fix.problem, fix.x_bar, curves=fix.curves,
                                  embedding=fix.embedding,
                                  msr_samples=msr_samples)
-        for name, spec in cq.CHECKS.items():
-            if spec.scope != "embedding" or fix.embedding is not None:
-                verdicts[fix.fixture_id, name] = spec.run(ctx)
+        names = cq.checks_in(ALL_SCOPES, fix.embedding)
+        for name, verdict in cq.run_checks(ctx, names):
+            verdicts[fix.fixture_id, name] = verdict
     return verdicts
+
+
+def replay_target(fix, check):
+    """What a verdict of ``check`` at ``fix`` replays against."""
+    return fix.embedding if check in cq.checks_in(("embedding",), fix.embedding) \
+        else fix.problem
+
+
+def failed_replays(registry, matrix):
+    """One line per verdict of ``verdict_matrix`` that does not replay."""
+    return [f"verdict {fid} {check}: {verdict.status} does not replay"
+            for (fid, check), verdict in matrix.items()
+            if not cq.replay_witness(replay_target(registry.get(fid), check), verdict)]
 
 
 def penalty_recoveries(registry):
@@ -144,8 +160,14 @@ def main():
             print(stdout, end="")
             print(f"regress --suite {suite} failed; the lock is left as it is")
             return 1
-    new = lock_entries(verdict_matrix(registry, old["msr_samples"]),
-                       penalty_recoveries(registry), reports, old["msr_samples"])
+    matrix = verdict_matrix(registry, old["msr_samples"])
+    failed = failed_replays(registry, matrix)
+    if failed:
+        print("\n".join(failed))
+        print(f"{len(failed)} verdicts do not replay; the lock is left as it is")
+        return 1
+    new = lock_entries(matrix, penalty_recoveries(registry), reports,
+                       old["msr_samples"])
     lines = moved(old, new)
     print(f"OpenBLAS core: {openblas_core()}")
     for suite, report in reports.items():

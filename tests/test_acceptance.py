@@ -270,22 +270,18 @@ def test_behaviour_lock(registry, matrix, recoveries, regress_cq, regress_solver
     """Every verdict, its digest, every recovery status and the regress
     cq and solvers hashes match the lock, as ``regen_lock`` computes them.
 
-    A refactor that moves any of them changed behaviour.  Every VIOLATED
-    witness must also replay from its verdict alone, and no witness may
-    replay with VIOLATED and CERTIFIED_HOLDS swapped.
+    A refactor that moves any of them changed behaviour.  Every verdict,
+    whatever its status, must also replay from its verdict alone, and
+    none may replay relabelled with another status.
     """
     reports = {"cq": regress_cq[2], "solvers": regress_solvers[2]}
     got = regen_lock.lock_entries(matrix, recoveries, reports, lock["msr_samples"])
     for key in ("verdicts", "recovery", "regress_cq_sha256",
                 "regress_solvers_sha256"):
         assert got[key] == lock[key], key
-    swapped = {cq.VIOLATED: cq.CERTIFIED_HOLDS, cq.CERTIFIED_HOLDS: cq.VIOLATED}
+    assert regen_lock.failed_replays(registry, matrix) == []
     for (fid, check), verdict in matrix.items():
-        fix = registry.get(fid)
-        target = fix.embedding if cq.CHECKS[check].scope == "embedding" \
-            else fix.problem
-        if verdict.witness is not None and verdict.status in swapped:
-            forged = {**verdict.to_payload(), "status": swapped[verdict.status]}
-            assert cq.replay_witness(target, forged) is False, (fid, check)
-        if verdict.status == cq.VIOLATED:
-            assert cq.replay_witness(target, verdict), (fid, check)
+        target = regen_lock.replay_target(registry.get(fid), check)
+        for status in set(cq.STATUSES) - {verdict.status}:
+            forged = {**verdict.to_payload(), "status": status}
+            assert cq.replay_witness(target, forged) is False, (fid, check, status)

@@ -9,6 +9,8 @@ import pytest
 
 from nsdpkit import cq, fixtures, linalg, model, solvers
 
+import regen_lock
+
 RT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -272,7 +274,7 @@ def test_robinson_interior_certified(registry):
 
 
 # msr samples projections on a ball and is pinned in the acceptance matrix
-TABLE_CHECKS = [name for name, spec in cq.CHECKS.items() if spec.scope != "full"]
+TABLE_CHECKS = [name for name in cq.CHECKS if name not in cq.checks_in(("full",))]
 
 
 @pytest.mark.parametrize("check", TABLE_CHECKS)
@@ -281,7 +283,7 @@ def test_verdicts_match_expected_tables(registry, check, lock):
     # points run it; the shared-context run in diagnose must agree
     spec = cq.CHECKS[check]
     for fix in registry:
-        if spec.scope == "embedding" and fix.embedding is None:
+        if check not in cq.checks_in(regen_lock.ALL_SCOPES, fix.embedding):
             continue
         ctx = cq.PointContext.at(fix.problem, fix.x_bar, curves=fix.curves,
                                  embedding=fix.embedding)
@@ -293,7 +295,7 @@ def test_verdicts_match_expected_tables(registry, check, lock):
         text = cq.verdict_to_text(verdict, generated_at="-")
         assert cq.content_digest(text) == locked["digest"], (fix.fixture_id, check)
         if verdict.status == cq.VIOLATED:
-            target = fix.embedding if spec.scope == "embedding" else fix.problem
+            target = regen_lock.replay_target(fix, check)
             assert cq.replay_witness(target, verdict), (fix.fixture_id, check)
 
 
@@ -331,6 +333,78 @@ def test_weak_crcq_fold_witness_vectors(registry):
         want = np.array(sorted([[2.0, 0.0], [2.0, 4.0 * x2]]))
         assert np.allclose(got, want, atol=1e-8)
         assert not level["dependent"]
+
+
+# ---------------------------------------------------------------------------
+# the registry's one entry: cq.run_checks and cq.checks_in
+
+
+def _counted_runners(monkeypatch):
+    """Wrap every registered runner; the list of check names run, in order."""
+    ran = []
+    for name, spec in cq.CHECKS.items():
+        def runner(ctx, spec, inner=spec.runner):
+            ran.append(spec.name)
+            return inner(ctx, spec)
+        monkeypatch.setitem(cq.CHECKS, name, dataclasses.replace(spec, runner=runner))
+    return ran
+
+
+@pytest.mark.parametrize("names, message", [
+    (["nondegeneracy", "robinson", "bogus"], "unknown check 'bogus'"),
+    (["nondegeneracy", "nlp-crcq"], "nlp-crcq needs a diagonal-embedding fixture"),
+])
+def test_run_checks_rejects_a_name_before_any_check_runs(registry, monkeypatch,
+                                                         names, message):
+    ran = _counted_runners(monkeypatch)
+    fix = registry.get("ex-4.3")
+    ctx = cq.PointContext.at(fix.problem, fix.x_bar)
+    with pytest.raises(ValueError, match=message):
+        list(cq.run_checks(ctx, names))
+    assert ran == []
+
+
+def test_run_checks_keeps_the_given_order(registry, monkeypatch):
+    ran = _counted_runners(monkeypatch)
+    fix = registry.get("nlp-curve")
+    ctx = cq.PointContext.at(fix.problem, fix.x_bar, embedding=fix.embedding)
+    names = ["nlp-cpld", "robinson", "nondegeneracy", "robinson"]
+    pairs = cq.run_checks(ctx, names)
+    assert ran == []  # each check runs when its pair is read
+    pairs = [next(pairs)] + list(pairs)
+    assert [name for name, _ in pairs] == [v.condition for _, v in pairs] == names
+    assert ran == names
+    texts = [cq.verdict_to_text(v, generated_at="-") for _, v in pairs]
+    assert texts[1] == texts[3]
+
+
+def test_checks_in_keeps_registry_order(registry):
+    emb = registry.get("nlp-curve").embedding
+    assert cq.checks_in(("full", "embedding", "default"), emb) == tuple(cq.CHECKS)
+    matrix_only = tuple(name for name in cq.CHECKS if not name.startswith("nlp-"))
+    assert cq.checks_in(("full", "embedding", "default")) == matrix_only
+    assert cq.checks_in(("full", "default"), emb) == matrix_only
+    assert cq.checks_in(("embedding",), emb) == ("nlp-crcq", "nlp-cpld")
+    assert cq.checks_in(("embedding",)) == ()
+
+
+def test_public_nlp_check_is_the_registry_path(registry, lock):
+    checked = 0
+    for fix in registry:
+        if fix.embedding is None:
+            continue
+        ctx = cq.PointContext.at(fix.problem, fix.x_bar, curves=fix.curves,
+                                 embedding=fix.embedding)
+        for name, verdict in cq.run_checks(ctx, ("nlp-crcq", "nlp-cpld")):
+            public = cq.nlp_constant_rank_check(fix.embedding, fix.x_bar,
+                                                name.removeprefix("nlp-"),
+                                                curves=fix.curves)
+            digests = {cq.content_digest(cq.verdict_to_text(v, generated_at="-"))
+                       for v in (verdict, public)}
+            assert digests == {lock["verdicts"][fix.fixture_id][name]["digest"]}, \
+                (fix.fixture_id, name)
+        checked += 1
+    assert checked == 5
 
 
 # ---------------------------------------------------------------------------
@@ -904,8 +978,12 @@ def test_msr_verdict_statuses(registry):
     good = registry.get("ex-4.3").problem
     v_good = cq.check_msr(good, np.zeros(2), samples=30)
     assert v_good.status == cq.NO_VIOLATION_FOUND
-    # the table is consistent, but its gammas do not meet the unbounded rule
-    assert not cq.replay_witness(good, v_good)
+    # a table supports the status the trend rule gives its gammas, and no other
+    assert cq.replay_witness(good, v_good)
+    for target, verdict in ((bad, v_bad), (good, v_good)):
+        for status in set(cq.STATUSES) - {verdict.status}:
+            relabelled = {**verdict.to_payload(), "status": status}
+            assert cq.replay_witness(target, relabelled) is False, status
 
 
 @pytest.mark.parametrize("estimate", [cq.estimate_msr_modulus,
@@ -1000,7 +1078,7 @@ def test_msr_ratio_table_replay_rejects_tampering(registry, tmp_path, tamper):
     elif tamper == "distance-above-span":
         span = float(np.linalg.norm(np.asarray(worst["x"]) - fix.x_bar))
         _scale_worst(payload, 0, 2.0 * span / worst["distance"])
-    elif tamper == "status":  # a ratio table supports VIOLATED alone
+    elif tamper == "status":  # a ratio table never supports a certificate
         payload["status"] = cq.CERTIFIED_HOLDS
     else:
         _scale_worst(payload, 0, 1e-3)
@@ -1066,7 +1144,7 @@ def test_replay_rejects_forged_witness(registry, forgery):
     spec = cq.CHECKS[check]
     verdict = spec.run(cq.PointContext.at(fix.problem, fix.x_bar, curves=fix.curves,
                                           embedding=fix.embedding))
-    target = fix.embedding if spec.scope == "embedding" else fix.problem
+    target = regen_lock.replay_target(fix, check)
     payload = verdict.to_payload()
     assert cq.replay_witness(target, payload)
     if forge is None:
@@ -1087,7 +1165,7 @@ def test_certificate_without_witness_replays_by_the_gate(registry):
                           ("nlp-curve", "nlp-crcq", [5.0, 5.0])):
         fix = registry.get(fid)
         spec = cq.CHECKS[check]
-        target = fix.embedding if spec.scope == "embedding" else fix.problem
+        target = regen_lock.replay_target(fix, check)
         verdict = spec.run(cq.PointContext.at(fix.problem, np.array(x),
                                               embedding=fix.embedding))
         payload = verdict.to_payload()
@@ -1097,6 +1175,6 @@ def test_certificate_without_witness_replays_by_the_gate(registry):
         gate = cq.PointContext.at(fix.problem, fix.x_bar, embedding=fix.embedding)
         payload["x_bar"] = fix.x_bar.tolist()
         payload["epsilons"]["scale_v"] = (
-            cq._nlp_point(fix.embedding, fix.x_bar, gate.budget) if spec.scope == "embedding"
+            cq._nlp_point(fix.embedding, fix.x_bar, gate.budget) if target is fix.embedding
             else gate).scale_v
         assert cq.replay_witness(target, payload) is False
