@@ -20,7 +20,6 @@ feasibility gate, the kernel basis and the free-basis dictionary.
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 import itertools
@@ -202,7 +201,11 @@ def _rng(seed: int, *key) -> np.random.Generator:
 
 
 def _feasibility_gate(problem: model.NsdpProblem, x_bar):
+    """The one gate a point passes: n finite numbers, then G(x) PSD."""
     x = np.asarray(x_bar, dtype=float)
+    if x.shape != (problem.n,) or not np.isfinite(x).all():
+        raise ValueError(f"point of {problem.name} must be {problem.n} finite "
+                         f"numbers, got {np.array2string(x, threshold=6)}")
     G = problem.g(x)
     dec = linalg.spectral_decompose(G)
     tol = linalg.EPS_PSD_FACTOR * (1.0 + linalg.frob(G))
@@ -429,6 +432,7 @@ class PointContext:
     for them.  ``curves``, ``embedding`` and ``msr_samples`` are the rest
     of what the registered checks read: the problem's witness curves, its
     scalar form when it is a diagonal embedding, and the msr sample count.
+    ``active`` and ``grads`` are set on the ``scalar`` view alone.
     """
 
     problem: model.NsdpProblem
@@ -442,6 +446,8 @@ class PointContext:
     curves: tuple = ()
     embedding: model.DiagonalEmbedding | None = None
     msr_samples: int = 200
+    active: tuple = ()
+    grads: tuple = ()
 
     @classmethod
     def at(cls, problem: model.NsdpProblem, x_bar,
@@ -455,6 +461,19 @@ class PointContext:
         return cls(problem=problem, x=x, G=G, dec=dec, r=r, scale_v=scale_v,
                    E0=E0, budget=budget or CqBudget(), curves=tuple(curves),
                    embedding=embedding, msr_samples=msr_samples)
+
+    def scalar(self) -> "PointContext":
+        """The nlp checks' view: the scalar gate on the embedding's
+        constraints, then its active set and gradients, with rank
+        m - |active| and the gradient scale in place of the matrix ones."""
+        emb, x = self.embedding, self.x
+        vals = emb.constraint_values(x)
+        if float(vals.min(initial=0.0)) \
+                < -linalg.EPS_PSD_FACTOR * (1.0 + float(np.abs(vals).max(initial=0.0))):
+            raise InfeasiblePointError(linalg.frob(np.minimum(vals, 0.0)), emb.problem.name)
+        active, grads = tuple(emb.active_set(x)), tuple(emb.constraint_gradients(x))
+        return replace(self, r=self.problem.m - len(active), active=active, grads=grads,
+                       scale_v=max(1.0, max((linalg.frob(g) for g in grads), default=0.0)))
 
     @functools.cached_property
     def _rotated_bases(self) -> list:
@@ -502,7 +521,8 @@ class CheckSpec:
     arrows of the implication diagram.  ``scope`` says where the check
     runs unasked: "default" in every diagnose and regress pass,
     "embedding" in regress on diagonal embeddings only, "full" in the full
-    regression suite only; the selector ``checks_in`` alone reads it.
+    regression suite only; the embedding guard ``_runs_at`` and the
+    selector ``checks_in`` alone read it.
     ``limit_only`` marks the weak variants of the pointwise conditions,
     which test the limit family alone.
     """
@@ -1282,24 +1302,6 @@ def _msr(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
 # scalar-constraint samplers
 
 
-_NlpPoint = collections.namedtuple("_NlpPoint",
-                                   "embedding x active grads scale_v budget")
-
-
-def _nlp_point(embedding: model.DiagonalEmbedding, x_bar,
-               budget: CqBudget) -> _NlpPoint:
-    """Gate x_bar on the scalar constraints; the active set, gradients, scale."""
-    x = np.asarray(x_bar, dtype=float)
-    vals = embedding.constraint_values(x)
-    scale_vals = 1.0 + float(np.abs(vals).max(initial=0.0))
-    if float(vals.min(initial=0.0)) < -linalg.EPS_PSD_FACTOR * scale_vals:
-        raise InfeasiblePointError(linalg.frob(np.minimum(vals, 0.0)),
-                                   embedding.problem.name)
-    grads = embedding.constraint_gradients(x)
-    scale = max(1.0, max((linalg.frob(g) for g in grads), default=0.0))
-    return _NlpPoint(embedding, x, embedding.active_set(x), grads, scale, budget)
-
-
 def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
                             kind: str = "crcq",
                             budget: CqBudget | None = None,
@@ -1320,18 +1322,17 @@ def nlp_constant_rank_check(embedding: model.DiagonalEmbedding, x_bar,
 
 
 def _nlp(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
-    embedding, x, active, grads, scale, budget = _nlp_point(ctx.embedding, ctx.x,
-                                                            ctx.budget)
     # the verdict records the scalar gate's rank and gradient scale
-    ctx = replace(ctx, r=ctx.problem.m - len(active), scale_v=scale)
+    ctx = ctx.scalar()
+    active, scale, budget = ctx.active, ctx.scale_v, ctx.budget
     if not active:
         return ctx.verdict(spec.name, CERTIFIED_HOLDS,
                            notes=("no active constraints at the point",))
     subsets = [tuple(active[i] for i in S) for S in _subsets(len(active))]
     ts = _levels(budget)
-    sequences = _sequences(x, ctx.curves, ts, budget)
-    for J, prem in _dependent_premises(grads, subsets, spec.dependent(scale)):
-        family = _gradient_family(embedding, J)
+    sequences = _sequences(ctx.x, ctx.curves, ts, budget)
+    for J, prem in _dependent_premises(ctx.grads, subsets, spec.dependent(scale)):
+        family = _gradient_family(ctx.embedding, J)
         for label, d, xs in sequences:
             levels = _falsifying_levels(
                 [{"t": t, "x": x_j} for t, x_j in zip(ts, xs)],
@@ -1357,63 +1358,58 @@ def _nlp(ctx: PointContext, spec: CheckSpec) -> CqVerdict:
 
 
 def replay_witness(problem, verdict) -> bool:
-    """Re-evaluate a verdict's witness with the predicates of its check.
+    """Re-evaluate a verdict at its point with the predicates of its check.
 
-    The status must be the one the witness supports (``_supported_status``),
-    or the verdict replays False.  Without a witness, NO_VIOLATION_FOUND
-    replays True, VIOLATED False, and CERTIFIED_HOLDS only where the gate
-    finds full rank (no active constraint on an embedding).
-    Gates the recorded ``x_bar`` under the recorded budget as the check
-    did (InfeasiblePointError if infeasible); a ``scale_v`` other than
-    the gate's, which every rank threshold reads, replays False.  Each
-    kind then re-runs its check's functions on the recorded bases and
-    levels, the constant-rank falsifier included, and compares the flags;
-    serialized floats round-trip exactly, so genuine witnesses replay bit
-    for bit.  A ``ratio-table`` (msr) supports VIOLATED when its moduli
-    meet the trend rule and NO_VIOLATION_FOUND otherwise.
-    ``gradient-sequence`` witnesses replay against the
+    The point is built first, as the check built it: ``PointContext.at``
+    gates the recorded ``x_bar`` under the recorded budget (ValueError
+    unless n finite numbers or if the budget is malformed,
+    InfeasiblePointError if infeasible), then the nlp checks' scalar
+    view gates it again.  nlp verdicts replay against the
     ``DiagonalEmbedding``, all others against the matrix problem;
-    TypeError otherwise.
+    TypeError otherwise.  Every status is a rule on that point
+    (``_supported_status``), and a recorded ``scale_v`` other than the
+    gate's, which every rank threshold reads, replays False.  Each kind
+    then re-runs its check's functions on the recorded bases and levels,
+    the constant-rank falsifier included, and compares the flags;
+    serialized floats round-trip exactly, so genuine witnesses replay
+    bit for bit.
     """
     payload = verdict.to_payload() if isinstance(verdict, CqVerdict) else dict(verdict)
-    witness, status = payload.get("witness"), payload["status"]
-    if witness is None and status != CERTIFIED_HOLDS:
-        return status == NO_VIOLATION_FOUND  # it claims only a spent budget
     spec = check_spec(payload["condition"])
-    replay = _replay_full_rank if witness is None else spec.replay.get(witness["kind"])
-    if replay is None:
-        raise ValueError(f"unknown witness kind {witness['kind']!r} "
-                         f"for {spec.name}")
-    scalar = spec.scope == "embedding"
+    scalar = not _runs_at(spec, None)
     if scalar != isinstance(problem, model.DiagonalEmbedding):
         raise TypeError(f"{spec.name} verdicts replay against a "
                         + ("DiagonalEmbedding" if scalar else "matrix problem"))
-    if witness is not None and status != _supported_status(witness):
-        return False
-    budget = CqBudget(**payload["budget"])
-    point = _nlp_point(problem, payload["x_bar"], budget) if scalar \
+    try:
+        budget = CqBudget(**payload["budget"])
+    except TypeError as exc:
+        raise ValueError(f"malformed budget {payload['budget']!r}: {exc}") from None
+    ctx = PointContext.at(problem.problem, payload["x_bar"], budget,
+                          embedding=problem).scalar() if scalar \
         else PointContext.at(problem, payload["x_bar"], budget)
-    return point.scale_v == float(payload["epsilons"]["scale_v"]) \
-        and bool(replay(point, witness, spec))
+    witness = payload.get("witness")
+    if witness is not None and witness["kind"] not in spec.replay:
+        raise ValueError(f"unknown witness kind {witness['kind']!r} "
+                         f"for {spec.name}")
+    if payload["status"] != _supported_status(witness, ctx) \
+            or ctx.scale_v != float(payload["epsilons"]["scale_v"]):
+        return False
+    return witness is None or bool(spec.replay[witness["kind"]](ctx, witness, spec))
 
 
-def _supported_status(witness) -> str:
-    """The one status a witness can support: a pair family's by its flag,
-    a ratio table's by the trend rule on its moduli, an interior
-    direction's CERTIFIED_HOLDS, every other kind's VIOLATED."""
+def _supported_status(witness, ctx: PointContext) -> str:
+    """The one status a verdict can have at its gated point: without a
+    witness CERTIFIED_HOLDS at full rank and NO_VIOLATION_FOUND
+    elsewhere, a pair family's by its flag, a ratio table's by the trend
+    rule on its moduli, an interior direction's CERTIFIED_HOLDS, every
+    other kind's VIOLATED."""
+    if witness is None:
+        return CERTIFIED_HOLDS if ctx.r == ctx.problem.m else NO_VIOLATION_FOUND
     if witness["kind"] == "pair-family":
         return VIOLATED if witness["dependent"] else CERTIFIED_HOLDS
     if witness["kind"] == "ratio-table":
         return VIOLATED if _msr_unbounded(*witness["gamma_hat"]) else NO_VIOLATION_FOUND
     return CERTIFIED_HOLDS if witness["kind"] == "interior-direction" else VIOLATED
-
-
-def _replay_full_rank(point, witness, spec) -> bool:
-    """A CERTIFIED_HOLDS without a witness: the gate finds no active
-    constraint (nlp) or a constraint of full rank at the point."""
-    if isinstance(point, _NlpPoint):
-        return not point.active
-    return point.r == point.problem.m
 
 
 def _same_flags(recorded, records) -> bool:
@@ -1488,16 +1484,16 @@ def _replay_pair_sequence(ctx, witness, spec) -> bool:
     return True
 
 
-def _replay_gradient_sequence(pt, witness, spec) -> bool:
+def _replay_gradient_sequence(ctx, witness, spec) -> bool:
     J = [i - 1 for i in witness["J"]]
-    if not set(J) <= set(pt.active) \
-            or not spec.dependent(pt.scale_v)([pt.grads[i] for i in J]):
+    if not set(J) <= set(ctx.active) \
+            or not spec.dependent(ctx.scale_v)([ctx.grads[i] for i in J]):
         return False
     levels = [{"t": lv["t"], "x": np.asarray(lv["x"], dtype=float)}
               for lv in witness["levels"]]
     return _same_flags(witness["levels"], _falsifying_levels(
-        levels, pt.budget.consecutive, _gradient_family(pt.embedding, J),
-        pt.scale_v, key="gradients"))
+        levels, ctx.budget.consecutive, _gradient_family(ctx.embedding, J),
+        ctx.scale_v, key="gradients"))
 
 
 def _replay_ratio_table(ctx, witness, spec) -> bool:

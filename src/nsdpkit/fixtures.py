@@ -102,7 +102,7 @@ def _only_feasible_point():
         g_eval=g, dg_eval=dg, name="ex-3.1")
     curves = (WitnessCurve(name="neg-ray", kind="x",
                            func=lambda t: np.array([-t])),)
-    return problem, np.array([0.0]), np.array([0.5]), curves
+    return dict(problem=problem, x_bar=np.array([0.0]), x0=np.array([0.5]), curves=curves)
 
 
 def _halfplane_with_fold():
@@ -127,7 +127,7 @@ def _halfplane_with_fold():
         f_eval=lambda x: float(x[0]),
         grad_f=lambda x: np.array([1.0, 0.0]),
         g_eval=g, dg_eval=dg, name="ex-3.2")
-    return problem, np.array([0.0, 0.0]), np.array([0.5, 0.0]), ()
+    return dict(problem=problem, x_bar=np.array([0.0, 0.0]), x0=np.array([0.5, 0.0]))
 
 
 def _sign_split_quadratic():
@@ -149,7 +149,7 @@ def _sign_split_quadratic():
         f_eval=lambda x: float(x[0]),
         grad_f=lambda x: np.array([1.0]),
         g_eval=g, dg_eval=dg, name="ex-3.3")
-    return problem, np.array([0.0]), np.array([0.5]), ()
+    return dict(problem=problem, x_bar=np.array([0.0]), x0=np.array([0.5]))
 
 
 def _opposed_diagonal():
@@ -183,7 +183,7 @@ def _opposed_diagonal():
 
     curves = (WitnessCurve(name="aligned-shift", kind="x-delta",
                            func=shifted_curve),)
-    return problem, np.array([0.0]), np.array([0.5]), curves
+    return dict(problem=problem, x_bar=np.array([0.0]), x0=np.array([0.5]), curves=curves)
 
 
 def _scaled_identity():
@@ -204,7 +204,7 @@ def _scaled_identity():
         f_eval=lambda x: float(x[0]),
         grad_f=lambda x: np.array([1.0]),
         g_eval=g, dg_eval=dg, name="ex-4.2")
-    return problem, np.array([0.0]), np.array([1.0]), ()
+    return dict(problem=problem, x_bar=np.array([0.0]), x0=np.array([1.0]))
 
 
 def _rotation_pair():
@@ -227,7 +227,7 @@ def _rotation_pair():
         f_eval=lambda x: float(x[0]),
         grad_f=lambda x: np.array([1.0, 0.0]),
         g_eval=g, dg_eval=dg, name="ex-4.3")
-    return problem, np.array([0.0, 0.0]), np.array([0.3, 0.2]), ()
+    return dict(problem=problem, x_bar=np.array([0.0, 0.0]), x0=np.array([0.3, 0.2]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def _nlp_opposite_sign():
         [(lambda x: x[0], lambda x: np.array([1.0])),
          (lambda x: -x[0], lambda x: np.array([-1.0]))],
         name="nlp-opposite-sign")
-    return emb, np.array([0.0]), np.array([0.7])
+    return dict(problem=emb.problem, embedding=emb, x_bar=np.array([0.0]), x0=np.array([0.7]))
 
 
 def _nlp_coords():
@@ -257,7 +257,8 @@ def _nlp_coords():
         [(lambda x: x[0], lambda x: np.array([1.0, 0.0])),
          (lambda x: x[1], lambda x: np.array([0.0, 1.0]))],
         name="nlp-coords")
-    return emb, np.array([0.0, 0.0]), np.array([0.5, 0.8])
+    return dict(problem=emb.problem, embedding=emb,
+                x_bar=np.array([0.0, 0.0]), x0=np.array([0.5, 0.8]))
 
 
 def _nlp_zero_grad():
@@ -270,7 +271,7 @@ def _nlp_zero_grad():
         lambda x: np.array([2.0 * x[0]]),
         [(lambda x: x[0] ** 2, lambda x: np.array([2.0 * x[0]]))],
         name="nlp-zero-grad")
-    return emb, np.array([0.0]), np.array([0.5])
+    return dict(problem=emb.problem, embedding=emb, x_bar=np.array([0.0]), x0=np.array([0.5]))
 
 
 def _nlp_parallel():
@@ -285,7 +286,7 @@ def _nlp_parallel():
         [(lambda x: x[0], lambda x: np.array([1.0])),
          (lambda x: 2.0 * x[0], lambda x: np.array([2.0]))],
         name="nlp-parallel")
-    return emb, np.array([0.0]), np.array([0.5])
+    return dict(problem=emb.problem, embedding=emb, x_bar=np.array([0.0]), x0=np.array([0.5]))
 
 
 def _nlp_redundant_curve():
@@ -300,19 +301,19 @@ def _nlp_redundant_curve():
         [(lambda x: x[0], lambda x: np.array([1.0, 0.0])),
          (lambda x: x[0] + x[1] ** 2, lambda x: np.array([1.0, 2.0 * x[1]]))],
         name="nlp-curve")
-    return emb, np.array([0.0, 0.0]), np.array([0.4, 0.3])
+    return dict(problem=emb.problem, embedding=emb,
+                x_bar=np.array([0.0, 0.0]), x0=np.array([0.4, 0.3]))
 
 
-_MATRIX_BUILDERS = {
+#: every fixture's builder, matrix fixtures first; each returns
+#: ``Fixture`` keyword arguments, with ``embedding`` for the scalar ones
+_BUILDERS = {
     "ex-3.1": _only_feasible_point,
     "ex-3.2": _halfplane_with_fold,
     "ex-3.3": _sign_split_quadratic,
     "ex-4.1": _opposed_diagonal,
     "ex-4.2": _scaled_identity,
     "ex-4.3": _rotation_pair,
-}
-
-_NLP_BUILDERS = {
     "nlp-opposite-sign": _nlp_opposite_sign,
     "nlp-coords": _nlp_coords,
     "nlp-zero-grad": _nlp_zero_grad,
@@ -332,22 +333,13 @@ class FixtureRegistry:
 
     def __init__(self, tables_path=None):
         tables = _expected_tables(tables_path)
-        unknown = sorted(set(tables) - set(_MATRIX_BUILDERS) - set(_NLP_BUILDERS))
+        unknown = sorted(set(tables) - set(_BUILDERS))
         if unknown:
             raise ValueError(f"expected-verdict tables name unknown fixture {unknown[0]!r}")
-        self._fixtures = {}
-        for fid, builder in _MATRIX_BUILDERS.items():
-            problem, x_bar, x0, curves = builder()
-            self._fixtures[fid] = Fixture(
-                fixture_id=fid, problem=problem, x_bar=x_bar, x0=x0,
-                description=builder.__doc__.strip().splitlines()[0],
-                curves=curves, expected=tables.get(fid, {}))
-        for fid, builder in _NLP_BUILDERS.items():
-            emb, x_bar, x0 = builder()
-            self._fixtures[fid] = Fixture(
-                fixture_id=fid, problem=emb.problem, x_bar=x_bar, x0=x0,
-                description=builder.__doc__.strip().splitlines()[0],
-                embedding=emb, expected=tables.get(fid, {}))
+        self._fixtures = {
+            fid: Fixture(fixture_id=fid, expected=tables.get(fid, {}),
+                         description=builder.__doc__.strip().splitlines()[0], **builder())
+            for fid, builder in _BUILDERS.items()}
         problems = self._check_tables()
         if problems:
             raise ImplicationOrderError("expected-verdict tables break the "

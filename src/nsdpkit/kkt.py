@@ -85,7 +85,7 @@ class AkktRecord:
 
 @dataclass(frozen=True)
 class AkktCertificate:
-    """Records with AkktRecord's fields; a SolverTrace holds IterRecords."""
+    """AkktRecords; a SolverTrace holds IterRecords, which extend them."""
 
     records: tuple
 

@@ -264,14 +264,9 @@ def al_gradient(problem: model.NsdpProblem, x, rho: float, Ytilde: np.ndarray,
     return model.lagrangian_grad(problem, x, Yhat)
 
 
-@dataclass(frozen=True)
-class IterRecord:
+@dataclass(frozen=True, kw_only=True)
+class IterRecord(kkt.AkktRecord):
     k: int
-    x: np.ndarray
-    y: np.ndarray
-    rho: float
-    delta: np.ndarray
-    delta_vec: np.ndarray
     residual: kkt.KktResidual
     v_norm: float | None = None
     y_safe: np.ndarray | None = None

@@ -6,6 +6,7 @@ are contractual, not tunable.
 """
 
 import functools
+import math
 import time
 
 import numpy as np
@@ -285,3 +286,14 @@ def test_behaviour_lock(registry, matrix, recoveries, regress_cq, regress_solver
         for status in set(cq.STATUSES) - {verdict.status}:
             forged = {**verdict.to_payload(), "status": status}
             assert cq.replay_witness(target, forged) is False, (fid, check, status)
+
+
+def test_replay_gates_every_verdict_point(registry, matrix):
+    """Every verdict, whatever its status, raises on replay at an ``x_bar``
+    that is not n finite numbers: padded by a coordinate, or all NaN."""
+    for (fid, check), verdict in matrix.items():
+        target = regen_lock.replay_target(registry.get(fid), check)
+        payload = verdict.to_payload()
+        for x_bar in (payload["x_bar"] + [0.0], [math.nan] * verdict.n):
+            with pytest.raises(ValueError, match="finite numbers"):
+                cq.replay_witness(target, {**payload, "x_bar": x_bar})

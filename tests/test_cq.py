@@ -994,6 +994,19 @@ def test_msr_estimators_gate_the_point(registry, estimate):
         estimate(problem, np.array([-0.5]), samples=1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda reg: cq.check_nondegeneracy(reg.get("ex-4.2").problem, [1.0, 7.0]),
+    lambda reg: cq.nlp_constant_rank_check(reg.get("nlp-curve").embedding, [0.0]),
+    lambda reg: cq.estimate_msr_modulus(reg.get("ex-4.2").problem, [1.0, 7.0],
+                                        samples=1),
+], ids=["nondegeneracy", "nlp", "msr"])
+def test_checks_gate_the_point_length(registry, call):
+    # the fixtures' closures index x: a longer point passes them, a shorter one
+    # raises IndexError
+    with pytest.raises(ValueError, match="finite numbers"):
+        call(registry)
+
+
 def test_check_msr_gates_once(registry, monkeypatch):
     fix = registry.get("ex-4.3")
     gates = []
@@ -1175,6 +1188,20 @@ def test_certificate_without_witness_replays_by_the_gate(registry):
         gate = cq.PointContext.at(fix.problem, fix.x_bar, embedding=fix.embedding)
         payload["x_bar"] = fix.x_bar.tolist()
         payload["epsilons"]["scale_v"] = (
-            cq._nlp_point(fix.embedding, fix.x_bar, gate.budget) if target is fix.embedding
-            else gate).scale_v
+            gate.scalar() if target is fix.embedding else gate).scale_v
         assert cq.replay_witness(target, payload) is False
+        # a certificate at a point of no numbers is no certificate
+        payload["x_bar"] = [math.nan] * fix.problem.n
+        payload["epsilons"]["scale_v"] = 1.0
+        with pytest.raises(ValueError, match="finite numbers"):
+            cq.replay_witness(target, payload)
+
+
+@pytest.mark.parametrize("budget", [
+    {"n_q_typo": 1}, {"n_q": "64"}, [("n_q", 64)]], ids=["field", "value", "list"])
+def test_replay_malformed_budget_raises_value_error(registry, budget):
+    fix = registry.get("ex-3.1")
+    payload = cq.check_nondegeneracy(fix.problem, fix.x_bar).to_payload()
+    recorded = {**payload["budget"], **budget} if isinstance(budget, dict) else budget
+    with pytest.raises(ValueError, match="budget"):
+        cq.replay_witness(fix.problem, {**payload, "budget": recorded})

@@ -98,3 +98,22 @@ def test_per_layer_reads_a_traced_scale_m_round(registry, tmp_path, monkeypatch)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert {layer["name"] for layer in bench["per_layer"]} <= set(metrics)
     assert metrics["linalg.moreau_split.calls"][0] > 0
+
+
+def test_diagnose_replays_nlp_verdicts_from_files(registry, tmp_path, monkeypatch):
+    # a diagnose replays each VIOLATED nlp verdict from its written file
+    # against the fixture's embedding, which only a benchmark run reaches
+    workloads = load("workloads", monkeypatch)
+    violated = set()
+    for fix in registry:
+        if fix.embedding is None:
+            continue
+        op = workloads.DiagnoseOp(fix, cq.CqBudget(), tmp_path)
+        results = op.run()
+        assert op.check(results) == [], fix.fixture_id
+        for name, status, _, replayed in results:
+            if name in workloads.NLP_CHECKS and status == cq.VIOLATED:
+                assert replayed is True, (fix.fixture_id, name)
+                violated.add((fix.fixture_id, name))
+    assert violated == {("nlp-zero-grad", "nlp-crcq"), ("nlp-zero-grad", "nlp-cpld"),
+                        ("nlp-curve", "nlp-crcq")}
